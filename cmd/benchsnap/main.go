@@ -5,10 +5,9 @@
 // production-day scenario), BENCH_workload.json (container-overlay
 // trace-generation throughput and workload shape), and BENCH_lint.json
 // (v2plint wall time over the whole module, per analyzer, plus the
-// finding count — tracking the cost of the growing static-analysis
-// suite). CI runs it on every
-// build; committing the files records how engine throughput, scenario
-// cost, and lint cost move over time.
+// finding count). CI runs it on every build; committing the files
+// records how engine throughput, scenario cost, and lint cost move over
+// time.
 //
 // Wall-clock figures vary with the host; the simulation-side fields
 // (events, flows, SLO verdicts) are deterministic.
@@ -180,15 +179,6 @@ type lintSnap struct {
 	Findings   int                `json:"findings"`
 	WallMs     float64            `json:"wall_ms"`
 	AnalyzerMs map[string]float64 `json:"analyzer_ms"`
-	// Incremental-cache trajectory: a cold run populating a fresh cache,
-	// then a warm run replaying it. The warm hit rate should be 1.0 and
-	// the warm findings byte-identical to the cold ones (enforced here —
-	// a mismatch fails the snapshot).
-	CacheColdMs      float64 `json:"cache_cold_ms"`
-	CacheWarmMs      float64 `json:"cache_warm_ms"`
-	CacheWarmHitRate float64 `json:"cache_warm_hit_rate"`
-	CacheWarmHits    int     `json:"cache_warm_hits"`
-	CacheWarmMisses  int     `json:"cache_warm_misses"`
 }
 
 func lintSnapshot() (*lintSnap, error) {
@@ -212,49 +202,14 @@ func lintSnapshot() (*lintSnap, error) {
 	for name, d := range prog.Timings() {
 		per[name] = float64(d) / float64(time.Millisecond)
 	}
-	snap := &lintSnap{
+	return &lintSnap{
 		Config:     "v2plint switchv2p/... (load + call graph + all analyzers)",
 		Packages:   len(pkgs),
 		Analyzers:  len(analyzers),
 		Findings:   len(diags),
 		WallMs:     float64(wall) / float64(time.Millisecond),
 		AnalyzerMs: per,
-	}
-
-	// Incremental-cache measurement: cold populate, warm replay, with
-	// the findings compared byte for byte across the two runs.
-	cacheDir, err := os.MkdirTemp("", "v2plint-benchsnap-cache")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(cacheDir)
-	t0 = time.Now()
-	cold, _, _, err := v2plint.RunCached("", []string{"switchv2p/..."}, analyzers, cacheDir, false)
-	if err != nil {
-		return nil, fmt.Errorf("cold cached run: %v", err)
-	}
-	snap.CacheColdMs = float64(time.Since(t0)) / float64(time.Millisecond)
-	t0 = time.Now()
-	warm, warmStats, _, err := v2plint.RunCached("", []string{"switchv2p/..."}, analyzers, cacheDir, false)
-	if err != nil {
-		return nil, fmt.Errorf("warm cached run: %v", err)
-	}
-	snap.CacheWarmMs = float64(time.Since(t0)) / float64(time.Millisecond)
-	snap.CacheWarmHitRate = warmStats.HitRate()
-	snap.CacheWarmHits = warmStats.Hits
-	snap.CacheWarmMisses = warmStats.Misses
-	coldJSON, err := json.Marshal(cold)
-	if err != nil {
-		return nil, err
-	}
-	warmJSON, err := json.Marshal(warm)
-	if err != nil {
-		return nil, err
-	}
-	if string(coldJSON) != string(warmJSON) {
-		return nil, fmt.Errorf("cached lint findings differ hot vs cold:\ncold: %s\nwarm: %s", coldJSON, warmJSON)
-	}
-	return snap, nil
+	}, nil
 }
 
 func writeJSON(dir, name string, v any) error {
@@ -328,6 +283,4 @@ func main() {
 	}
 	fmt.Printf("BENCH_lint.json: %d analyzers over %d packages in %.0fms wall, %d finding(s)\n",
 		lint.Analyzers, lint.Packages, lint.WallMs, lint.Findings)
-	fmt.Printf("  cache: cold %.0fms, warm %.0fms, warm hit rate %.0f%% (%d hit / %d analyzed)\n",
-		lint.CacheColdMs, lint.CacheWarmMs, 100*lint.CacheWarmHitRate, lint.CacheWarmHits, lint.CacheWarmMisses)
 }

@@ -1,28 +1,17 @@
 // Command v2plint runs the repo's determinism & correctness lint suite
 // (internal/analysis/v2plint) over a set of packages.
 //
-// Standalone:
+// Usage:
 //
 //	go run ./cmd/v2plint ./...
 //	go run ./cmd/v2plint -json ./...            # machine-readable findings
 //	go run ./cmd/v2plint -fix ./...             # apply suggested fixes in place
 //	go run ./cmd/v2plint -time ./...            # per-analyzer wall time on stderr
 //	go run ./cmd/v2plint -jsonfile out.json ./... # plain text on stdout, JSON to a file
-//	go run ./cmd/v2plint -cache ./...           # incremental: unchanged packages replay from cache
 //
-// All requested packages are loaded into one call-graph Program, so the
-// interprocedural analyzers (hotpathreach, workersafe, planpure,
-// detflow, shardstate) see cross-package edges and interface
-// implementations. With -cache, unchanged packages (keyed by a content
-// hash of their sources, their dependency cone, and the tool binary)
-// replay stored findings without being type-checked, and edited ones
-// are analyzed per package against cached fact summaries — vettool
-// semantics; see internal/analysis/v2plint/cache.go.
-//
-// Under the standard vet driver:
-//
-//	go build -o /tmp/v2plint ./cmd/v2plint
-//	go vet -vettool=/tmp/v2plint ./...
+// There is one mode: all requested packages are loaded into one
+// call-graph Program, so the interprocedural analyzers (hotpath,
+// planpure) see cross-package edges and interface implementations.
 //
 // The exit code is 0 when the packages are clean and nonzero when any
 // analyzer reports a finding; with -fix, findings that were repaired in
@@ -33,7 +22,6 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -51,23 +39,8 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	// `go vet -vettool=` protocol probes: the build system asks the
-	// tool for its version (for cache keying) and its flags before
-	// handing it package config files.
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full":
-			printVersion(stdout)
-			return 0
-		case args[0] == "-flags":
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		case strings.HasSuffix(args[0], ".cfg"):
-			return v2plint.RunVetTool(args[0], stderr)
-		}
-	}
-	var jsonOut, applyFixes, showTime, useCache bool
-	var jsonFile, cacheDir string
+	var jsonOut, applyFixes, showTime bool
+	var jsonFile string
 	var patterns []string
 	for i := 0; i < len(args); i++ {
 		a := args[i]
@@ -78,19 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			applyFixes = true
 		case a == "-time" || a == "--time":
 			showTime = true
-		case a == "-cache" || a == "--cache":
-			useCache = true
-		case a == "-cachedir" || a == "--cachedir":
-			if i+1 >= len(args) {
-				fmt.Fprintln(stderr, "v2plint: -cachedir needs a path")
-				return 1
-			}
-			i++
-			cacheDir = args[i]
-			useCache = true
-		case strings.HasPrefix(a, "-cachedir="):
-			cacheDir = strings.TrimPrefix(a, "-cachedir=")
-			useCache = true
 		case a == "-jsonfile" || a == "--jsonfile":
 			if i+1 >= len(args) {
 				fmt.Fprintln(stderr, "v2plint: -jsonfile needs a path")
@@ -111,24 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			patterns = append(patterns, a)
 		}
-	}
-
-	if useCache && applyFixes {
-		// Fixes rewrite sources mid-run; entries written before the
-		// rewrite would be stale the moment it lands.
-		fmt.Fprintln(stderr, "v2plint: -fix disables the cache")
-		useCache = false
-	}
-	if useCache {
-		if cacheDir == "" {
-			base, err := os.UserCacheDir()
-			if err != nil {
-				fmt.Fprintf(stderr, "v2plint: %v (pass -cachedir)\n", err)
-				return 1
-			}
-			cacheDir = filepath.Join(base, "v2plint")
-		}
-		return runCached(patterns, cacheDir, jsonOut, jsonFile, showTime, stdout, stderr)
 	}
 
 	pkgs, err := v2plint.LoadPackages("", patterns)
@@ -194,24 +136,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return emit(v2plint.FindingsFromDiagnostics(fs, diags), jsonOut, jsonFile, stdout, stderr)
 }
 
-// runCached is the incremental driver path: unchanged packages replay
-// their findings from the content-hashed cache; edited ones (and their
-// dependents) are analyzed vettool-style and re-stored.
-func runCached(patterns []string, cacheDir string, jsonOut bool, jsonFile string, showTime bool, stdout, stderr io.Writer) int {
-	findings, stats, timings, err := v2plint.RunCached("", patterns, v2plint.Analyzers(), cacheDir, showTime)
-	if err != nil {
-		fmt.Fprintf(stderr, "v2plint: %v\n", err)
-		return 1
-	}
-	if showTime {
-		printTimings(stderr, timings)
-	}
-	fmt.Fprintf(stderr, "v2plint: cache %d/%d package(s) hit, %d analyzed\n", stats.Hits, stats.Packages, stats.Misses)
-	return emit(findings, jsonOut, jsonFile, stdout, stderr)
-}
-
-// emit renders the globally sorted findings — text or JSON, optionally
-// mirrored to -jsonfile — and returns the process exit code.
+// emit renders the findings sorted by (file, line, column, analyzer) —
+// text or JSON, optionally mirrored to -jsonfile — and returns the
+// process exit code.
 func emit(findings []v2plint.Finding, jsonOut bool, jsonFile string, stdout, stderr io.Writer) int {
 	v2plint.SortFindings(findings)
 	if jsonFile != "" {
@@ -291,34 +218,13 @@ func relPath(file string) string {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: v2plint [-json] [-jsonfile path] [-fix] [-time] [-cache] [-cachedir path] [packages]")
+	fmt.Fprintln(w, "usage: v2plint [-json] [-jsonfile path] [-fix] [-time] [packages]")
 	fmt.Fprintln(w, "  -json           emit findings as a JSON array (file/line/col/analyzer/message/fix)")
 	fmt.Fprintln(w, "  -jsonfile path  write the JSON array to path while keeping plain text on stdout")
 	fmt.Fprintln(w, "  -fix            apply suggested fixes in place; unfixable findings still fail")
 	fmt.Fprintln(w, "  -time           report per-analyzer wall time on stderr")
-	fmt.Fprintln(w, "  -cache          replay unchanged packages from the content-hashed cache")
-	fmt.Fprintln(w, "  -cachedir path  cache location (implies -cache; default os.UserCacheDir()/v2plint)")
 	fmt.Fprintln(w, "\nAnalyzers:")
 	for _, a := range v2plint.Analyzers() {
 		fmt.Fprintf(w, "  %-14s %s\n", a.Name, a.Doc)
 	}
-}
-
-// printVersion answers the -V=full probe in the format cmd/go's toolID
-// parser expects: "<name> version devel ... buildID=<content-id>".
-// The content id is a hash of the executable so that vet's result
-// cache is invalidated whenever the tool changes.
-func printVersion(w io.Writer) {
-	name := filepath.Base(os.Args[0])
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			h := sha256.New()
-			if _, err := io.Copy(h, f); err == nil {
-				id = fmt.Sprintf("%x", h.Sum(nil))
-			}
-			f.Close()
-		}
-	}
-	fmt.Fprintf(w, "%s version devel comments-go-here buildID=%s\n", name, id)
 }

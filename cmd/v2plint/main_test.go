@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -20,28 +19,6 @@ func TestRepoIsClean(t *testing.T) {
 	code := run([]string{"switchv2p/..."}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("v2plint found violations (exit %d):\n%s%s", code, stdout.String(), stderr.String())
-	}
-}
-
-func TestVersionProbe(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full: exit %d", code)
-	}
-	f := strings.Fields(stdout.String())
-	// cmd/go's toolID parser requires "<name> version devel ... buildID=<id>".
-	if len(f) < 3 || f[1] != "version" || f[2] != "devel" || !strings.HasPrefix(f[len(f)-1], "buildID=") {
-		t.Fatalf("-V=full output not in cmd/go toolID format: %q", stdout.String())
-	}
-}
-
-func TestFlagsProbe(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags: exit %d", code)
-	}
-	if strings.TrimSpace(stdout.String()) != "[]" {
-		t.Fatalf("-flags = %q, want []", stdout.String())
 	}
 }
 
@@ -84,13 +61,13 @@ func TestJSONFileOutput(t *testing.T) {
 // TestEmitGloballySorted pins the output-ordering contract: findings
 // are rendered sorted by (file, line, column, analyzer) across
 // packages, in both the plain-text and JSON formats, whatever order
-// the analysis (or the cache replay) produced them in.
+// the analysis produced them in.
 func TestEmitGloballySorted(t *testing.T) {
 	unsorted := []v2plint.Finding{
 		{File: "/b/late.go", Line: 3, Col: 1, Analyzer: "wallclock", Message: "m4"},
-		{File: "/a/early.go", Line: 10, Col: 2, Analyzer: "detflow", Message: "m2"},
+		{File: "/a/early.go", Line: 10, Col: 2, Analyzer: "detrange", Message: "m2"},
 		{File: "/a/early.go", Line: 10, Col: 2, Analyzer: "allowreason", Message: "m1"},
-		{File: "/a/early.go", Line: 10, Col: 9, Analyzer: "detrange", Message: "m3"},
+		{File: "/a/early.go", Line: 10, Col: 9, Analyzer: "globalrand", Message: "m3"},
 	}
 	var stdout, stderr bytes.Buffer
 	if code := emit(append([]v2plint.Finding(nil), unsorted...), false, "", &stdout, &stderr); code != 2 {
@@ -120,200 +97,17 @@ func TestEmitGloballySorted(t *testing.T) {
 	}
 }
 
-// TestCacheFlagDriver runs the cached path end to end on a real repo
-// package: cold then warm, clean both times, with the warm run a full
-// replay.
-func TestCacheFlagDriver(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs go list -export")
-	}
-	cacheDir := filepath.Join(t.TempDir(), "cache")
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-cachedir", cacheDir, "switchv2p/internal/simtime"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("cold cached run: exit %d\n%s%s", code, stdout.String(), stderr.String())
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-cachedir", cacheDir, "switchv2p/internal/simtime"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("warm cached run: exit %d\n%s%s", code, stdout.String(), stderr.String())
-	}
-	if msg := stderr.String(); !strings.Contains(msg, "cache 1/1 package(s) hit, 0 analyzed") {
-		t.Fatalf("warm run stats line missing full hit: %q", msg)
-	}
-}
-
+// TestUnknownFlag pins the driver's flag surface: only -json,
+// -jsonfile, -fix and -time exist. The retired cache flags and vet
+// unit-checker probes are rejected like any other unknown flag.
 func TestUnknownFlag(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-bogus"}, &stdout, &stderr); code != 1 {
-		t.Fatalf("unknown flag: exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "unknown flag") {
-		t.Fatalf("unknown flag: stderr %q does not mention it", stderr.String())
-	}
-}
-
-// TestVetConfigRoundTrip drives the unit-checker protocol by hand:
-// a dependency package is processed VetxOnly (producing summary facts
-// in its .vetx), then the dependent package is analyzed with and
-// without those facts. With facts, the hot root's cross-package
-// allocation is reported with its witness chain; without, the analyzer
-// degrades gracefully to silence — pinning both that facts work and
-// that their absence cannot produce false positives.
-func TestVetConfigRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs go list -export")
-	}
-	dir := t.TempDir()
-	writeFile := func(rel, content string) string {
-		t.Helper()
-		path := filepath.Join(dir, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
+	for _, flag := range []string{"-bogus", "-cache", "-cachedir=x", "-V=full", "-flags"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{flag}, &stdout, &stderr); code != 1 {
+			t.Errorf("%s: exit %d, want 1", flag, code)
 		}
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
+		if !strings.Contains(stderr.String(), "unknown flag") {
+			t.Errorf("%s: stderr %q does not mention an unknown flag", flag, stderr.String())
 		}
-		return path
-	}
-	writeFile("go.mod", "module example\n\ngo 1.22\n")
-	helperGo := writeFile("helper/helper.go",
-		"package helper\n\nfunc Describe(n int) []byte {\n\treturn make([]byte, n)\n}\n")
-	hotGo := writeFile("hot/hot.go",
-		"package hot\n\nimport \"example/helper\"\n\n//v2plint:hotpath\nfunc Fanout(n int) {\n\t_ = helper.Describe(n)\n}\n")
-
-	// Export data for the helper, as cmd/go would hand it to the tool.
-	list := exec.Command("go", "list", "-export", "-f", "{{.Export}}", "./helper")
-	list.Dir = dir
-	exportOut, err := list.Output()
-	if err != nil {
-		t.Fatalf("go list -export: %v", err)
-	}
-	helperExport := strings.TrimSpace(string(exportOut))
-	if helperExport == "" {
-		t.Fatal("go list -export returned no export file")
-	}
-
-	type cfg struct {
-		ID          string
-		Compiler    string
-		Dir         string
-		ImportPath  string
-		GoFiles     []string
-		ImportMap   map[string]string
-		PackageFile map[string]string
-		Standard    map[string]bool
-		PackageVetx map[string]string
-		VetxOnly    bool
-		VetxOutput  string
-	}
-	writeCfg := func(name string, c cfg) string {
-		t.Helper()
-		data, err := json.Marshal(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return writeFile(name, string(data))
-	}
-
-	// Phase 1: facts-only pass over the dependency.
-	helperVetx := filepath.Join(dir, "helper.vetx")
-	helperCfg := writeCfg("helper.cfg", cfg{
-		ID: "example/helper", Compiler: "gc",
-		Dir: filepath.Dir(helperGo), ImportPath: "example/helper",
-		GoFiles: []string{helperGo}, VetxOnly: true, VetxOutput: helperVetx,
-	})
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{helperCfg}, &stdout, &stderr); code != 0 {
-		t.Fatalf("helper VetxOnly pass: exit %d\n%s", code, stderr.String())
-	}
-	facts, err := os.ReadFile(helperVetx)
-	if err != nil {
-		t.Fatalf("helper vetx not written: %v", err)
-	}
-	var summaries map[string]struct {
-		Display string `json:"display"`
-		Effects map[string]struct {
-			Detail string `json:"detail"`
-		} `json:"effects"`
-	}
-	if err := json.Unmarshal(facts, &summaries); err != nil {
-		t.Fatalf("helper vetx is not summary JSON: %v\n%s", err, facts)
-	}
-	s, ok := summaries["example/helper.Describe"]
-	if !ok {
-		t.Fatalf("vetx facts missing example/helper.Describe: %s", facts)
-	}
-	if s.Effects["alloc"].Detail != "make" {
-		t.Fatalf("Describe alloc effect = %+v, want detail \"make\"", s.Effects)
-	}
-
-	// Phase 2: analyze the dependent package with the facts — the
-	// cross-package chain must be reported.
-	hotVetx := filepath.Join(dir, "hot.vetx")
-	hotCfg := writeCfg("hot.cfg", cfg{
-		ID: "example/hot", Compiler: "gc",
-		Dir: filepath.Dir(hotGo), ImportPath: "example/hot",
-		GoFiles:     []string{hotGo},
-		ImportMap:   map[string]string{"example/helper": "example/helper"},
-		PackageFile: map[string]string{"example/helper": helperExport},
-		PackageVetx: map[string]string{"example/helper": helperVetx},
-		VetxOutput:  hotVetx,
-	})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{hotCfg}, &stdout, &stderr); code != 2 {
-		t.Fatalf("hot pass with facts: exit %d, want 2\n%s", code, stderr.String())
-	}
-	if msg := stderr.String(); !strings.Contains(msg, "hotpathreach") ||
-		!strings.Contains(msg, "Fanout → helper.Describe → make") {
-		t.Fatalf("hot pass with facts: missing witness chain in output:\n%s", msg)
-	}
-
-	// Phase 3: same package without the dependency facts — the graph
-	// cannot see into helper, so the tool stays silent (degradation,
-	// not false positives).
-	hotNoFactsCfg := writeCfg("hotnofacts.cfg", cfg{
-		ID: "example/hot", Compiler: "gc",
-		Dir: filepath.Dir(hotGo), ImportPath: "example/hot",
-		GoFiles:     []string{hotGo},
-		ImportMap:   map[string]string{"example/helper": "example/helper"},
-		PackageFile: map[string]string{"example/helper": helperExport},
-	})
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{hotNoFactsCfg}, &stdout, &stderr); code != 0 {
-		t.Fatalf("hot pass without facts: exit %d, want 0\n%s", code, stderr.String())
-	}
-
-	// A standard-library package writes an empty vetx and is never
-	// analyzed.
-	stdVetx := filepath.Join(dir, "std.vetx")
-	stdCfg := writeCfg("std.cfg", cfg{
-		ID: "fmt", Compiler: "gc", Dir: dir, ImportPath: "fmt",
-		Standard: map[string]bool{"fmt": true}, VetxOnly: true, VetxOutput: stdVetx,
-	})
-	if code := run([]string{stdCfg}, &stdout, &stderr); code != 0 {
-		t.Fatalf("standard package pass: exit %d\n%s", code, stderr.String())
-	}
-	if data, err := os.ReadFile(stdVetx); err != nil || len(data) != 0 {
-		t.Fatalf("standard package vetx: data %q err %v, want empty file", data, err)
-	}
-}
-
-// TestVetToolProtocol builds the binary and runs it under the real
-// `go vet -vettool=` driver on a couple of simulation packages.
-func TestVetToolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a binary and runs go vet")
-	}
-	bin := filepath.Join(t.TempDir(), "v2plint")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building v2plint: %v\n%s", err, out)
-	}
-	vet := exec.Command("go", "vet", "-vettool="+bin,
-		"switchv2p/internal/simtime", "switchv2p/internal/eventq", "switchv2p/internal/vnet")
-	if out, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool: %v\n%s", err, out)
 	}
 }

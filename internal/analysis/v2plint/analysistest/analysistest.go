@@ -53,18 +53,20 @@ func TestData(t *testing.T) string {
 	return dir
 }
 
-// Run analyzes each named package under testdata/src with the analyzer
-// and checks the diagnostics against the package's want comments.
-func Run(t *testing.T, testdata string, a *v2plint.Analyzer, pkgPaths ...string) {
+// Run analyzes each named package under testdata/src with the
+// analyzers and checks the diagnostics against the package's want
+// comments. Most tests pass one analyzer; allowreason's judges waivers
+// against the findings of a second one.
+func Run(t *testing.T, testdata string, analyzers []*v2plint.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	fset, files, diags := analyze(t, testdata, a, pkgPaths)
+	fset, files, diags := analyze(t, testdata, analyzers, pkgPaths)
 	checkWants(t, fset, files, diags)
 }
 
 // analyze loads every named package into one shared Program, runs the
-// analyzer, and returns the FileSet, the union of parsed files, and the
+// analyzers, and returns the FileSet, the union of parsed files, and the
 // diagnostics.
-func analyze(t *testing.T, testdata string, a *v2plint.Analyzer, pkgPaths []string) (*token.FileSet, []*ast.File, []v2plint.Diagnostic) {
+func analyze(t *testing.T, testdata string, analyzers []*v2plint.Analyzer, pkgPaths []string) (*token.FileSet, []*ast.File, []v2plint.Diagnostic) {
 	t.Helper()
 	fset := token.NewFileSet()
 	imp := &testImporter{
@@ -86,7 +88,7 @@ func analyze(t *testing.T, testdata string, a *v2plint.Analyzer, pkgPaths []stri
 		prog.Add(files, pkg, info)
 		allFiles = append(allFiles, files...)
 	}
-	return fset, allFiles, prog.Run([]*v2plint.Analyzer{a})
+	return fset, allFiles, prog.Run(analyzers)
 }
 
 // RunWithSuggestedFixes is Run plus golden-file fix assertions: every
@@ -95,9 +97,9 @@ func analyze(t *testing.T, testdata string, a *v2plint.Analyzer, pkgPaths []stri
 // A missing golden file for a fixed file, or a stray golden file whose
 // source produced no fixes, is an error — goldens cannot silently go
 // stale.
-func RunWithSuggestedFixes(t *testing.T, testdata string, a *v2plint.Analyzer, pkgPaths ...string) {
+func RunWithSuggestedFixes(t *testing.T, testdata string, analyzers []*v2plint.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	fset, files, diags := analyze(t, testdata, a, pkgPaths)
+	fset, files, diags := analyze(t, testdata, analyzers, pkgPaths)
 	checkWants(t, fset, files, diags)
 
 	fixed, err := v2plint.ApplyFixes(fset, diags)

@@ -1,11 +1,12 @@
 package v2plint
 
-// Call-graph construction for the interprocedural analyzers
-// (hotpathreach, planpure). The graph is built per Program: every added
-// package contributes one node per function declaration, each node
-// carrying the function's *direct* effects (heap allocation, fmt,
-// wall-clock reads, global math/rand, dynamic calls, mutable-state
-// reads) and its outgoing call edges. After all packages are added,
+// Call-graph construction for the interprocedural analyzers (hotpath,
+// planpure). The graph is built per Program: every added package
+// contributes one node per function declaration, each node carrying the
+// function's *direct* effects (heap allocation, fmt, wall-clock reads,
+// global math/rand, dynamic calls, mutable-state reads) and its
+// outgoing call edges. scanFuncEffects is the suite's only detector for
+// those constructs. After all packages are added,
 // interface calls are resolved against the implements-relation over
 // every concrete type the Program has seen, and a fixed-point pass
 // collapses the edges into transitive per-function effect summaries,
@@ -19,13 +20,10 @@ package v2plint
 //     paths cannot silently hide behind literals — but a planner that
 //     stashes impurity inside a closure it later invokes dynamically
 //     is not caught. The intraprocedural analyzers (wallclock,
-//     globalrand, hotpathalloc) still see literal bodies as raw
-//     syntax.
+//     globalrand) still see literal bodies as raw syntax.
 //   - Interface calls resolve only against concrete types declared in
-//     packages added to the same Program. Under the vet unit-checker
-//     protocol only one package is visible, so cross-package interface
-//     dispatch degrades to "no known implementations" (standalone
-//     cmd/v2plint runs see the whole module and do not degrade).
+//     packages added to the same Program (cmd/v2plint loads the whole
+//     module into one).
 //   - Standard-library callees are classified by direct rules (fmt,
 //     time.Now/Since/Until, package-level math/rand) at the call site
 //     and otherwise assumed effect-free.
@@ -35,7 +33,6 @@ package v2plint
 //     (assume/guarantee).
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -58,12 +55,7 @@ const (
 	numEffects
 )
 
-// effectName keys the summary serialization; effectNoun is the phrase
-// diagnostics use.
-var effectName = [numEffects]string{
-	"alloc", "fmt", "wallclock", "globalrand", "dynamic", "stateread",
-}
-
+// effectNoun is the phrase diagnostics use for an effect class.
 var effectNoun = [numEffects]string{
 	effAlloc:      "a heap allocation",
 	effFmt:        "fmt formatting",
@@ -78,10 +70,9 @@ var effectNoun = [numEffects]string{
 // lists the display names from the first callee down to the function
 // whose Detail is the terminal construct).
 type transEffect struct {
-	Chain  []string `json:"chain,omitempty"`
-	Detail string   `json:"detail"`
-
-	pos token.Pos // local anchor; zero for imported summaries
+	Chain  []string
+	Detail string
+	pos    token.Pos
 }
 
 // A callTarget is one statically resolved callee of a call site.
@@ -104,8 +95,7 @@ type callSite struct {
 type funcNode struct {
 	key     string
 	display string
-	pkgPath string
-	decl    *ast.FuncDecl // nil for summaries imported from .vetx facts
+	decl    *ast.FuncDecl
 
 	hotRoot  bool // //v2plint:hotpath or knownHotPath entry
 	planRoot bool // //v2plint:planpure or knownPlanPure entry
@@ -113,13 +103,6 @@ type funcNode struct {
 	direct [numEffects][]*transEffect // every direct occurrence, source order
 	calls  []*callSite
 	trans  [numEffects]*transEffect // transitive summary, set by collapse
-
-	// Taint summaries, set by computeTaint (dataflow.go) and exchanged
-	// through the .vetx facts for imported nodes.
-	retTaint  *taintVal        // results carry taint from a source
-	paramRet  map[int]bool     // parameter i flows to a result
-	paramSink map[int]*sinkVal // parameter i reaches a sink
-	flowFinds []*flowFinding   // witnessed source→sink flows, local decls only
 }
 
 func (n *funcNode) addDirect(c effectClass, pos token.Pos, detail string) {
@@ -128,19 +111,16 @@ func (n *funcNode) addDirect(c effectClass, pos token.Pos, detail string) {
 
 // A Program accumulates packages, resolves the call graph across all of
 // them, and runs analyzers with the graph attached to each Pass.
-// RunPackage is the single-package convenience wrapper.
 type Program struct {
 	fset  *token.FileSet
 	pkgs  []*progPkg
-	nodes map[string]*funcNode
+	nodes map[string]*funcNode // keyed by importPath + "." + funcKey
 	final bool
 
-	recvWrites map[string]bool // method key → writes its receiver (dataflow.go)
-	timings    map[string]time.Duration
+	timings map[string]time.Duration
 }
 
 type progPkg struct {
-	path  string
 	files []*ast.File
 	pkg   *types.Package
 	info  *types.Info
@@ -190,7 +170,7 @@ func (p *Program) Add(files []*ast.File, pkg *types.Package, info *types.Info) {
 	if pkg != nil {
 		pkgPath = pkg.Path()
 	}
-	pp := &progPkg{path: pkgPath, files: files, pkg: pkg, info: info}
+	pp := &progPkg{files: files, pkg: pkg, info: info}
 	base := path.Base(pkgPath)
 	for _, f := range files {
 		if isTestFile(p.fset, f) {
@@ -205,7 +185,6 @@ func (p *Program) Add(files []*ast.File, pkg *types.Package, info *types.Info) {
 			n := &funcNode{
 				key:      pkgPath + "." + fk,
 				display:  base + "." + fk,
-				pkgPath:  pkgPath,
 				decl:     fn,
 				hotRoot:  funcAnnotated(fn, "hotpath") || knownHotPath[base][fk],
 				planRoot: funcAnnotated(fn, "planpure") || knownPlanPure[base][fk],
@@ -220,7 +199,11 @@ func (p *Program) Add(files []*ast.File, pkg *types.Package, info *types.Info) {
 }
 
 // Run resolves the graph and runs the analyzers over every added
-// package, returning all unwaived findings sorted by position.
+// package, returning all unwaived findings in package, then analyzer
+// order (SortFindings gives the output order). Findings from the
+// allowreason analyzer are exempt from waiving: a waiver cannot excuse
+// itself. When allowreason is among the analyzers, waivers that waived
+// nothing in this run are findings too.
 func (p *Program) Run(analyzers []*Analyzer) []Diagnostic {
 	p.finalize()
 	var allFiles []*ast.File
@@ -229,6 +212,10 @@ func (p *Program) Run(analyzers []*Analyzer) []Diagnostic {
 	}
 	allows := collectAllows(p.fset, allFiles)
 	var diags []Diagnostic
+	ran := map[string]bool{}
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
 	for _, pp := range p.pkgs {
 		for _, a := range analyzers {
 			start := time.Now()
@@ -252,25 +239,11 @@ func (p *Program) Run(analyzers []*Analyzer) []Diagnostic {
 			kept = append(kept, d)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool {
-		pi, pj := p.fset.Position(kept[i].Pos), p.fset.Position(kept[j].Pos)
-		if pi.Filename != pj.Filename {
-			return pi.Filename < pj.Filename
-		}
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		if pi.Column != pj.Column {
-			return pi.Column < pj.Column
-		}
-		return kept[i].Analyzer < kept[j].Analyzer
-	})
+	if ran[AllowReason.Name] {
+		kept = append(kept, idleWaivers(allows, ran)...)
+	}
 	return kept
 }
-
-// node returns the graph node for a canonical key (a local declaration
-// or an imported summary), or nil.
-func (p *Program) node(key string) *funcNode { return p.nodes[key] }
 
 // --- finalize: interface resolution + summary collapse ---
 
@@ -283,7 +256,6 @@ func (p *Program) finalize() {
 	p.resolveInterfaces()
 	p.collapse()
 	p.addTiming("callgraph", start)
-	p.computeTaint()
 }
 
 // resolveInterfaces fills the targets of interface call sites from the
@@ -474,18 +446,29 @@ func scanCall(info *types.Info, n *funcNode, fn *ast.FuncDecl, call *ast.CallExp
 			case "make", "new":
 				n.addDirect(effAlloc, call.Pos(), b.Name())
 			case "append":
-				if localAppendDest(info, fn, call) {
-					n.addDirect(effAlloc, call.Pos(), "append to local slice")
+				if name, ok := localAppendDest(info, fn, call); ok {
+					n.addDirect(effAlloc, call.Pos(), "append to function-local slice "+name)
 				}
 			}
 			return
 		}
 	}
-	// Conversions are not calls (interface-boxing conversions are the
-	// intraprocedural hotpathalloc's concern).
+	// Conversions are not calls, but T(x) with T an interface boxes x.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
+		if len(call.Args) == 1 {
+			scanBoxing(info, n, tv.Type, call.Args[0])
+		}
 		return
 	}
+	// fmt is allocation-heavy (boxing + formatting state): one fmt effect
+	// stands for the call, its boxed arguments are not listed on top.
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		if fnObj, pkgPath, ok := pkgFunc(info, sel); ok && pkgPath == "fmt" {
+			n.addDirect(effFmt, call.Pos(), "fmt."+fnObj.Name())
+			return
+		}
+	}
+	scanBoxedArgs(info, n, call)
 
 	switch fun := fun.(type) {
 	case *ast.Ident:
@@ -501,8 +484,6 @@ func scanCall(info *types.Info, n *funcNode, fn *ast.FuncDecl, call *ast.CallExp
 	case *ast.SelectorExpr:
 		if fnObj, pkgPath, ok := pkgFunc(info, fun); ok {
 			switch {
-			case pkgPath == "fmt":
-				n.addDirect(effFmt, call.Pos(), "fmt."+fnObj.Name())
 			case pkgPath == "time" && wallClockFuncs[fnObj.Name()]:
 				n.addDirect(effWallClock, call.Pos(), "time."+fnObj.Name())
 			case (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && !randConstructors[fnObj.Name()]:
@@ -546,23 +527,22 @@ func scanCall(info *types.Info, n *funcNode, fn *ast.FuncDecl, call *ast.CallExp
 }
 
 // localAppendDest reports whether the append destination is a slice
-// declared inside fn's body (same rule as hotpathalloc).
-func localAppendDest(info *types.Info, fn *ast.FuncDecl, call *ast.CallExpr) bool {
+// declared inside fn's body, and its name: such a slice's growth cannot
+// be pooled across calls. Appends to struct fields, package variables
+// and parameters are the designed pooling idiom (amortized to zero).
+func localAppendDest(info *types.Info, fn *ast.FuncDecl, call *ast.CallExpr) (string, bool) {
 	if len(call.Args) == 0 {
-		return false
+		return "", false
 	}
 	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
 	if !ok {
-		return false
+		return "", false
 	}
 	obj := info.Uses[id]
-	if obj == nil {
-		obj = info.Defs[id]
+	if obj == nil || !obj.Pos().IsValid() {
+		return "", false
 	}
-	if obj == nil || !obj.Pos().IsValid() || fn.Body == nil {
-		return false
-	}
-	return obj.Pos() >= fn.Body.Pos() && obj.Pos() < fn.Body.End()
+	return id.Name, obj.Pos() >= fn.Body.Pos() && obj.Pos() < fn.Body.End()
 }
 
 // funcKeyOf canonicalizes a package-level function object.
@@ -623,102 +603,4 @@ func selString(sel *ast.SelectorExpr) string {
 		return selString(inner) + "." + sel.Sel.Name
 	}
 	return sel.Sel.Name
-}
-
-// --- .vetx fact serialization ---
-
-// funcSummary is the serialized form of one function's transitive
-// summary, exchanged through the vet driver's .vetx fact files so the
-// unit-checker mode sees dependency effects.
-type funcSummary struct {
-	Display string                  `json:"display"`
-	HotRoot bool                    `json:"hotroot,omitempty"`
-	Effects map[string]*transEffect `json:"effects,omitempty"`
-
-	// Taint summaries (dataflow.go). RetTaint's Src field names the
-	// source class; ParamRet lists pass-through parameter indices.
-	RetTaint  *taintVal        `json:"rettaint,omitempty"`
-	ParamRet  []int            `json:"paramret,omitempty"`
-	ParamSink map[int]*sinkVal `json:"paramsink,omitempty"`
-}
-
-// ExportSummaries serializes the transitive summaries of the named
-// package's functions (after resolving the graph) for a .vetx file.
-// Only functions with at least one effect, or that are contract roots,
-// are exported.
-func (p *Program) ExportSummaries(pkgPath string) ([]byte, error) {
-	p.finalize()
-	out := map[string]*funcSummary{}
-	for _, pp := range p.pkgs {
-		if pp.path != pkgPath {
-			continue
-		}
-		for _, n := range pp.nodes {
-			s := &funcSummary{Display: n.display, HotRoot: n.hotRoot}
-			for c := effectClass(0); c < numEffects; c++ {
-				if n.trans[c] == nil {
-					continue
-				}
-				if s.Effects == nil {
-					s.Effects = map[string]*transEffect{}
-				}
-				s.Effects[effectName[c]] = n.trans[c]
-			}
-			s.RetTaint = n.retTaint
-			s.ParamSink = n.paramSink
-			if len(n.paramRet) > 0 {
-				idx := make([]int, 0, len(n.paramRet))
-				for i := range n.paramRet {
-					idx = append(idx, i)
-				}
-				sort.Ints(idx)
-				s.ParamRet = idx
-			}
-			if s.HotRoot || s.Effects != nil || s.RetTaint != nil ||
-				s.ParamRet != nil || s.ParamSink != nil {
-				out[n.key] = s
-			}
-		}
-	}
-	return json.Marshal(out) // map keys marshal sorted: deterministic
-}
-
-// ImportSummaries loads dependency summaries (previously produced by
-// ExportSummaries) into the graph as declaration-less nodes. Local
-// declarations with the same key win.
-func (p *Program) ImportSummaries(data []byte) error {
-	var in map[string]*funcSummary
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("v2plint: parsing fact summaries: %w", err)
-	}
-	for key, s := range in {
-		if _, exists := p.nodes[key]; exists {
-			continue
-		}
-		n := &funcNode{key: key, display: s.Display, hotRoot: s.HotRoot}
-		for name, te := range s.Effects {
-			for c := effectClass(0); c < numEffects; c++ {
-				if effectName[c] == name {
-					n.trans[c] = te
-				}
-			}
-		}
-		if s.RetTaint != nil {
-			n.retTaint = s.RetTaint
-			for c := taintSource(0); c < numTaintSources; c++ {
-				if taintSrcName[c] == s.RetTaint.Src {
-					n.retTaint.src = c
-				}
-			}
-		}
-		if len(s.ParamRet) > 0 {
-			n.paramRet = map[int]bool{}
-			for _, i := range s.ParamRet {
-				n.paramRet[i] = true
-			}
-		}
-		n.paramSink = s.ParamSink
-		p.nodes[key] = n
-	}
-	return nil
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestDetRange(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), v2plint.DetRange, "detrange")
+	analysistest.Run(t, analysistest.TestData(t), []*v2plint.Analyzer{v2plint.DetRange}, "detrange")
 }

@@ -8,6 +8,6 @@ import (
 )
 
 func TestFaultGate(t *testing.T) {
-	analysistest.RunWithSuggestedFixes(t, analysistest.TestData(t), v2plint.FaultGate,
+	analysistest.RunWithSuggestedFixes(t, analysistest.TestData(t), []*v2plint.Analyzer{v2plint.FaultGate},
 		"faultgate/simnet")
 }

@@ -151,25 +151,3 @@ func TestApplyFixesIgnoresFixlessDiagnostics(t *testing.T) {
 		t.Fatalf("fixed %d files, want 0", len(fixed))
 	}
 }
-
-func TestSuiteShipsFifteenAnalyzers(t *testing.T) {
-	// The CI contract ("all fifteen analyzers, build-failing") and the
-	// package doc both promise this exact suite; a rename or removal
-	// must be a conscious change here too.
-	want := []string{
-		"detrange", "wallclock", "globalrand", "simtimeunits",
-		"hotpathalloc", "faultgate", "schemecomplete", "nilsafemetrics", "shardowner",
-		"hotpathreach", "workersafe", "planpure",
-		"detflow", "shardstate",
-		"allowreason",
-	}
-	got := Analyzers()
-	if len(got) != len(want) {
-		t.Fatalf("Analyzers() has %d entries, want %d", len(got), len(want))
-	}
-	for i, a := range got {
-		if a.Name != want[i] {
-			t.Errorf("Analyzers()[%d] = %s, want %s", i, a.Name, want[i])
-		}
-	}
-}

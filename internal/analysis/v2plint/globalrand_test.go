@@ -8,5 +8,5 @@ import (
 )
 
 func TestGlobalRand(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), v2plint.GlobalRand, "globalrand")
+	analysistest.Run(t, analysistest.TestData(t), []*v2plint.Analyzer{v2plint.GlobalRand}, "globalrand")
 }

@@ -47,7 +47,7 @@ var planPureClasses = []effectClass{effWallClock, effGlobalRand, effStateRead}
 
 func runPlanPure(pass *Pass) {
 	for _, n := range pass.nodes {
-		if !n.planRoot || n.decl == nil {
+		if !n.planRoot {
 			continue
 		}
 		root := funcKey(n.decl)
@@ -73,7 +73,7 @@ func runPlanPure(pass *Pass) {
 		}
 		for _, cs := range n.calls {
 			for _, tgt := range cs.targets {
-				callee := pass.Prog.node(tgt.key)
+				callee := pass.Prog.nodes[tgt.key]
 				if callee == nil || callee.planRoot || callee.hotRoot {
 					continue
 				}

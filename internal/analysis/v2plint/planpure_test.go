@@ -13,6 +13,6 @@ func TestPlanPure(t *testing.T) {
 	// violations and the seeded-rand/materialization negatives, and
 	// "planpure/scenario" proves the known entry points are checked
 	// without annotations.
-	analysistest.Run(t, analysistest.TestData(t), v2plint.PlanPure,
+	analysistest.Run(t, analysistest.TestData(t), []*v2plint.Analyzer{v2plint.PlanPure},
 		"planpure/telemetry", "planpure", "planpure/scenario")
 }

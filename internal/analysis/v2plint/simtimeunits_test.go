@@ -8,5 +8,5 @@ import (
 )
 
 func TestSimTimeUnits(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), v2plint.SimTimeUnits, "simtimeunits")
+	analysistest.Run(t, analysistest.TestData(t), []*v2plint.Analyzer{v2plint.SimTimeUnits}, "simtimeunits")
 }

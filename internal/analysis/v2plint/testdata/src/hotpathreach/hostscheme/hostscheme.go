@@ -20,7 +20,7 @@ func (t *tier) scheduleInstall(flow uint64) {
 	t.pending[flow] = true
 }
 
-// insert is itself a hot root: its body is hotpathalloc's concern and
+// insert is itself a hot root: its body is checked in its own right and
 // callers do not inherit its effects (assume/guarantee).
 //
 //v2plint:hotpath

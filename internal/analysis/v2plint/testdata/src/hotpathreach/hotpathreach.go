@@ -56,13 +56,13 @@ func forwardVia(e encoder, n int) string {
 	return e.Encode(n) // want `hot-path function forwardVia reaches fmt formatting: forwardVia → hotpathreach\.jsonEnc\.Encode → fmt\.Sprint`
 }
 
-// subRoot is itself a hot root: its body is hotpathalloc's concern, and
-// callers do not inherit its effects (assume/guarantee), so the edge
+// subRoot is itself a hot root: its body is reported in its own right,
+// and callers do not inherit its effects (assume/guarantee), so the edge
 // below is silent.
 //
 //v2plint:hotpath
 func subRoot(n int) []byte {
-	return make([]byte, n)
+	return make([]byte, n) // want `make in hot-path function subRoot heap-allocates per call`
 }
 
 //v2plint:hotpath
@@ -74,7 +74,7 @@ func forwardPooled(n int) {
 //
 //v2plint:hotpath
 func forwardWaived(id int) string {
-	//v2plint:allow hotpathreach cold diagnostics branch, never taken in measured runs
+	//v2plint:allow hotpath cold diagnostics branch, never taken in measured runs
 	return format(id)
 }
 

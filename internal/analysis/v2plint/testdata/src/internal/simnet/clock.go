@@ -1,5 +1,5 @@
-// Package simnet stands in for a simulation package under the
-// wallclock contract (matched by package-path base name).
+// Package simnet stands in for a package under the wallclock contract
+// (any import path below internal/, internal/analysis excepted).
 package simnet
 
 import "time"

@@ -1,4 +1,4 @@
-// Package other is outside the simulation-package set, so wall-clock
+// Package other is not under an internal/ directory, so wall-clock
 // reads are allowed (e.g. cmd/ front-ends timing a whole run).
 package other
 

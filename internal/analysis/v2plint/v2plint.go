@@ -7,73 +7,50 @@
 // contract is machine-checked here rather than left to convention.
 // Later PRs added repo-wide performance and fault-model contracts (an
 // allocation-free forwarding hot path, activeFaults-gated fault state,
-// a CacheFlusher obligation on every scheme, nil-safe telemetry
-// handles); those are machine-checked here too.
+// nil-safe telemetry handles); those are machine-checked here too.
 //
-// The suite ships fifteen analyzers — ten intraprocedural, plus five
-// built on the per-Program call graph (see callgraph.go) that resolves
-// static calls, concrete method calls, and interface calls via the
-// implements-relation, one of which (detflow) adds a flow-sensitive
-// taint layer on top (see dataflow.go):
+// The suite keeps only checks that no compiler rule, tier-1 test or
+// -race run enforces more directly (DESIGN.md §8 has the verdict table):
+// intraprocedural analyzers, plus two readers (hotpath, planpure) of the
+// per-Program call graph (see callgraph.go) that resolves static calls,
+// concrete method calls, and interface calls via the implements-relation
+// and is the single detector of allocation, fmt, clock, global-rand,
+// dynamic-call and state-read effects:
 //
 //   - detrange: flags `range` over a map whose body feeds an
 //     ordering-sensitive sink (append, float accumulation, event
 //     scheduling, fmt/CSV/JSON emission) unless the keys are collected
 //     and sorted first.
-//   - wallclock: forbids time.Now/time.Since/time.Until in the
-//     simulation packages (simnet, core, transport, eventq, simtime).
+//   - wallclock: forbids time.Now/time.Since/time.Until in every
+//     internal/ package except internal/analysis.
 //   - globalrand: forbids package-level math/rand functions in
 //     non-test code; randomness must come from an injected seeded
 //     *rand.Rand.
 //   - simtimeunits: flags arithmetic or conversions mixing
 //     time.Duration with simtime types without going through the
 //     explicit simtime.FromStd / .Std() converters.
-//   - hotpathalloc: forbids heap-allocating constructs (closures,
-//     map/slice literals, make/new, interface boxing, fmt, string
-//     concatenation, appends to function-local slices) inside
-//     functions marked //v2plint:hotpath and the known serializer/
-//     ECMP/eventq entry points.
+//   - hotpath: functions marked //v2plint:hotpath and the known
+//     serializer/ECMP/eventq entry points, and everything they
+//     transitively call, must be free of heap allocation (closures,
+//     map/slice literals, make/new, interface boxing, string
+//     concatenation, appends to function-local slices), fmt, wall-clock
+//     reads, global math/rand and dynamic calls through func values;
+//     transitive findings carry the witness call chain
+//     (ecmpForward → helperX → fmt.Sprintf).
 //   - faultgate: requires forwarding-path reads of engine fault state
 //     (swDown, gwDown, faultDown, swFaults, lossRand) to be dominated
 //     by an activeFaults (or loss-window) check; //v2plint:faultpath
 //     marks the reroute slow-path helpers whose callers must gate.
-//   - schemecomplete: requires every concrete type implementing
-//     simnet.Scheme to also implement simnet.CacheFlusher, so fault
-//     injection can flush any scheme's per-switch state.
 //   - nilsafemetrics: requires every exported pointer-receiver method
 //     on telemetry types (and //v2plint:nilsafe-annotated types) to
 //     begin with a nil-receiver guard.
-//   - shardowner: the sharded engine's ownership contract — fields of
-//     the barrier-side `sharding` struct may be touched only from
-//     *sharding methods or functions annotated
-//     //v2plint:shardbarrier <reason>.
-//   - hotpathreach: extends the hot-path contract transitively — the
-//     call closure of every //v2plint:hotpath root (and the known entry
-//     points) must be free of heap allocation, fmt, wall-clock reads,
-//     and global math/rand; diagnostics carry the witness call chain
-//     (ecmpForward → helperX → fmt.Sprintf). Dynamic calls through func
-//     values are flagged as statically unresolvable.
-//   - workersafe: the shard-safety contract — every package-level or
-//     captured variable a `go func` worker goroutine touches must be
-//     read-only, a sync/sync-atomic type, protected by a held lock or
-//     atomic call, a channel hand-off, or carry a
-//     //v2plint:workerlocal <reason> annotation.
 //   - planpure: functions reachable from the scenario planner entry
 //     points must stay pure functions of (spec, seed): no wall-clock
 //     reads, no global rand, no reads of telemetry state or
 //     simnet.Counters, directly or transitively.
-//   - detflow: interprocedural determinism taint — values derived from
-//     the wall clock, the global math/rand generator, map iteration
-//     order, or pointer identity must not flow into scheduled event
-//     keys, scheme cache state, report fields, or telemetry output;
-//     diagnostics carry the full source→sink witness chain.
-//   - shardstate: every simnet.Scheme implementor's per-event mutable
-//     state must be indexed by the event's slot parameter (per-host /
-//     per-switch), or annotated //v2plint:shardlocal <reason> — the
-//     machine-checked form of ROADMAP item 3's "pending-install maps
-//     and LRU lists are per-event global state" gap.
-//   - allowreason: requires every //v2plint:allow waiver to carry a
-//     justification after the analyzer list.
+//   - allowreason: polices the waivers — each //v2plint:allow must carry
+//     a justification, name only registered analyzers, and suppress at
+//     least one finding of each analyzer it names.
 //
 // A finding can be waived with a `//v2plint:allow <analyzer> <reason>`
 // comment on the offending line or the line directly above it, e.g.
@@ -85,9 +62,9 @@
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic, SuggestedFix) but is self-contained on
 // the standard library, so the module needs no external dependencies.
-// cmd/v2plint is the multichecker driver (with -json machine-readable
-// output and -fix to apply suggested fixes); it also speaks the
-// `go vet -vettool=` unit-checker protocol.
+// It has one mode: cmd/v2plint loads the whole module into one Program
+// and runs every analyzer over it (-json for machine-readable output,
+// -fix to apply suggested fixes).
 package v2plint
 
 import (
@@ -96,6 +73,7 @@ import (
 	"go/token"
 	"go/types"
 	"path"
+	"sort"
 	"strings"
 )
 
@@ -121,7 +99,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Prog is the Program the pass runs under; its resolved call graph
-	// backs the interprocedural analyzers (hotpathreach, planpure).
+	// backs the interprocedural analyzers (hotpath, planpure).
 	Prog *Program
 
 	nodes  []*funcNode // this package's graph nodes, declaration order
@@ -174,15 +152,12 @@ type TextEdit struct {
 	NewText []byte
 }
 
-// Analyzers returns the full v2plint suite in stable order. The
-// interprocedural analyzers (hotpathreach, workersafe, planpure,
-// detflow, shardstate) come after the intraprocedural ones;
+// Analyzers returns the full v2plint suite in stable order;
 // allowreason stays last.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetRange, WallClock, GlobalRand, SimTimeUnits,
-		HotPathAlloc, FaultGate, SchemeComplete, NilSafeMetrics, ShardOwner,
-		HotPathReach, WorkerSafe, PlanPure, DetFlow, ShardState,
+		HotPath, FaultGate, NilSafeMetrics, PlanPure,
 		AllowReason,
 	}
 }
@@ -197,32 +172,86 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// RunPackage runs the given analyzers over one type-checked package and
-// returns the findings that are not waived by //v2plint:allow
-// annotations, sorted by position. Findings from the allowreason
-// analyzer are exempt from waiving: a waiver cannot excuse itself.
-//
-// RunPackage is the single-package convenience wrapper around Program;
-// interprocedural analyzers see only this package's declarations (plus
-// whatever summaries a vet driver imported), so interface calls whose
-// implementations live elsewhere degrade to "no known implementations".
-// Multi-package callers should build a Program directly.
-func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) []Diagnostic {
-	prog := NewProgram(fset)
-	prog.Add(files, pkg, info)
-	return prog.Run(analyzers)
+// A Finding is one position-resolved diagnostic, the form cmd/v2plint
+// prints and serializes.
+type Finding struct {
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
+	Fix      string `json:"fix,omitempty"`
 }
 
-// allowSet records //v2plint:allow annotations: file -> line -> waived
-// analyzer names.
-type allowSet map[string]map[int]map[string]bool
+// FindingsFromDiagnostics resolves diagnostics against their FileSet,
+// preserving the input order.
+func FindingsFromDiagnostics(fset *token.FileSet, diags []Diagnostic) []Finding {
+	out := make([]Finding, 0, len(diags))
+	for _, d := range diags {
+		pos := fset.Position(d.Pos)
+		f := Finding{
+			File:     pos.Filename,
+			Line:     pos.Line,
+			Col:      pos.Column,
+			Analyzer: d.Analyzer,
+			Message:  d.Message,
+		}
+		if len(d.Fixes) > 0 {
+			f.Fix = d.Fixes[0].Message
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// SortFindings orders findings by (file, line, column, analyzer,
+// message) — the ordering contract of cmd/v2plint's text and JSON
+// output.
+func SortFindings(fs []Finding) {
+	sort.Slice(fs, func(i, j int) bool {
+		a, b := fs[i], fs[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Col != b.Col {
+			return a.Col < b.Col
+		}
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
+	})
+}
+
+// A waiver is one //v2plint:allow annotation: the analyzers it names
+// and, per name, whether it suppressed a finding in this run.
+type waiver struct {
+	pos    token.Pos
+	names  []string
+	used   []bool
+	reason bool // a justification follows the analyzer list
+}
+
+// allowSet holds a run's waivers in source order, indexed by file and
+// line.
+type allowSet struct {
+	all    []*waiver
+	byLine map[fileLine][]*waiver
+}
+
+type fileLine struct {
+	file string
+	line int
+}
 
 // collectAllows scans the files' comments for `//v2plint:allow
 // name[,name...] reason` annotations. The reason is free-form text and
-// is not interpreted here; the allowreason analyzer separately rejects
-// waivers that omit it.
+// is not interpreted.
 func collectAllows(fset *token.FileSet, files []*ast.File) allowSet {
-	out := allowSet{}
+	out := allowSet{byLine: map[fileLine][]*waiver{}}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -230,20 +259,15 @@ func collectAllows(fset *token.FileSet, files []*ast.File) allowSet {
 				if !ok || len(fields) == 0 {
 					continue
 				}
-				pos := fset.Position(c.Pos())
-				lines := out[pos.Filename]
-				if lines == nil {
-					lines = map[int]map[string]bool{}
-					out[pos.Filename] = lines
-				}
-				names := lines[pos.Line]
-				if names == nil {
-					names = map[string]bool{}
-					lines[pos.Line] = names
-				}
+				w := &waiver{pos: c.Pos(), reason: len(fields) >= 2}
 				for _, name := range strings.Split(fields[0], ",") {
-					names[strings.TrimSpace(name)] = true
+					w.names = append(w.names, strings.TrimSpace(name))
 				}
+				w.used = make([]bool, len(w.names))
+				pos := fset.Position(c.Pos())
+				at := fileLine{pos.Filename, pos.Line}
+				out.byLine[at] = append(out.byLine[at], w)
+				out.all = append(out.all, w)
 			}
 		}
 	}
@@ -264,15 +288,17 @@ func allowFields(c *ast.Comment) ([]string, bool) {
 }
 
 // waives reports whether an annotation on the diagnostic's line, or the
-// line directly above it, waives the analyzer.
+// line directly above it, waives the analyzer, and marks that
+// annotation used.
 func (s allowSet) waives(pos token.Position, analyzer string) bool {
-	lines := s[pos.Filename]
-	if lines == nil {
-		return false
-	}
 	for _, line := range []int{pos.Line, pos.Line - 1} {
-		if names := lines[line]; names != nil && (names[analyzer] || names["all"]) {
-			return true
+		for _, w := range s.byLine[fileLine{pos.Filename, line}] {
+			for i, name := range w.names {
+				if name == analyzer {
+					w.used[i] = true
+					return true
+				}
+			}
 		}
 	}
 	return false

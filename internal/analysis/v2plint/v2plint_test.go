@@ -26,9 +26,6 @@ func a() {}
 
 func b() int { return 0 } //v2plint:allow detrange,globalrand reason text
 
-//v2plint:allow all
-func c() {}
-
 // v2plint:allow simtimeunits spaced comment marker
 func d() {}
 `
@@ -49,13 +46,32 @@ func d() {}
 		{6, "detrange", true},
 		{6, "globalrand", true},
 		{6, "wallclock", false},
-		{9, "detrange", true}, // "all" waives every analyzer
-		{12, "simtimeunits", true},
+		{9, "simtimeunits", true},
 	}
 	for _, c := range cases {
 		pos := token.Position{Filename: "p.go", Line: c.line}
 		if got := allows.waives(pos, c.analyzer); got != c.want {
 			t.Errorf("waives(line %d, %s) = %v, want %v", c.line, c.analyzer, got, c.want)
+		}
+	}
+}
+
+// TestSuiteOrder pins the suite: a rename, removal or addition must be
+// a conscious change here too (README's table and DESIGN.md §8 list the
+// same names).
+func TestSuiteOrder(t *testing.T) {
+	want := []string{
+		"detrange", "wallclock", "globalrand", "simtimeunits",
+		"hotpath", "faultgate", "nilsafemetrics", "planpure",
+		"allowreason",
+	}
+	got := Analyzers()
+	if len(got) != len(want) {
+		t.Fatalf("Analyzers() has %d entries, want %d", len(got), len(want))
+	}
+	for i, a := range got {
+		if a.Name != want[i] {
+			t.Errorf("Analyzers()[%d] = %s, want %s", i, a.Name, want[i])
 		}
 	}
 }

@@ -3,30 +3,31 @@ package v2plint
 import (
 	"go/ast"
 	"path"
+	"strings"
 )
 
-// WallClock forbids reading the host's wall clock inside the
-// simulation packages. Simulated time is the eventq clock; a time.Now
-// that leaks into scheduling or results makes two identical runs
-// diverge. The profiling hook in internal/simnet/engine.go measures
-// wall time deliberately and carries a //v2plint:allow wallclock
-// annotation.
+// WallClock forbids reading the host's wall clock anywhere under
+// internal/ (the linter's own internal/analysis tree excepted, which
+// times itself for -time). Simulated time is the eventq clock; a
+// time.Now that leaks into planning, scheduling or results makes two
+// identical runs diverge, whichever layer reads it — so the read is
+// rejected at the source rather than chased to the places it might
+// flow. The profiling hooks in internal/simnet measure wall time
+// deliberately and carry //v2plint:allow wallclock annotations; cmd/,
+// bench/ and examples/ front-ends may time whole runs.
 var WallClock = &Analyzer{
 	Name: "wallclock",
-	Doc: "forbids time.Now/time.Since/time.Until in simulation packages " +
-		"(simnet, core, transport, eventq, simtime); use the simulated clock",
+	Doc: "forbids time.Now/time.Since/time.Until in every internal/ package " +
+		"except internal/analysis; use the simulated clock",
 	Run: runWallClock,
 }
 
-// simulationPkgs are the package-path base names under the determinism
-// contract: everything that runs between trace generation and the
-// Report must be driven purely by simulated time.
-var simulationPkgs = map[string]bool{
-	"simnet":    true,
-	"core":      true,
-	"transport": true,
-	"eventq":    true,
-	"simtime":   true,
+// clockFree reports whether the package is under the wall-clock
+// contract: any package below an internal/ directory other than
+// internal/analysis.
+func clockFree(pkgPath string) bool {
+	_, rest, ok := strings.Cut("/"+pkgPath, "/internal/")
+	return ok && rest != "analysis" && !strings.HasPrefix(rest, "analysis/")
 }
 
 var wallClockFuncs = map[string]bool{
@@ -36,7 +37,7 @@ var wallClockFuncs = map[string]bool{
 }
 
 func runWallClock(pass *Pass) {
-	if !simulationPkgs[path.Base(pass.Pkg.Path())] {
+	if !clockFree(pass.Pkg.Path()) {
 		return
 	}
 	for _, f := range pass.Files {

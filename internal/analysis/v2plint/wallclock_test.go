@@ -8,7 +8,9 @@ import (
 )
 
 func TestWallClock(t *testing.T) {
-	// "simnet" is under the contract and carries the seeded
-	// violations; "other" is outside it and must stay silent.
-	analysistest.Run(t, analysistest.TestData(t), v2plint.WallClock, "simnet", "other")
+	// "internal/simnet" is under the contract and carries the seeded
+	// violations; "other" (not under internal/) and
+	// "internal/analysis/tool" (the linter's own tree) must stay silent.
+	analysistest.Run(t, analysistest.TestData(t), []*v2plint.Analyzer{v2plint.WallClock},
+		"internal/simnet", "other", "internal/analysis/tool")
 }

@@ -49,12 +49,13 @@ type Bluebird struct {
 	caches []*core.Cache // route caches, ToRs only
 	cp     []bluebirdCP  // per-ToR control plane
 
-	// Stats: aggregate counters, only read after the run; cross-slot
-	// increments cannot influence scheduling. Sharding the centralized
-	// schemes' state is the ROADMAP item 1 follow-on.
-	Hits, Misses int64 //v2plint:shardlocal aggregate counter, post-run read only
-	CPDrops      int64 //v2plint:shardlocal aggregate counter, post-run read only
-	CPForwarded  int64 //v2plint:shardlocal aggregate counter, post-run read only
+	// Stats: aggregate counters, only read after the run; increments
+	// cannot influence scheduling. They are plain shared fields, so
+	// Bluebird (like every scheme off harness.ShardSupported's
+	// whitelist) runs on the serial engine.
+	Hits, Misses int64
+	CPDrops      int64
+	CPForwarded  int64
 }
 
 // NewBluebird builds the baseline with the given per-ToR route-cache
@@ -79,7 +80,7 @@ func (*Bluebird) Name() string { return "Bluebird" }
 // Cache exposes a ToR's route cache for tests.
 func (b *Bluebird) Cache(sw int32) *core.Cache { return b.caches[sw] }
 
-// FlushCache implements simnet.CacheFlusher: a failed ToR loses its
+// FlushCache implements simnet.Scheme: a failed ToR loses its
 // route cache and whatever work its local control plane had queued.
 func (b *Bluebird) FlushCache(sw int32) {
 	b.caches[sw].Flush()

@@ -32,11 +32,15 @@ type Controller struct {
 	ExactVarLimit int
 
 	installed []map[netaddr.VIP]netaddr.PIP // per switch
-	counts    map[pairKey]int64             //v2plint:shardlocal traffic matrix is global by design in the centralized controller (ROADMAP item 1 covers sharding it)
-	scheduled bool                          //v2plint:shardlocal single global invocation-timer flag; the controller is centralized by design
+	// The traffic matrix and the invocation-timer flag are global by
+	// design — the controller is centralized — so every switch's events
+	// write them, and the scheme runs on the serial engine only (it is
+	// not on harness.ShardSupported's whitelist).
+	counts    map[pairKey]int64
+	scheduled bool
 
-	// Stats.
-	Lookups, Hits int64 //v2plint:shardlocal aggregate counter, post-run read only
+	// Stats: aggregate counters, read only after the run.
+	Lookups, Hits int64
 	Invocations   int64
 	ExactSolves   int64
 	GreedySolves  int64
@@ -68,7 +72,7 @@ func (*Controller) Name() string { return "Controller" }
 // Installed exposes a switch's installed table size (tests).
 func (c *Controller) Installed(sw int32) int { return len(c.installed[sw]) }
 
-// FlushCache implements simnet.CacheFlusher: a failed switch loses its
+// FlushCache implements simnet.Scheme: a failed switch loses its
 // installed rules until the controller's next placement reinstalls them.
 func (c *Controller) FlushCache(sw int32) { clear(c.installed[sw]) }
 

@@ -214,10 +214,14 @@ type hostTier struct {
 	tables []hostTable
 	// pending dedupes in-flight slow-path installs. It is indexed by
 	// host but written from install-completion closures that run after
-	// the slow-path delay, outside the originating event's slot.
-	pending []map[netaddr.VIP]struct{} //v2plint:shardlocal pending-install set is per-event global state today; per-domain sharding is ROADMAP item 3
+	// the slow-path delay, outside the originating event's slot. The
+	// tables are written across slots too (receive-side learning from
+	// the ToR's event, invalidation from the stale host's), which is why
+	// the host-cache family is not on harness.ShardSupported's
+	// whitelist and runs on the serial engine.
+	pending []map[netaddr.VIP]struct{}
 
-	HS HostStats //v2plint:shardlocal aggregate stats, reduced post-run; sharding them rides along with ROADMAP item 3
+	HS HostStats // aggregate stats, read only after the run
 }
 
 func newHostTier(topo *topology.Topology, opt HostTierOptions) hostTier {
@@ -277,7 +281,6 @@ func (t *hostTier) scheduleInstall(e *simnet.Engine, host int32, vip netaddr.VIP
 			return // the VM departed while the install was in flight
 		}
 		t.HS.Installs++
-		//v2plint:allow shardstate install completes after the slow-path delay, outside the originating slot; LRU tables are per-event global state until ROADMAP item 3 shards them
 		if t.tables[host].insert(vip, pip, e.Now()) {
 			t.HS.Evictions++
 		}
@@ -305,7 +308,6 @@ func (t *hostTier) learnAtToR(e *simnet.Engine, sw int32, p *packet.Packet) {
 		return
 	}
 	t.HS.Learned++
-	//v2plint:allow shardstate receive-side learning writes the destination host's table from the ToR's event; cross-slot until ROADMAP item 3 shards the tables
 	if t.tables[dst].insert(p.SrcVIP, p.SrcPIP, e.Now()) {
 		t.HS.Evictions++
 	}
@@ -322,7 +324,6 @@ func (t *hostTier) invalidateSender(e *simnet.Engine, staleHost int32, p *packet
 		return
 	}
 	t.HS.InvalidationsSent++
-	//v2plint:allow shardstate invalidation notifies the sender's table from the stale host's event; cross-slot until ROADMAP item 3 shards the tables
 	if t.tables[sender].invalidate(p.DstVIP, e.Topo.Hosts[staleHost].PIP) {
 		t.HS.Invalidations++
 	}
@@ -394,7 +395,7 @@ func (h *HostCache) HostMisdeliver(e *simnet.Engine, host int32, p *packet.Packe
 	followMe(e, host, p)
 }
 
-// FlushCache implements simnet.CacheFlusher. HostCache keeps all
+// FlushCache implements simnet.Scheme. HostCache keeps all
 // translation state in the hosts: a switch failure destroys no scheme
 // state, so there is nothing to flush (host tables survive exactly as
 // ONCache's eBPF maps survive a ToR reboot).
@@ -458,8 +459,6 @@ func (h *HostToR) HostMisdeliver(e *simnet.Engine, host int32, p *packet.Packet)
 // tables are host-resident and deliberately survive.
 
 var (
-	_ simnet.Scheme       = (*HostCache)(nil)
-	_ simnet.CacheFlusher = (*HostCache)(nil)
-	_ simnet.Scheme       = (*HostToR)(nil)
-	_ simnet.CacheFlusher = (*HostToR)(nil)
+	_ simnet.Scheme = (*HostCache)(nil)
+	_ simnet.Scheme = (*HostToR)(nil)
 )

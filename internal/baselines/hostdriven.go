@@ -22,11 +22,12 @@ type OnDemand struct {
 	MissPenalty simtime.Duration
 
 	// hostCache entries are installed by a closure that fires after the
-	// miss penalty elapses, outside the originating event's slot.
-	hostCache []map[netaddr.VIP]netaddr.PIP //v2plint:shardlocal deferred installs are per-event global state today; per-domain sharding is ROADMAP item 3
+	// miss penalty elapses, outside the originating event's slot — one
+	// reason OnDemand is not on harness.ShardSupported's whitelist.
+	hostCache []map[netaddr.VIP]netaddr.PIP
 
-	// Stats.
-	HostHits, HostMisses int64 //v2plint:shardlocal aggregate counter, post-run read only
+	// Stats: aggregate counters, read only after the run.
+	HostHits, HostMisses int64
 }
 
 // NewOnDemand builds the baseline.
@@ -83,7 +84,7 @@ func (*OnDemand) HostMisdeliver(e *simnet.Engine, host int32, p *packet.Packet) 
 	followMe(e, host, p)
 }
 
-// FlushCache implements simnet.CacheFlusher. OnDemand's caches live in
+// FlushCache implements simnet.Scheme. OnDemand's caches live in
 // the hosts, keyed per host — a switch failure destroys no OnDemand
 // state, so there is nothing to flush.
 func (*OnDemand) FlushCache(int32) {}
@@ -125,7 +126,7 @@ func (*Direct) HostMisdeliver(e *simnet.Engine, host int32, p *packet.Packet) {
 	followMe(e, host, p)
 }
 
-// FlushCache implements simnet.CacheFlusher. Direct holds no
+// FlushCache implements simnet.Scheme. Direct holds no
 // switch-resident translation state (hosts are preprogrammed), so a
 // switch failure flushes nothing.
 func (*Direct) FlushCache(int32) {}

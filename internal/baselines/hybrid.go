@@ -30,12 +30,16 @@ type Hybrid struct {
 	// (order of milliseconds in Zeta/Achelous).
 	InstallLatency simtime.Duration
 
-	counts    map[hostDstKey]int            //v2plint:shardlocal offload counters share one map across hosts; per-domain sharding is ROADMAP item 3
-	hostCache []map[netaddr.VIP]netaddr.PIP //v2plint:shardlocal controller installs fire after InstallLatency, outside the originating slot; sharding is ROADMAP item 3
+	// The offload counters share one map across hosts, and controller
+	// installs into hostCache fire after InstallLatency, outside the
+	// originating event's slot — so Hybrid is not on
+	// harness.ShardSupported's whitelist and runs on the serial engine.
+	counts    map[hostDstKey]int
+	hostCache []map[netaddr.VIP]netaddr.PIP
 
-	// Stats.
-	HostHits     int64 //v2plint:shardlocal aggregate counter, post-run read only
-	RulesOffload int64 //v2plint:shardlocal aggregate counter, post-run read only
+	// Stats: aggregate counters, read only after the run.
+	HostHits     int64
+	RulesOffload int64
 }
 
 type hostDstKey struct {

@@ -16,8 +16,8 @@ type LocalLearning struct {
 	topo   *topology.Topology
 	caches []*core.Cache
 
-	// Stats.
-	Lookups, Hits int64 //v2plint:shardlocal aggregate counter, post-run read only
+	// Stats: aggregate counters, read only after the run.
+	Lookups, Hits int64
 }
 
 // NewLocalLearning builds the strawman with the given per-switch cache
@@ -37,7 +37,7 @@ func (*LocalLearning) Name() string { return "LocalLearning" }
 // Cache exposes a switch's cache for tests.
 func (l *LocalLearning) Cache(sw int32) *core.Cache { return l.caches[sw] }
 
-// FlushCache implements simnet.CacheFlusher.
+// FlushCache implements simnet.Scheme.
 func (l *LocalLearning) FlushCache(sw int32) { l.caches[sw].Flush() }
 
 // SenderResolve implements simnet.Scheme.

@@ -35,7 +35,7 @@ func (*NoCache) HostMisdeliver(e *simnet.Engine, host int32, p *packet.Packet) {
 	followMe(e, host, p)
 }
 
-// FlushCache implements simnet.CacheFlusher. NoCache keeps no
+// FlushCache implements simnet.Scheme. NoCache keeps no
 // switch-resident translation state, so a switch failure flushes
 // nothing.
 func (*NoCache) FlushCache(int32) {}

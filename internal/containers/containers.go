@@ -2,10 +2,10 @@
 // workloads: hundreds of containers per host running a service mesh
 // whose east-west traffic is short-flow-heavy RPC between services.
 // It is the workload half of the host-vs-switch caching crossover
-// (ROADMAP item 3 / ONCache): the per-host container density, the
-// service fan-out, and the destination reuse distance are the three
-// knobs that decide whether translations are best cached at the host
-// or in the network.
+// (the comparison against ONCache-style host caches, PAPERS.md): the
+// per-host container density, the service fan-out, and the destination
+// reuse distance are the three knobs that decide whether translations
+// are best cached at the host or in the network.
 //
 // Two entry points:
 //

@@ -183,7 +183,7 @@ func (s *Scheme) Cache(sw int32) MappingCache {
 	return s.caches[sw]
 }
 
-// FlushCache implements simnet.CacheFlusher: a failed switch loses all
+// FlushCache implements simnet.Scheme: a failed switch loses all
 // per-switch protocol state — its mapping cache (every tenant's cache
 // under tenancy) and, for ToRs, the invalidation timestamp vector. On
 // recovery the switch re-learns transparently from passing traffic.

@@ -159,7 +159,7 @@ func (q *Queue) Step() bool {
 	if it.ev != nil {
 		it.ev.Fire()
 	} else {
-		//v2plint:allow hotpathreach legacy At/After closure path kept for setup and tests; the hot path schedules Event values via AtTimed/AfterTimed
+		//v2plint:allow hotpath legacy At/After closure path kept for setup and tests; the hot path schedules Event values via AtTimed/AfterTimed
 		it.fn()
 	}
 	return true

@@ -9,9 +9,9 @@
 // and owns every policy decision above them:
 //
 //   - when each fault fires (the schedule / the random model),
-//   - the cache-loss semantics of a switch failure (a scheme that
-//     implements simnet.CacheFlusher has the failed switch's V2P state
-//     flushed, so a recovered switch re-learns from scratch),
+//   - the cache-loss semantics of a switch failure (the scheme's
+//     FlushCache discards the failed switch's V2P state, so a
+//     recovered switch re-learns from scratch),
 //   - the recorded fault timeline (Injector.Applied and, when a
 //     telemetry collector is attached, Collector.Faults).
 //
@@ -46,7 +46,7 @@ const (
 	// LinkUp restores the link A<->B.
 	LinkUp
 	// SwitchFail crashes switch Switch: all incident links black-hole
-	// and its V2P cache state is destroyed (CacheFlusher).
+	// and its V2P cache state is destroyed (Scheme.FlushCache).
 	SwitchFail
 	// SwitchRecover restarts switch Switch with a cold cache.
 	SwitchRecover

@@ -83,9 +83,7 @@ func (in *Injector) apply(e *simnet.Engine, ev Event) {
 			// switch starts cold and re-learns from passing traffic.
 			// Flushing at fail time is equivalent to flushing at
 			// recovery — no scheme hook runs while the switch is down.
-			if f, ok := e.Scheme.(simnet.CacheFlusher); ok {
-				f.FlushCache(ev.Switch)
-			}
+			e.Scheme.FlushCache(ev.Switch)
 		}
 	case SwitchRecover:
 		err = e.SetSwitchFault(ev.Switch, false)

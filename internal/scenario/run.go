@@ -160,7 +160,7 @@ func RunAll(spec Spec, schemes []string, workers int) ([]*Report, error) {
 				}
 				s := spec
 				s.Base.Scheme = schemes[i]
-				//v2plint:workerlocal each worker writes only the slice slot for the index i it claimed via next.Add
+				// Each worker writes only the slot i it claimed via next.Add.
 				reports[i], errs[i] = Run(s)
 			}
 		}()

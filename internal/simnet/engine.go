@@ -263,9 +263,8 @@ func (e *Engine) addLink(from, to topology.NodeRef, class topology.LinkClass) {
 // Now returns the current simulated time. On a sharded root engine this
 // is the barrier clock: the start of the current synchronization window
 // (exact at barriers, which is where root-side code — fault application,
-// telemetry sampling — runs).
-//
-//v2plint:shardbarrier reads the barrier clock, which only the single-threaded barrier loop advances; root-side callers run at barriers
+// telemetry sampling — runs); only the single-threaded barrier loop
+// advances it.
 func (e *Engine) Now() simtime.Time {
 	if e.shard != nil && e.dom < 0 {
 		return e.shard.now
@@ -290,7 +289,7 @@ func (e *Engine) Run(horizon simtime.Time) {
 	p := e.Prof
 	// The profiling hook deliberately measures host wall time; it never
 	// feeds back into simulated time or results.
-	start := time.Now() //v2plint:allow wallclock,detflow profiling hook: host wall time is telemetry about the run, not simulation state
+	start := time.Now() //v2plint:allow wallclock profiling hook: host wall time is telemetry about the run, not simulation state
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocs := ms.Mallocs
@@ -308,7 +307,7 @@ func (e *Engine) Run(horizon simtime.Time) {
 	}
 	runtime.ReadMemStats(&ms)
 	p.Mallocs += ms.Mallocs - mallocs
-	p.Wall += time.Since(start) //v2plint:allow wallclock,detflow profiling hook: host wall time is telemetry about the run, not simulation state
+	p.Wall += time.Since(start) //v2plint:allow wallclock profiling hook: host wall time is telemetry about the run, not simulation state
 	p.SimEnd = e.Q.Now()
 }
 
@@ -478,7 +477,7 @@ func (e *Engine) switchArrive(sw int32, from topology.NodeRef, p *packet.Packet)
 	e.C.SwitchPackets[sw]++
 	e.C.SwitchBytes[sw] += int64(p.Size())
 	if e.Tap != nil {
-		//v2plint:allow hotpathreach Tap is an optional observer hook, nil in measured runs; non-nil only in debug/trace captures
+		//v2plint:allow hotpath Tap is an optional observer hook, nil in measured runs; non-nil only in debug/trace captures
 		e.Tap(topology.SwitchRef(sw), p)
 	}
 	if !e.Scheme.SwitchArrive(e, sw, from, p) {

@@ -28,6 +28,8 @@ func (gwScheme) SwitchArrive(e *Engine, sw int32, from topology.NodeRef, p *pack
 	return true
 }
 
+func (gwScheme) FlushCache(int32) {}
+
 func (gwScheme) HostMisdeliver(e *Engine, host int32, p *packet.Packet) {
 	if pip, ok := e.Net.FollowMe(host, p.DstVIP); ok {
 		p.DstPIP = pip

@@ -74,7 +74,7 @@ func (e *Engine) SetLinkFault(a, b topology.NodeRef, down bool) error {
 // every link direction incident to the switch — fabric neighbors in both
 // directions and, for ToRs, the attached hosts' access links — is
 // blocked while it is down. Cache state is NOT touched here; the fault
-// injector owns the flush-on-failure policy (CacheFlusher). Idempotent.
+// injector owns the flush-on-failure policy (Scheme.FlushCache). Idempotent.
 func (e *Engine) SetSwitchFault(sw int32, down bool) error {
 	if sw < 0 || int(sw) >= len(e.swDown) {
 		return fmt.Errorf("simnet: switch %d out of range [0,%d)", sw, len(e.swDown))
@@ -162,9 +162,8 @@ func (e *Engine) SetLinkLoss(a, b topology.NodeRef, rate float64) error {
 // On a sharded engine each domain draws from its own PRNG, seeded by a
 // pure function of (seed, domain) — see shardLossSeed — so the streams
 // are deterministic at any worker count (though not identical to the
-// serial engine's single stream).
-//
-//v2plint:shardbarrier reseeding runs at setup or at a fault barrier, never inside a window
+// serial engine's single stream). Reseed at setup or at a fault barrier,
+// never inside a window.
 func (e *Engine) SetLossSeed(seed int64) {
 	e.lossSeed = seed
 	e.lossRand = rand.New(rand.NewSource(seed))

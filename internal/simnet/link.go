@@ -120,7 +120,7 @@ func (ev *linkEvent) Fire() {
 //v2plint:hotpath
 func (l *link) deliverPkt(p *packet.Packet) {
 	if l.dstHost >= 0 {
-		//v2plint:allow hotpathreach host arrival runs the Handler/Tap hooks, whose dynamic dispatch is inherent to delivery; the binding is fixed at wiring
+		//v2plint:allow hotpath host arrival runs the Handler/Tap hooks, whose dynamic dispatch is inherent to delivery; the binding is fixed at wiring
 		l.dst.hostArrive(l.dstHost, p)
 	} else if l.dstSw >= 0 {
 		l.dst.switchArrive(l.dstSw, l.fromRef, p)
@@ -138,7 +138,7 @@ func (l *link) getEvent() *linkEvent {
 		l.free = l.free[:n-1]
 		return ev
 	}
-	//v2plint:allow hotpathalloc pool growth: one record per in-flight high-water mark, then reused forever
+	//v2plint:allow hotpath pool growth: one record per in-flight high-water mark, then reused forever
 	return &linkEvent{l: l}
 }
 
@@ -240,7 +240,7 @@ func (l *link) startNext() {
 		l.e.Q.AfterTimed(tx, ev)
 		return
 	}
-	//v2plint:allow hotpathalloc legacy closure reference path, opted into via Engine.ClosureEvents
+	//v2plint:allow hotpath legacy closure reference path, opted into via Engine.ClosureEvents
 	l.e.Q.After(tx, func() {
 		l.txDone(size)
 		// Store-and-forward: the far end receives the packet one

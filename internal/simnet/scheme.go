@@ -42,19 +42,14 @@ type Scheme interface {
 	// gateway (gateway-driven) or straight to the VM's new host via a
 	// follow-me rule (host-driven).
 	HostMisdeliver(e *Engine, host int32, p *packet.Packet)
-}
 
-// CacheFlusher is the fault-recovery hook: the fault injector
-// (internal/faults) models the state loss of a switch failure through
-// it — a recovered switch restarts with a cold cache and must re-learn
-// from passing traffic. Every Scheme must implement it (the
-// schemecomplete analyzer enforces this): schemes whose switches hold
-// per-switch translation state clear it here, and schemes without such
-// state (NoCache, OnDemand, Direct) implement an explicit no-op, so
-// "nothing to flush" is a reviewed statement rather than an accident
-// of a missing method.
-type CacheFlusher interface {
 	// FlushCache discards every mapping (and any per-switch protocol
-	// state) held by switch sw.
+	// state) held by switch sw. The fault injector (internal/faults)
+	// models the state loss of a switch failure through it: a recovered
+	// switch restarts with a cold cache and must re-learn from passing
+	// traffic. Schemes without per-switch translation state (NoCache,
+	// OnDemand, Direct) implement an explicit no-op, so "nothing to
+	// flush" is a reviewed statement rather than an accident of a
+	// missing method.
 	FlushCache(sw int32)
 }

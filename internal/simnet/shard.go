@@ -99,9 +99,9 @@ type barrierOp struct {
 // windows by the barrier thread (now, barrier, sampler state, mail
 // drain side), and written during windows under the claim protocol
 // (each mail[src] row by src's worker; each qs[d]/domEvents[d] by the
-// worker that claimed domain d). The shardowner lint pass enforces that
-// functions outside this file's barrier/mailbox code do not reach into
-// these fields.
+// worker that claimed domain d). Code outside this file's barrier and
+// mailbox paths must not reach into these fields; the -race runs of the
+// TestShard* byte-identity tests are what catch a violation.
 type sharding struct {
 	root      *Engine
 	views     []*Engine
@@ -146,8 +146,6 @@ type sharding struct {
 // views take over at the first Run. Call it after New and before any
 // flows are scheduled; callers that schedule host-side events must use
 // HostAt/HostAfter, and barrier-side tools AtBarrier/SetBarrierSampler.
-//
-//v2plint:shardbarrier setup code: runs once, single-threaded, before any worker exists
 func (e *Engine) EnableSharding(workers int) {
 	if e.dom >= 0 {
 		panic("simnet: EnableSharding called on a shard view")
@@ -209,9 +207,8 @@ func (e *Engine) EnableSharding(workers int) {
 func (e *Engine) Sharded() bool { return e.shard != nil }
 
 // ShardDomains returns the number of shard domains (pods + core
-// switches), or 0 on a serial engine.
-//
-//v2plint:shardbarrier reads a field that is immutable after EnableSharding
+// switches), or 0 on a serial engine. The count is immutable after
+// EnableSharding, so any goroutine may ask.
 func (e *Engine) ShardDomains() int {
 	if e.shard == nil {
 		return 0
@@ -233,9 +230,7 @@ func (e *Engine) ShardSlot() int {
 // queue when sharded, the root queue otherwise. Called through the
 // root engine by the transport layer; on a shard view it returns the
 // view's own queue (the view IS the host's owner — transport callbacks
-// run there).
-//
-//v2plint:shardbarrier reads only the immutable domain map and queue table; the returned queue is the caller's own domain
+// run there). It reads only the immutable domain map and queue table.
 func (e *Engine) hostQ(host int32) *eventq.Queue {
 	if sh := e.shard; sh != nil && e.dom < 0 {
 		return sh.qs[sh.domOfHost[host]]
@@ -264,9 +259,8 @@ func (e *Engine) HostAfter(host int32, d simtime.Duration, fn func()) {
 }
 
 // viewOf returns the engine view owning the given host. Only valid
-// once views exist (mid-run).
-//
-//v2plint:shardbarrier reads only the immutable domain map and view table; the returned view is the packet's new owner
+// once views exist (mid-run). It reads only the immutable domain map
+// and view table; the returned view is the packet's new owner.
 func (e *Engine) viewOf(host int32) *Engine {
 	sh := e.shard
 	return sh.views[sh.domOfHost[host]]
@@ -277,8 +271,8 @@ func (e *Engine) viewOf(host int32) *Engine {
 // touch cross-domain state, such as fault application. On a serial
 // engine it is an ordinary queue event. fn runs after every event
 // earlier than t and before any event at t or later, in both modes.
-//
-//v2plint:shardbarrier appends to the barrier schedule from setup/barrier context only
+// Call it from setup or barrier context only: the barrier schedule is
+// not synchronized against window workers.
 func (e *Engine) AtBarrier(t simtime.Time, fn func()) {
 	sh := e.shard
 	if sh == nil {
@@ -300,9 +294,7 @@ func (e *Engine) AtBarrier(t simtime.Time, fn func()) {
 // engine: fn runs single-threaded at every multiple of interval, after
 // all events earlier than the instant and before any event at or after
 // it — the same position in the event stream the serial collector's
-// self-rescheduling tick occupies.
-//
-//v2plint:shardbarrier installs barrier-side sampling state before the run starts
+// self-rescheduling tick occupies. Install it before the run starts.
 func (e *Engine) SetBarrierSampler(interval simtime.Duration, fn func(simtime.Time)) {
 	sh := e.shard
 	if sh == nil {
@@ -412,7 +404,8 @@ func (sh *sharding) post(l *link, p *packet.Packet) {
 		sh.deliverCross(l, p, at, key)
 		return
 	}
-	//v2plint:allow hotpathalloc mailbox growth: the rec slice is reset (not freed) at each barrier, so it grows to the per-window high-water mark and is then reused
+	// The rec slice is reset (not freed) at each barrier, so it grows to
+	// the per-window high-water mark and is then reused.
 	mb.recs = append(mb.recs, mailRec{at: at, key: key, l: l, p: p})
 }
 
@@ -456,7 +449,7 @@ func (e *Engine) getCrossEvent() *crossEvent {
 		e.crossFree = e.crossFree[:n-1]
 		return ev
 	}
-	//v2plint:allow hotpathalloc pool growth: one record per concurrent cross-domain arrival high-water mark, then reused forever
+	//v2plint:allow hotpath pool growth: one record per concurrent cross-domain arrival high-water mark, then reused forever
 	return &crossEvent{v: e}
 }
 
@@ -548,15 +541,17 @@ func (sh *sharding) runWindow(end simtime.Time) {
 	sh.wg.Add(n)
 	for i := 0; i < n; i++ {
 		go func() {
-			//v2plint:workerlocal wg is the window's own barrier primitive; Done publishes this worker's writes to wg.Wait
+			// Done publishes this worker's writes to wg.Wait. nDom and
+			// windowEnd are frozen before the workers start and read-only
+			// until wg.Wait returns; the atomic claim counter hands domain
+			// d to exactly one worker, which owns qs[d] and domEvents[d]
+			// until that barrier.
 			defer sh.wg.Done()
 			for {
 				d := int(atomic.AddInt32(&sh.claim, 1)) - 1
-				//v2plint:workerlocal nDom and windowEnd are frozen before the window's workers start and read-only until wg.Wait returns
 				if d >= sh.nDom {
 					return
 				}
-				//v2plint:workerlocal the atomic claim counter hands domain d to exactly this worker, which owns qs[d] and domEvents[d] until the wg.Wait barrier
 				sh.domEvents[d] += int64(sh.qs[d].RunBefore(sh.windowEnd))
 			}
 		}()
@@ -596,9 +591,8 @@ func (sh *sharding) stepOracle(end simtime.Time) {
 // (drain mailboxes, merge views, apply due barrier ops, take due
 // telemetry samples, run one lookahead window in parallel). Windows are
 // capped at the next barrier op and the next sampling instant so both
-// happen at exactly their scheduled position in the event stream.
-//
-//v2plint:shardbarrier the barrier loop itself: single-threaded except inside runWindow
+// happen at exactly their scheduled position in the event stream. The
+// loop is single-threaded except inside runWindow.
 func (e *Engine) runSharded(horizon simtime.Time) {
 	sh := e.shard
 	sh.build()
@@ -610,7 +604,7 @@ func (e *Engine) runSharded(horizon simtime.Time) {
 	if prof != nil {
 		// The profiling hook deliberately measures host wall time; it
 		// never feeds back into simulated time or results.
-		wallStart = time.Now() //v2plint:allow wallclock,detflow profiling hook: host wall time is telemetry about the run, not simulation state
+		wallStart = time.Now() //v2plint:allow wallclock profiling hook: host wall time is telemetry about the run, not simulation state
 		runtime.ReadMemStats(&ms)
 		mallocs = ms.Mallocs
 		for _, n := range sh.domEvents {
@@ -689,7 +683,7 @@ func (e *Engine) runSharded(horizon simtime.Time) {
 		prof.ShardEvents = append(prof.ShardEvents[:0], sh.domEvents...)
 		runtime.ReadMemStats(&ms)
 		prof.Mallocs += ms.Mallocs - mallocs
-		prof.Wall += time.Since(wallStart) //v2plint:allow wallclock,detflow profiling hook: host wall time is telemetry about the run, not simulation state
+		prof.Wall += time.Since(wallStart) //v2plint:allow wallclock profiling hook: host wall time is telemetry about the run, not simulation state
 		prof.SimEnd = sh.now
 	}
 }

@@ -75,7 +75,7 @@ func Milli(n int64) Duration { return Duration(n) * Millisecond }
 // nanosecond so that back-to-back packets never overlap.
 func TransmitTime(sizeBytes int, bitsPerSecond int64) Duration {
 	// Plain panic message: this runs on the serialization hot path and
-	// must stay free of fmt (hotpathreach); bandwidth is validated once
+	// must stay free of fmt (v2plint hotpath); bandwidth is validated once
 	// at topology wiring, so the value would add nothing here.
 	if bitsPerSecond <= 0 {
 		panic("simtime: non-positive bandwidth")

@@ -93,6 +93,7 @@ func (blackhole) SwitchArrive(e *simnet.Engine, sw int32, from topology.NodeRef,
 	return false
 }
 func (blackhole) HostMisdeliver(e *simnet.Engine, host int32, p *packet.Packet) {}
+func (blackhole) FlushCache(int32)                                              {}
 
 // reorderedAckStream replays the cumulative-ACK stream a receiver would
 // emit when segments {2,3} of a 10-segment window are overtaken by
