@@ -77,10 +77,7 @@ func (sc Scale) baseConfig(traceName string) harness.Config {
 // request for schemes outside its whitelist — -shards is best-effort
 // across experiments that mix schemes.
 func runPoint(cfg harness.Config) (*harness.Report, error) {
-	if cfg.Shards > 0 && !harness.ShardSupported(cfg.Scheme) {
-		cfg.Shards = 0
-	}
-	return harness.Run(cfg)
+	return harness.Run(cfg.ForScheme(cfg.Scheme))
 }
 
 func newTable(headers ...string) (*tabwriter.Writer, func()) {

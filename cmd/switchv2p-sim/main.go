@@ -248,9 +248,14 @@ func writeTelemetry(path string, tel *telemetry.Collector) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	write := tel.WriteJSON
 	if strings.HasSuffix(path, ".csv") {
-		return tel.WriteCSV(f)
+		write = tel.WriteCSV
 	}
-	return tel.WriteJSON(f)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	// Close is the final flush to disk: its error is the write's error.
+	return f.Close()
 }

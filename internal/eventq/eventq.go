@@ -7,16 +7,10 @@ package eventq
 
 import "switchv2p/internal/simtime"
 
-// Event is a callback scheduled to run at a simulated instant.
-type Event func()
-
-// Timed is the typed-event fast path: a pre-bound event record whose
-// Fire method runs when its instant arrives. Schedulers on hot paths
-// implement Timed with a reusable (pooled) record instead of capturing
-// state in a fresh closure per event — storing a pointer-typed Timed in
-// the queue allocates nothing. Closure events and typed events share one
-// insertion-order sequence, so interleaving the two kinds preserves
-// same-instant FIFO stability.
+// Timed is an event: a record whose Fire method runs when its instant
+// arrives. Schedulers on hot paths implement Timed with a reusable
+// (pooled) record instead of capturing state in a fresh closure per
+// event — storing a pointer-typed Timed in the queue allocates nothing.
 type Timed interface {
 	// Fire runs the event. The queue has already released its reference
 	// to the record when Fire is called, so Fire may recycle or
@@ -24,10 +18,23 @@ type Timed interface {
 	Fire()
 }
 
+// Event is a callback scheduled to run at a simulated instant: the Timed
+// for setup code, tests and rare control actions, where a closure per
+// event is fine. A func value is pointer-shaped, so storing one in the
+// queue allocates nothing beyond the closure itself.
+type Event func()
+
+// Fire calls the callback.
+//
+//v2plint:hotpath
+func (f Event) Fire() {
+	//v2plint:allow hotpath closure events serve setup and tests; per-packet schedulers pass pooled records to AtTimed/AfterTimed
+	f()
+}
+
 type item struct {
 	at  simtime.Time
-	seq uint64 // tie-breaker: insertion order, shared by both event kinds
-	fn  Event  // exactly one of fn / ev is set
+	seq uint64 // tie-breaker: insertion order, or an AtTimedKeyed key
 	ev  Timed
 }
 
@@ -72,17 +79,7 @@ func (q *Queue) Len() int { return len(q.heap) }
 // a bug in the caller.
 //
 //v2plint:hotpath
-func (q *Queue) At(t simtime.Time, fn Event) {
-	if t < q.now {
-		panic("eventq: scheduling event in the past")
-	}
-	if q.frozen != "" {
-		panic(q.frozen)
-	}
-	q.seq++
-	q.heap = append(q.heap, item{at: t, seq: q.seq, fn: fn})
-	q.up(len(q.heap) - 1)
-}
+func (q *Queue) At(t simtime.Time, fn Event) { q.AtTimed(t, fn) }
 
 // After schedules fn to run d after the current instant.
 //
@@ -91,9 +88,8 @@ func (q *Queue) After(d simtime.Duration, fn Event) {
 	q.At(q.now.Add(d), fn)
 }
 
-// AtTimed schedules the pre-bound event record ev to fire at instant t.
-// It is the allocation-free counterpart of At: the record is stored in
-// the heap by reference, and ownership passes to the queue until Fire.
+// AtTimed schedules ev to fire at instant t. A record is stored in the
+// heap by reference, and ownership passes to the queue until Fire.
 //
 //v2plint:hotpath
 func (q *Queue) AtTimed(t simtime.Time, ev Timed) {
@@ -150,18 +146,13 @@ func (q *Queue) Step() bool {
 	it := q.heap[0]
 	n := len(q.heap) - 1
 	q.heap[0] = q.heap[n]
-	q.heap[n] = item{} // release the closure / record for GC
+	q.heap[n] = item{} // release the record for GC
 	q.heap = q.heap[:n]
 	if n > 0 {
 		q.down(0)
 	}
 	q.now = it.at
-	if it.ev != nil {
-		it.ev.Fire()
-	} else {
-		//v2plint:allow hotpath legacy At/After closure path kept for setup and tests; the hot path schedules Event values via AtTimed/AfterTimed
-		it.fn()
-	}
+	it.ev.Fire()
 	return true
 }
 

@@ -2,9 +2,11 @@ package eventq
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"switchv2p/internal/simtime"
 )
@@ -182,6 +184,21 @@ func TestTypedAndClosureFIFOInterleaved(t *testing.T) {
 		if v != i {
 			t.Fatalf("equal-timestamp events dispatched out of order: got[%d]=%d", i, v)
 		}
+	}
+}
+
+// TestItemIsThreeWords pins the heap item's layout: time, tie-break key
+// and one event interface — 32 bytes on a 64-bit platform. Sift-up and
+// sift-down copy items, so a fourth field is a cost on every event.
+func TestItemIsThreeWords(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(item{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(item{}) = %d, want 32", got)
+	}
+	if n := reflect.TypeOf(item{}).NumField(); n != 3 {
+		t.Fatalf("item has %d fields, want 3 (at, seq, ev)", n)
 	}
 }
 

@@ -30,7 +30,7 @@ type CrossoverPoint struct {
 // Points run through the bounded parallel sweep runner when
 // base.SweepWorkers > 1. Every point is an independent simulation seeded
 // only from its own Config (sharding requests degrade per scheme via
-// forScheme), so the returned series is byte-identical — values and
+// ForScheme), so the returned series is byte-identical — values and
 // order — at any worker count.
 func ContainerCrossover(base Config, densities []int, reuses, fractions []float64, schemes []string) ([]CrossoverPoint, error) {
 	spec := containers.Spec{}
@@ -54,9 +54,9 @@ func ContainerCrossover(base Config, densities []int, reuses, fractions []float6
 		}
 	}
 	out := make([]CrossoverPoint, len(jobs))
-	err := runIndexed(base.sweepWorkers(), len(jobs), func(i int) error {
+	err := RunIndexed(base.sweepWorkers(), len(jobs), func(i int) error {
 		j := jobs[i]
-		cfg := base.forScheme(j.scheme)
+		cfg := base.ForScheme(j.scheme)
 		cellSpec := spec
 		cellSpec.PerHost = j.perHost
 		cellSpec.Reuse = j.reuse

@@ -18,11 +18,11 @@ func (c Config) sweepWorkers() int {
 	return 1
 }
 
-// runIndexed runs n independent jobs through a bounded worker pool,
+// RunIndexed runs n independent jobs through a bounded worker pool,
 // returning the first error. Jobs are identified by index, so callers
 // store results into pre-sized slices and output order never depends on
 // scheduling. workers <= 1 degenerates to a plain serial loop.
-func runIndexed(workers, n int, job func(i int) error) error {
+func RunIndexed(workers, n int, job func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
@@ -124,12 +124,12 @@ func CacheSizeSweep(base Config, fractions []float64, schemes []string) ([]Sweep
 	}
 
 	reports := make([]*Report, len(jobs))
-	err = runIndexed(base.sweepWorkers(), len(jobs), func(i int) error {
+	err = RunIndexed(base.sweepWorkers(), len(jobs), func(i int) error {
 		if jobs[i].useNC {
 			reports[i] = nc
 			return nil
 		}
-		cfg := base.forScheme(jobs[i].scheme)
+		cfg := base.ForScheme(jobs[i].scheme)
 		if jobs[i].setFrac {
 			cfg.CacheFraction = jobs[i].frac
 		}
@@ -188,8 +188,8 @@ func GatewaySweep(base Config, gatewayCounts []int, schemes []string) ([]Gateway
 		}
 	}
 	out := make([]GatewayPoint, len(jobs))
-	err := runIndexed(base.sweepWorkers(), len(jobs), func(i int) error {
-		cfg := base.forScheme(jobs[i].scheme)
+	err := RunIndexed(base.sweepWorkers(), len(jobs), func(i int) error {
+		cfg := base.ForScheme(jobs[i].scheme)
 		cfg.ActiveGateways = jobs[i].gateways
 		r, err := Run(cfg)
 		if err != nil {
@@ -233,12 +233,12 @@ func TopologySweep(base Config, pods []int, schemes []string, scaled func(pods i
 		}
 	}
 	out := make([]TopologyPoint, len(jobs))
-	err := runIndexed(base.sweepWorkers(), len(jobs), func(i int) error {
+	err := RunIndexed(base.sweepWorkers(), len(jobs), func(i int) error {
 		cfg, err := scaled(jobs[i].pods)
 		if err != nil {
 			return err
 		}
-		cfg = cfg.forScheme(jobs[i].scheme)
+		cfg = cfg.ForScheme(jobs[i].scheme)
 		r, err := Run(cfg)
 		if err != nil {
 			return err
@@ -296,7 +296,7 @@ type MigrationResult struct {
 // Migration runs the §5.2 incast + mid-trace migration experiment for
 // the scheme in cfg.Base.Scheme.
 func Migration(cfg MigrationConfig) (*MigrationResult, error) {
-	base := cfg.Base.withDefaults().forScheme(cfg.Base.Scheme)
+	base := cfg.Base.withDefaults().ForScheme(cfg.Base.Scheme)
 	w, err := Build(withoutWorkload(base))
 	if err != nil {
 		return nil, err

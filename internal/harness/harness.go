@@ -8,6 +8,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"switchv2p/internal/baselines"
 	"switchv2p/internal/containers"
@@ -38,11 +39,101 @@ const (
 	SchemeHostToR       = "hosttor"
 )
 
+// schemeArgs is what a scheme constructor sizes itself from: the run
+// config, the topology, and Config.CacheFraction turned into entries —
+// the aggregate budget, its even per-switch share, and the per-switch
+// sizing that spreads budgets smaller than the switch count one entry
+// per switch over the first (total mod N) switches instead of letting
+// them vanish to integer division.
+type schemeArgs struct {
+	cfg              Config
+	topo             *topology.Topology
+	total, perSwitch int
+	spread           func(sw topology.Switch) int
+}
+
+// coreOptions returns SwitchV2P's default options sized by the budget.
+func (a schemeArgs) coreOptions() core.Options {
+	opts := core.DefaultOptions(a.perSwitch)
+	opts.SizeFor = a.spread
+	opts.Seed = a.cfg.Seed
+	return opts
+}
+
+// schemes is the scheme table, in AllSchemes order: the one place a
+// scheme's name, shard safety and constructor are stated. shardSafe is
+// audited by hand: a scheme qualifies only if every per-event mutation
+// it performs is confined to the event's own shard domain or routed
+// through per-shard slots (simnet.ShardAware). The host-cache family's
+// pending-install maps and LRU lists are global per-event state, so it
+// stays serial until it grows per-shard slots.
+var schemes = []struct {
+	name      string
+	shardSafe bool
+	build     func(a schemeArgs) (simnet.Scheme, error)
+}{
+	{SchemeSwitchV2P, true, buildSwitchV2P},
+	{SchemeNoCache, true, func(schemeArgs) (simnet.Scheme, error) { return baselines.NewNoCache(), nil }},
+	{SchemeLocalLearning, false, func(a schemeArgs) (simnet.Scheme, error) {
+		return baselines.NewLocalLearning(a.topo, a.perSwitch), nil
+	}},
+	{SchemeGwCache, true, func(a schemeArgs) (simnet.Scheme, error) {
+		return baselines.NewGwCache(a.topo, a.total), nil
+	}},
+	{SchemeBluebird, false, func(a schemeArgs) (simnet.Scheme, error) {
+		return baselines.NewBluebird(a.topo, a.total/len(a.topo.ToRs()), baselines.DefaultBluebirdParams()), nil
+	}},
+	{SchemeOnDemand, false, func(a schemeArgs) (simnet.Scheme, error) {
+		return baselines.NewOnDemand(a.topo, 40*simtime.Microsecond), nil
+	}},
+	{SchemeDirect, true, func(schemeArgs) (simnet.Scheme, error) { return baselines.NewDirect(), nil }},
+	{SchemeController, false, func(a schemeArgs) (simnet.Scheme, error) {
+		return baselines.NewController(a.topo, a.perSwitch, a.cfg.ControllerInterval), nil
+	}},
+	{SchemeHybrid, false, func(a schemeArgs) (simnet.Scheme, error) {
+		// Hoverboard-style offload after 20 packets; millisecond-scale
+		// rule installation as in Zeta/Achelous.
+		return baselines.NewHybrid(a.topo, a.coreOptions(), 20, simtime.Millisecond), nil
+	}},
+	{SchemeHostCache, false, func(a schemeArgs) (simnet.Scheme, error) {
+		// The whole budget goes to the hosts, divided evenly: per-host
+		// hardware capacity is uniform, so small aggregate budgets can
+		// floor to zero entries per host — exactly the regime where
+		// in-switch aggregation wins the crossover.
+		opt := baselines.DefaultHostTierOptions(a.total / len(a.topo.Servers()))
+		opt.TTL = a.cfg.HostTTL
+		return baselines.NewHostCache(a.topo, opt), nil
+	}},
+	{SchemeHostToR, false, func(a schemeArgs) (simnet.Scheme, error) {
+		// Split the budget between the host tier and a ToR-only
+		// SwitchV2P tier.
+		split := a.cfg.HostSplit
+		if split <= 0 || split >= 1 {
+			split = 0.5
+		}
+		hostBudget := int(float64(a.total) * split)
+		opts := core.DefaultOptions(0)
+		opts.SizeFor = core.AllocToROnly(a.topo, a.total-hostBudget)
+		opts.Seed = a.cfg.Seed
+		opt := baselines.DefaultHostTierOptions(hostBudget / len(a.topo.Servers()))
+		opt.TTL = a.cfg.HostTTL
+		return baselines.NewHostToR(a.topo, opts, opt), nil
+	}},
+}
+
 // AllSchemes lists every supported scheme name.
-var AllSchemes = []string{
-	SchemeSwitchV2P, SchemeNoCache, SchemeLocalLearning, SchemeGwCache,
-	SchemeBluebird, SchemeOnDemand, SchemeDirect, SchemeController,
-	SchemeHybrid, SchemeHostCache, SchemeHostToR,
+var AllSchemes = schemeNames(false)
+
+// schemeNames lists the table's names in order, optionally only the
+// shard-safe ones.
+func schemeNames(shardSafeOnly bool) []string {
+	var names []string
+	for _, s := range schemes {
+		if s.shardSafe || !shardSafeOnly {
+			names = append(names, s.name)
+		}
+	}
+	return names
 }
 
 // Config describes one simulation run.
@@ -129,7 +220,7 @@ type Config struct {
 	// domains are claimed, never what they compute — but not to the
 	// serial engine, whose global event tie-breaking differs (see
 	// DESIGN.md). Only schemes free of global mutable per-event state
-	// support sharding: switchv2p, nocache, direct, gwcache.
+	// support sharding (ShardSupported).
 	Shards int
 	// ShardOracle runs the sharded engine in its serial oracle mode:
 	// the same domain decomposition, cross-shard mailboxes and event
@@ -150,23 +241,21 @@ type Config struct {
 
 // ShardSupported reports whether the named scheme can run on the
 // sharded deterministic engine (Config.Shards / Config.ShardOracle).
-// The whitelist is audited by hand: a scheme qualifies only if every
-// per-event mutation it performs is confined to the event's own shard
-// domain or routed through per-shard slots (simnet.ShardAware).
 func ShardSupported(scheme string) bool {
-	switch scheme {
-	case SchemeSwitchV2P, SchemeNoCache, SchemeDirect, SchemeGwCache:
-		return true
+	for _, s := range schemes {
+		if s.name == scheme {
+			return s.shardSafe
+		}
 	}
 	return false
 }
 
-// forScheme returns the config with Scheme set to the given name,
+// ForScheme returns the config with Scheme set to the given name,
 // dropping any sharded-engine request the scheme cannot honor. The
-// sweep helpers use it because their scheme lists mix whitelisted and
-// serial-only schemes: a Shards setting on the base config is
-// best-effort across the sweep, strict on a direct Build/Run.
-func (c Config) forScheme(scheme string) Config {
+// sweep helpers and cmd/experiments use it because their scheme lists
+// mix whitelisted and serial-only schemes: a Shards setting on the base
+// config is best-effort across the sweep, strict on a direct Build/Run.
+func (c Config) ForScheme(scheme string) Config {
 	c.Scheme = scheme
 	if !ShardSupported(scheme) {
 		c.Shards = 0
@@ -289,9 +378,6 @@ func BuildScheme(cfg Config, topo *topology.Topology) (simnet.Scheme, error) {
 	total := totalCacheEntries(cfg.CacheFraction, cfg.VMs)
 	nSwitches := len(topo.Switches)
 	perSwitch := total / nSwitches
-	// Budgets smaller than the switch count are spread one entry per
-	// switch over the first (total mod N) switches instead of vanishing
-	// to integer division.
 	spread := func(sw topology.Switch) int {
 		lines := perSwitch
 		if int(sw.Idx) < total%nSwitches {
@@ -299,90 +385,50 @@ func BuildScheme(cfg Config, topo *topology.Topology) (simnet.Scheme, error) {
 		}
 		return lines
 	}
-	switch cfg.Scheme {
-	case SchemeSwitchV2P:
-		opts := core.DefaultOptions(perSwitch)
-		opts.SizeFor = spread
-		opts.Seed = cfg.Seed
-		if cfg.V2PLearningPackets != nil {
-			opts.LearningPackets = *cfg.V2PLearningPackets
+	for _, s := range schemes {
+		if s.name == cfg.Scheme {
+			return s.build(schemeArgs{cfg, topo, total, perSwitch, spread})
 		}
-		if cfg.V2PSpillover != nil {
-			opts.Spillover = *cfg.V2PSpillover
-		}
-		if cfg.V2PPromotion != nil {
-			opts.Promotion = *cfg.V2PPromotion
-		}
-		if cfg.V2PInvalidation != nil {
-			opts.Invalidation = *cfg.V2PInvalidation
-		}
-		if cfg.V2PTimestampVector != nil {
-			opts.TimestampVector = *cfg.V2PTimestampVector
-		}
-		if cfg.V2PPLearn != nil {
-			opts.PLearn = *cfg.V2PPLearn
-		}
-		if cfg.V2PSizeFor != nil {
-			opts.SizeFor = cfg.V2PSizeFor
-		}
-		switch cfg.V2PAlloc {
-		case "":
-		case "tor-only":
-			opts.SizeFor = core.AllocToROnly(topo, total)
-		case "bandwidth":
-			opts.SizeFor = core.AllocBandwidthProportional(topo, total)
-		default:
-			return nil, fmt.Errorf("harness: unknown V2P allocation policy %q", cfg.V2PAlloc)
-		}
-		opts.LRU = cfg.V2PLRU
-		return core.New(topo, opts), nil
-	case SchemeNoCache:
-		return baselines.NewNoCache(), nil
-	case SchemeLocalLearning:
-		return baselines.NewLocalLearning(topo, perSwitch), nil
-	case SchemeGwCache:
-		return baselines.NewGwCache(topo, total), nil
-	case SchemeBluebird:
-		nToRs := len(topo.ToRs())
-		return baselines.NewBluebird(topo, total/nToRs, baselines.DefaultBluebirdParams()), nil
-	case SchemeOnDemand:
-		return baselines.NewOnDemand(topo, 40*simtime.Microsecond), nil
-	case SchemeDirect:
-		return baselines.NewDirect(), nil
-	case SchemeController:
-		return baselines.NewController(topo, perSwitch, cfg.ControllerInterval), nil
-	case SchemeHybrid:
-		opts := core.DefaultOptions(perSwitch)
-		opts.SizeFor = spread
-		opts.Seed = cfg.Seed
-		// Hoverboard-style offload after 20 packets; millisecond-scale
-		// rule installation as in Zeta/Achelous.
-		return baselines.NewHybrid(topo, opts, 20, simtime.Millisecond), nil
-	case SchemeHostCache:
-		// The whole budget goes to the hosts, divided evenly: per-host
-		// hardware capacity is uniform, so small aggregate budgets can
-		// floor to zero entries per host — exactly the regime where
-		// in-switch aggregation wins the crossover.
-		opt := baselines.DefaultHostTierOptions(total / len(topo.Servers()))
-		opt.TTL = cfg.HostTTL
-		return baselines.NewHostCache(topo, opt), nil
-	case SchemeHostToR:
-		// Split the budget between the host tier and a ToR-only
-		// SwitchV2P tier.
-		split := cfg.HostSplit
-		if split <= 0 || split >= 1 {
-			split = 0.5
-		}
-		hostBudget := int(float64(total) * split)
-		opts := core.DefaultOptions(0)
-		opts.SizeFor = core.AllocToROnly(topo, total-hostBudget)
-		opts.Seed = cfg.Seed
-		opt := baselines.DefaultHostTierOptions(hostBudget / len(topo.Servers()))
-		opt.TTL = cfg.HostTTL
-		return baselines.NewHostToR(topo, opts, opt), nil
-	default:
-		return nil, fmt.Errorf("harness: unknown scheme %q", cfg.Scheme)
 	}
+	return nil, fmt.Errorf("harness: unknown scheme %q", cfg.Scheme)
+}
+
+// buildSwitchV2P applies the Config's V2P toggles on top of the default
+// options.
+func buildSwitchV2P(a schemeArgs) (simnet.Scheme, error) {
+	cfg, opts := a.cfg, a.coreOptions()
+	if cfg.V2PLearningPackets != nil {
+		opts.LearningPackets = *cfg.V2PLearningPackets
+	}
+	if cfg.V2PSpillover != nil {
+		opts.Spillover = *cfg.V2PSpillover
+	}
+	if cfg.V2PPromotion != nil {
+		opts.Promotion = *cfg.V2PPromotion
+	}
+	if cfg.V2PInvalidation != nil {
+		opts.Invalidation = *cfg.V2PInvalidation
+	}
+	if cfg.V2PTimestampVector != nil {
+		opts.TimestampVector = *cfg.V2PTimestampVector
+	}
+	if cfg.V2PPLearn != nil {
+		opts.PLearn = *cfg.V2PPLearn
+	}
+	if cfg.V2PSizeFor != nil {
+		opts.SizeFor = cfg.V2PSizeFor
+	}
+	switch cfg.V2PAlloc {
+	case "":
+	case "tor-only":
+		opts.SizeFor = core.AllocToROnly(a.topo, a.total)
+	case "bandwidth":
+		opts.SizeFor = core.AllocBandwidthProportional(a.topo, a.total)
+	default:
+		return nil, fmt.Errorf("harness: unknown V2P allocation policy %q", cfg.V2PAlloc)
+	}
+	opts.LRU = cfg.V2PLRU
+	return core.New(a.topo, opts), nil
 }
 
 // Build assembles a World without running it.
@@ -419,8 +465,8 @@ func Build(cfg Config) (*World, error) {
 	engine := simnet.New(topo, net, scheme, engCfg)
 	if cfg.Shards > 0 || cfg.ShardOracle {
 		if !ShardSupported(cfg.Scheme) {
-			return nil, fmt.Errorf("harness: scheme %q does not support the sharded engine; use one of: %s, %s, %s, %s",
-				cfg.Scheme, SchemeSwitchV2P, SchemeNoCache, SchemeDirect, SchemeGwCache)
+			return nil, fmt.Errorf("harness: scheme %q does not support the sharded engine; use one of: %s",
+				cfg.Scheme, strings.Join(schemeNames(true), ", "))
 		}
 		workers := cfg.Shards
 		if workers <= 0 {

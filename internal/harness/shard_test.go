@@ -15,12 +15,12 @@ import (
 	"switchv2p/internal/telemetry"
 )
 
-// runShardedDoc runs one configuration to completion and flattens every
+// runDoc runs one configuration to completion and flattens every
 // comparable outcome — the report fingerprint, the engine counters, the
-// sampled timeline, the registry contents and the fault timeline — into
-// one string. The engine profile is wall-clock and so deliberately
+// core/host scheme stats, the sampled timeline, the registry contents
+// and the fault timeline — into one string. The engine profile is wall-clock and so deliberately
 // excluded.
-func runShardedDoc(t *testing.T, cfg Config) (*Report, string) {
+func runDoc(t *testing.T, cfg Config) (*Report, string) {
 	t.Helper()
 	r, err := Run(cfg)
 	if err != nil {
@@ -31,6 +31,9 @@ func runShardedDoc(t *testing.T, cfg Config) (*Report, string) {
 	fmt.Fprintf(&doc, "\n%+v\n", r.World.Engine.C)
 	if r.CoreStats != nil {
 		fmt.Fprintf(&doc, "%+v\n", *r.CoreStats)
+	}
+	if r.HostStats != nil {
+		fmt.Fprintf(&doc, "%+v\n", *r.HostStats)
 	}
 	if r.Telemetry != nil {
 		if err := r.Telemetry.WriteCSV(&doc); err != nil {
@@ -56,7 +59,7 @@ func TestShardCountByteIdentical(t *testing.T) {
 			cfg := quickConfig(scheme)
 			cfg.Telemetry = &telemetry.Options{Interval: 5 * simtime.Microsecond}
 			cfg.Shards = shards
-			r, doc := runShardedDoc(t, cfg)
+			r, doc := runDoc(t, cfg)
 			if r.HostSent == 0 || r.Summary.Flows == 0 {
 				t.Fatalf("%s shards=%d: empty run (sent=%d flows=%d)",
 					scheme, shards, r.HostSent, r.Summary.Flows)
@@ -87,12 +90,12 @@ func TestShardOracleMatchesWindowed(t *testing.T) {
 	oracle := quickConfig(SchemeSwitchV2P)
 	oracle.Telemetry = &telemetry.Options{Interval: 5 * simtime.Microsecond}
 	oracle.ShardOracle = true
-	_, oracleDoc := runShardedDoc(t, oracle)
+	_, oracleDoc := runDoc(t, oracle)
 
 	windowed := quickConfig(SchemeSwitchV2P)
 	windowed.Telemetry = &telemetry.Options{Interval: 5 * simtime.Microsecond}
 	windowed.Shards = 4
-	_, windowedDoc := runShardedDoc(t, windowed)
+	_, windowedDoc := runDoc(t, windowed)
 
 	if oracleDoc != windowedDoc {
 		t.Fatalf("oracle and windowed runs diverge\noracle:\n%s\nwindowed:\n%s", oracleDoc, windowedDoc)
@@ -110,7 +113,7 @@ func TestShardFaultScheduleDeterministic(t *testing.T) {
 		cfg := faultyConfig(SchemeSwitchV2P, 7)
 		cfg.Telemetry = &telemetry.Options{Interval: 5 * simtime.Microsecond}
 		cfg.Shards = shards
-		r, doc := runShardedDoc(t, cfg)
+		r, doc := runDoc(t, cfg)
 		if r.FaultEvents == 0 {
 			t.Fatalf("shards=%d: no fault events applied", shards)
 		}
@@ -154,7 +157,7 @@ func TestShardRejectsUnsupportedScheme(t *testing.T) {
 }
 
 // TestForSchemeDegradesShards pins the sweep helpers' best-effort
-// contract: forScheme keeps a base config's Shards request for
+// contract: ForScheme keeps a base config's Shards request for
 // whitelisted schemes and silently drops it (falling back to the serial
 // engine) for serial-only schemes — including the host-cache family —
 // so mixed-scheme sweeps build instead of erroring.
@@ -174,15 +177,15 @@ func TestForSchemeDegradesShards(t *testing.T) {
 		{SchemeHostCache, false},
 		{SchemeHostToR, false},
 	} {
-		got := base.forScheme(tc.scheme)
+		got := base.ForScheme(tc.scheme)
 		if got.Scheme != tc.scheme {
-			t.Errorf("forScheme(%s).Scheme = %s", tc.scheme, got.Scheme)
+			t.Errorf("ForScheme(%s).Scheme = %s", tc.scheme, got.Scheme)
 		}
 		if tc.sharded && (got.Shards != 4 || !got.ShardOracle) {
-			t.Errorf("%s: forScheme dropped shards for a whitelisted scheme", tc.scheme)
+			t.Errorf("%s: ForScheme dropped shards for a whitelisted scheme", tc.scheme)
 		}
 		if !tc.sharded && (got.Shards != 0 || got.ShardOracle) {
-			t.Errorf("%s: forScheme kept Shards=%d ShardOracle=%v for a serial-only scheme",
+			t.Errorf("%s: ForScheme kept Shards=%d ShardOracle=%v for a serial-only scheme",
 				tc.scheme, got.Shards, got.ShardOracle)
 		}
 		// The degraded config must actually build.

@@ -287,7 +287,10 @@ func Read(r io.Reader) ([]Record, error) {
 		if count > maxRecords {
 			return nil, fmt.Errorf("ptrace: implausible record count %d", count)
 		}
-		out := make([]Record, 0, count)
+		// The count is untrusted input: reserve at most a bounded amount up
+		// front and let append grow the rest as records actually arrive, so
+		// a 16-byte file claiming 2^30 records cannot reserve gigabytes.
+		out := make([]Record, 0, min(count, 4096))
 		for i := uint64(0); i < count; i++ {
 			rec, err := readRecord(br)
 			if err != nil {

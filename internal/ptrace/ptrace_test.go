@@ -165,11 +165,12 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// hugeCountHeader is a complete SV2PTRC1 header claiming 2^30-1 records
+// with no record bytes behind it: 16 bytes that used to make Read
+// reserve ~24 GiB and die with "runtime: out of memory".
+var hugeCountHeader = []byte("SV2PTRC1\x00\x00\x00\x00\x3f\xff\xff\xff")
+
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a trace file at all"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	// Truncated valid header.
 	w := newWorld(t)
 	tr := New(w.e, Options{})
 	w.send(1, 0, w.vips[0], w.vips[9])
@@ -178,9 +179,17 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := tr.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := Read(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated trace accepted")
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"garbage", []byte("not a trace file at all")},
+		{"truncated valid trace", buf.Bytes()[:buf.Len()/2]},
+		{"huge count, no records", hugeCountHeader},
+	} {
+		if _, err := Read(bytes.NewReader(tc.data)); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -267,6 +276,7 @@ func FuzzRead(f *testing.F) {
 	}
 	f.Add([]byte("SV2PTRC1garbage"))
 	f.Add([]byte{})
+	f.Add(hugeCountHeader)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		records, err := Read(bytes.NewReader(data))
 		if err != nil {

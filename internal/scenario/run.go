@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"switchv2p/internal/baselines"
 	"switchv2p/internal/core"
@@ -138,38 +136,16 @@ func RunAll(spec Spec, schemes []string, workers int) ([]*Report, error) {
 	if spec.Base.Telemetry != nil && spec.Base.Telemetry.Stream != nil && workers > 1 {
 		return nil, fmt.Errorf("scenario %q: streaming telemetry shares its writers; run with workers <= 1", spec.Name)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(schemes) {
-		workers = len(schemes)
-	}
-
 	reports := make([]*Report, len(schemes))
-	errs := make([]error, len(schemes))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(schemes) {
-					return
-				}
-				s := spec
-				s.Base.Scheme = schemes[i]
-				// Each worker writes only the slot i it claimed via next.Add.
-				reports[i], errs[i] = Run(s)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := harness.RunIndexed(workers, len(schemes), func(i int) error {
+		s := spec
+		s.Base.Scheme = schemes[i]
+		var err error
+		reports[i], err = Run(s)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return reports, nil
 }

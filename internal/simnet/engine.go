@@ -123,14 +123,6 @@ type Engine struct {
 	// drains). A nil gauge costs one inlined nil check per buffer update.
 	BufGauge *telemetry.Gauge
 
-	// ClosureEvents switches the link layer back to the legacy
-	// closure-per-event scheduling path instead of pooled typed-event
-	// records. Both paths dispatch in the same order and produce
-	// byte-identical results (guard-tested); the closure path exists only
-	// as the reference for that guard. Set it before the first packet is
-	// sent and never mid-run.
-	ClosureEvents bool
-
 	// Fabric adjacency, built once in New so the forwarding hot path
 	// never touches a map: swNbr[s] holds the egress links from switch s
 	// to each neighboring switch, in edge order; swOrd[s][t] is the dense
@@ -161,10 +153,10 @@ type Engine struct {
 	// the same domain partition, per-domain queues and cross-domain keys,
 	// but a single goroutine dispatching the globally earliest event and
 	// delivering cross-domain handoffs eagerly (no lookahead windows, no
-	// mailbox batching). Byte-identity between oracle and windowed runs
-	// proves the conservative synchronization protocol exact, the same
-	// role ClosureEvents plays for the typed-event link path. Set before
-	// EnableSharding takes effect at the first Run.
+	// mailbox batching). It is the reference the windowed runs are tested
+	// against: byte-identity between the two proves the conservative
+	// synchronization protocol exact. Set before EnableSharding takes
+	// effect at the first Run.
 	ShardOracle bool
 
 	// Sharding state (see shard.go). shard is non-nil on the root engine
@@ -596,12 +588,6 @@ func (e *Engine) hostArrive(host int32, p *packet.Packet) {
 	if !e.Net.HostHasVM(host, p.DstVIP) {
 		e.C.Misdeliveries++
 		p.WasMisdelivered = true
-		if e.ClosureEvents {
-			// Legacy closure reference path, kept (like the link layer's)
-			// as the oracle for the pooled-record byte-identity guard.
-			e.Q.After(e.Cfg.MisdeliveryDelay, func() { e.Scheme.HostMisdeliver(e, host, p) })
-			return
-		}
 		ev := e.getHostEvent()
 		ev.p = p
 		ev.host = host
@@ -646,16 +632,6 @@ func (e *Engine) gatewayProcess(host int32, p *packet.Packet) {
 		e.C.Drops++
 		return
 	}
-	if e.ClosureEvents {
-		// Legacy closure reference path (see hostArrive's misdelivery
-		// branch).
-		e.Q.After(e.Cfg.GatewayDelay, func() {
-			p.DstPIP = pip
-			p.Resolved = true
-			e.hostUp[host].enqueue(p)
-		})
-		return
-	}
 	ev := e.getHostEvent()
 	ev.p = p
 	ev.host = host
@@ -665,8 +641,8 @@ func (e *Engine) gatewayProcess(host int32, p *packet.Packet) {
 }
 
 // hostEvent is a pooled event record (eventq.Timed) for the two host-side
-// delayed actions that used to allocate a closure per packet: hypervisor
-// misdelivery re-forwarding and translation-gateway re-emission. Records
+// delayed actions: hypervisor misdelivery re-forwarding and
+// translation-gateway re-emission. Records
 // live on the owning engine's freelist and are recycled before the action
 // runs, so the pool grows to the concurrent high-water mark and is then
 // reused forever — the steady-state path allocates nothing.

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"switchv2p/internal/netaddr"
@@ -403,5 +404,68 @@ func TestGatewayOverloadDropsAtGatewayToR(t *testing.T) {
 	}
 	if e.C.Delivered == 0 {
 		t.Fatal("expected some deliveries")
+	}
+}
+
+// TestMergeScalarsCoversEveryField guards the hand-maintained field list
+// in Counters.mergeScalars: a counter added to Counters but not to the
+// merge would be lost at every shard barrier, and only sharded runs
+// would notice. Every scalar of the source gets a distinct non-zero
+// value; after the merge each must have arrived in the (zero)
+// destination and be zero in the source, while the five shared
+// per-switch / per-host slices keep their headers on both sides.
+func TestMergeScalarsCoversEveryField(t *testing.T) {
+	var src, dst Counters
+	sv, dv := reflect.ValueOf(&src).Elem(), reflect.ValueOf(&dst).Elem()
+	n := int64(0)
+	slices := 0
+	for i := 0; i < sv.NumField(); i++ {
+		f := sv.Field(i)
+		n++
+		switch f.Kind() {
+		case reflect.Int64: // counters and the LastMisdelivered timestamp
+			f.SetInt(n)
+		case reflect.Slice:
+			slices++
+			f.Set(reflect.ValueOf([]int64{n}))
+		default:
+			t.Fatalf("Counters.%s has kind %s: teach mergeScalars and this test how it merges",
+				sv.Type().Field(i).Name, f.Kind())
+		}
+	}
+	if slices != 5 {
+		t.Fatalf("Counters has %d slice fields, want the 5 that shard views share with the root", slices)
+	}
+	want := src
+	dst.mergeScalars(&src)
+	for i := 0; i < sv.NumField(); i++ {
+		name := sv.Type().Field(i).Name
+		got, from, orig := dv.Field(i), sv.Field(i), reflect.ValueOf(want).Field(i)
+		if got.Kind() == reflect.Slice {
+			if !got.IsNil() {
+				t.Errorf("%s: merge wrote the destination's shared slice", name)
+			}
+			if from.Pointer() != orig.Pointer() || from.Len() != orig.Len() {
+				t.Errorf("%s: merge replaced the source's shared slice header", name)
+			}
+			continue
+		}
+		if got.Int() != orig.Int() {
+			t.Errorf("%s: merged value %d, want %d (field missing from mergeScalars?)", name, got.Int(), orig.Int())
+		}
+		if from.Int() != 0 {
+			t.Errorf("%s: source still %d after merge, want 0 (add-and-zero)", name, from.Int())
+		}
+	}
+
+	// LastMisdelivered is a timestamp: the merge keeps the later one.
+	last := dst.LastMisdelivered
+	dst.mergeScalars(&Counters{LastMisdelivered: last - 1})
+	if dst.LastMisdelivered != last {
+		t.Errorf("LastMisdelivered = %v after merging an earlier one, want %v", dst.LastMisdelivered, last)
+	}
+	dst.mergeScalars(&Counters{LastMisdelivered: last + 1})
+	if dst.LastMisdelivered != last+1 {
+		t.Errorf("LastMisdelivered = %v after merging a later one, want %v", dst.LastMisdelivered, last+1)
 	}
 }

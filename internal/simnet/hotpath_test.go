@@ -1,19 +1,15 @@
 package simnet
 
 // Hot-path guards for the allocation-free event model: steady-state
-// alloc-freedom of the link serializer and fabric forwarding, the
-// typed-vs-closure determinism guard, and regression tests for the
-// switch-buffer gauge, gateway-less topologies, and in-flight
-// accounting.
+// alloc-freedom of the link serializer and fabric forwarding, and
+// regression tests for the switch-buffer gauge, gateway-less topologies,
+// and in-flight accounting.
 
 import (
-	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
 	"switchv2p/internal/eventq"
-	"switchv2p/internal/netaddr"
 	"switchv2p/internal/packet"
 	"switchv2p/internal/simtime"
 	"switchv2p/internal/telemetry"
@@ -106,44 +102,6 @@ func TestEcmpForwardSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// runScenario drives the standard engine scenario (the determinism
-// test's random pair workload) on either event path and returns the
-// final counters plus the buffer gauge.
-func runScenario(t *testing.T, closures bool) (Counters, *telemetry.Gauge) {
-	t.Helper()
-	f := newFixture(t, gwScheme{})
-	f.e.ClosureEvents = closures
-	g := &telemetry.Gauge{}
-	f.e.BufGauge = g
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		src := f.vips[rng.Intn(len(f.vips))]
-		dst := f.vips[rng.Intn(len(f.vips))]
-		if src == dst {
-			continue
-		}
-		f.e.HostSend(f.hostOf(src), packet.NewData(uint64(i), 0, 500, src, dst, 0))
-	}
-	f.e.Run(simtime.Never)
-	return f.e.C, g
-}
-
-// TestTypedAndClosurePathsByteIdentical is the engine-level determinism
-// guard: the pooled typed-event path and the legacy closure path must
-// produce byte-identical Counters (every field, compared structurally)
-// and identical buffer-gauge readings.
-func TestTypedAndClosurePathsByteIdentical(t *testing.T) {
-	typedC, typedG := runScenario(t, false)
-	closureC, closureG := runScenario(t, true)
-	if !reflect.DeepEqual(typedC, closureC) {
-		t.Fatalf("counters diverge between event paths:\ntyped:   %+v\nclosure: %+v", typedC, closureC)
-	}
-	if typedG.Value() != closureG.Value() || typedG.HighWater() != closureG.HighWater() {
-		t.Fatalf("buffer gauge diverges: typed %d/%d, closure %d/%d",
-			typedG.Value(), typedG.HighWater(), closureG.Value(), closureG.HighWater())
-	}
-}
-
 // TestBufGaugeDrainsToZero is the dequeue-update regression test: after
 // a run drains, the gauge's instantaneous value must fall back to zero
 // (it used to stay at the last-enqueue occupancy forever) while the
@@ -191,58 +149,6 @@ func TestLinkQueueBoundedUnderSaturation(t *testing.T) {
 	}
 	if c := cap(l.queue); c > 64 {
 		t.Fatalf("saturated link queue capacity grew to %d, want a small constant", c)
-	}
-}
-
-// runMisdeliveryScenario drives stale pre-resolved packets at migrated
-// VMs on the selected event path: every packet takes the hypervisor
-// misdelivery path, which the typed path dispatches through the pooled
-// hostEvent records (the gateway-transmit kind is covered by the
-// gateway scenario above).
-func runMisdeliveryScenario(t *testing.T, closures bool) Counters {
-	t.Helper()
-	f := newFixture(t, gwScheme{})
-	f.e.ClosureEvents = closures
-	rng := rand.New(rand.NewSource(11))
-	type moved struct {
-		vip     netaddr.VIP
-		oldHost int32
-	}
-	var ms []moved
-	for i := 0; i < 32; i++ {
-		v := f.vips[i]
-		old := f.hostOf(v)
-		nh := f.hostOf(f.vips[64+rng.Intn(128)])
-		if nh == old {
-			continue
-		}
-		if err := f.net.Migrate(v, nh); err != nil {
-			t.Fatal(err)
-		}
-		ms = append(ms, moved{vip: v, oldHost: old})
-	}
-	src := f.vips[200]
-	for i, m := range ms {
-		p := packet.NewData(uint64(1000+i), 0, 600, src, m.vip, 0)
-		p.DstPIP = f.e.Topo.Hosts[m.oldHost].PIP // stale resolution
-		p.Resolved = true
-		f.e.HostSend(f.hostOf(src), p)
-	}
-	f.e.Run(simtime.Never)
-	if f.e.C.Misdeliveries == 0 {
-		t.Fatal("scenario produced no misdeliveries")
-	}
-	return f.e.C
-}
-
-// TestMisdeliveryEventPathsByteIdentical extends the typed-vs-closure
-// determinism guard to the pooled hypervisor events: a misdelivery-heavy
-// run must produce byte-identical Counters on both event paths.
-func TestMisdeliveryEventPathsByteIdentical(t *testing.T) {
-	typed := runMisdeliveryScenario(t, false)
-	closure := runMisdeliveryScenario(t, true)
-	if !reflect.DeepEqual(typed, closure) {
-		t.Fatalf("counters diverge between event paths:\ntyped:   %+v\nclosure: %+v", typed, closure)
 	}
 }
 
@@ -309,74 +215,34 @@ func TestInFlightPacketsCountsPropagation(t *testing.T) {
 	}
 }
 
-// TestClosurePathStandaloneScenarios reruns a few representative engine
-// tests' scenarios on the legacy closure path, keeping it exercised (and
-// correct) as long as it exists.
-func TestClosurePathStandaloneScenarios(t *testing.T) {
-	f := newFixture(t, gwScheme{})
-	f.e.ClosureEvents = true
-	src, dst := f.vips[0], f.vips[10]
-	delivered := 0
-	f.e.Handler = func(host int32, p *packet.Packet) { delivered++ }
-	f.e.HostSend(f.hostOf(src), packet.NewData(1, 0, 1000, src, dst, 0))
-	f.e.Run(simtime.Never)
-	if delivered != 1 || f.e.C.GatewayPackets != 1 {
-		t.Fatalf("closure path delivery broken: delivered=%d %+v", delivered, f.e.C)
-	}
-	if got := f.e.InFlightPackets(); got != 0 {
-		t.Fatalf("closure path leaves %d in flight after drain", got)
-	}
-}
-
 // BenchmarkLinkSerializer measures the per-packet cost of the serializer
-// hot path on both event paths; the typed path must report 0 allocs/op.
+// hot path; it must report 0 allocs/op.
 func BenchmarkLinkSerializer(b *testing.B) {
-	for _, mode := range []struct {
-		name     string
-		closures bool
-	}{{"typed", false}, {"closure", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e, l := bareLink()
-			e.ClosureEvents = mode.closures
-			p := packet.NewData(1, 0, 1000, 1, 2, 3)
-			for i := 0; i < 8; i++ { // warm the pools
-				l.enqueue(p)
-				e.Q.Run(simtime.Never)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				l.enqueue(p)
-				e.Q.Run(simtime.Never)
-			}
-		})
+	e, l := bareLink()
+	p := packet.NewData(1, 0, 1000, 1, 2, 3)
+	for i := 0; i < 8; i++ { // warm the pools
+		l.enqueue(p)
+		e.Q.Run(simtime.Never)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.enqueue(p)
+		e.Q.Run(simtime.Never)
 	}
 }
 
-// TestLinkSerializerBenchmarkAllocFree runs the typed-path serializer
-// loop under testing.Benchmark and asserts the allocation rate the
-// benchmark would merely print: BenchmarkLinkSerializer/typed must stay
-// at 0 allocs/op, as a failing test rather than a number in a report.
+// TestLinkSerializerBenchmarkAllocFree runs BenchmarkLinkSerializer under
+// testing.Benchmark and asserts the allocation rate the benchmark would
+// merely print: 0 allocs/op, as a failing test rather than a number in a
+// report.
 func TestLinkSerializerBenchmarkAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a benchmark")
 	}
-	r := testing.Benchmark(func(b *testing.B) {
-		e, l := bareLink()
-		p := packet.NewData(1, 0, 1000, 1, 2, 3)
-		for i := 0; i < 8; i++ { // warm the pools
-			l.enqueue(p)
-			e.Q.Run(simtime.Never)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l.enqueue(p)
-			e.Q.Run(simtime.Never)
-		}
-	})
+	r := testing.Benchmark(BenchmarkLinkSerializer)
 	if allocs := r.AllocsPerOp(); allocs != 0 {
-		t.Fatalf("typed serializer path allocates %d/op in steady state, want 0", allocs)
+		t.Fatalf("serializer path allocates %d/op in steady state, want 0", allocs)
 	}
 }
 

@@ -54,11 +54,11 @@ type link struct {
 	head  int
 	busy  bool
 
-	// free is the freelist of pooled event records for the typed-event
-	// hot path. A record leaves the freelist when a packet starts
-	// serializing and returns in its deliver stage, so the pool grows to
-	// this link's in-flight high-water mark and is then reused forever:
-	// the steady-state serializer path allocates nothing.
+	// free is the freelist of pooled event records. A record leaves the
+	// freelist when a packet starts serializing and returns in its deliver
+	// stage, so the pool grows to this link's in-flight high-water mark
+	// and is then reused forever: the steady-state serializer path
+	// allocates nothing.
 	free []*linkEvent
 }
 
@@ -100,6 +100,8 @@ func (ev *linkEvent) Fire() {
 			l.inFlight--
 			l.e.shard.post(l, p)
 		} else {
+			// Store-and-forward: the far end receives the packet one
+			// propagation delay after the last bit leaves.
 			ev.stage = stageDeliver
 			ev.l.e.Q.AfterTimed(ev.l.delay, ev)
 		}
@@ -180,7 +182,7 @@ func (l *link) enqueue(p *packet.Packet) {
 }
 
 // txDone releases the packet's shared-buffer claim when its last bit
-// leaves the serializer (shared by the typed and closure paths).
+// leaves the serializer.
 //
 //v2plint:hotpath
 func (l *link) txDone(size int) {
@@ -191,7 +193,7 @@ func (l *link) txDone(size int) {
 }
 
 // serializeNext continues with the next queued packet, or idles the
-// serializer (shared by the typed and closure paths).
+// serializer.
 //
 //v2plint:hotpath
 func (l *link) serializeNext() {
@@ -202,10 +204,8 @@ func (l *link) serializeNext() {
 	}
 }
 
-// startNext begins serializing the packet at the head of the queue. The
-// default path schedules a pooled linkEvent record; Engine.ClosureEvents
-// selects the legacy closure-per-event path, kept for the determinism
-// guard that proves both dispatch byte-identical results.
+// startNext begins serializing the packet at the head of the queue,
+// carried by a pooled linkEvent record.
 //
 //v2plint:hotpath
 func (l *link) startNext() {
@@ -232,23 +232,9 @@ func (l *link) startNext() {
 	}
 	size := p.Size()
 	tx := simtime.TransmitTime(size, l.bps)
-	if !l.e.ClosureEvents {
-		ev := l.getEvent()
-		ev.p = p
-		ev.size = size
-		ev.stage = stageTxDone
-		l.e.Q.AfterTimed(tx, ev)
-		return
-	}
-	//v2plint:allow hotpath legacy closure reference path, opted into via Engine.ClosureEvents
-	l.e.Q.After(tx, func() {
-		l.txDone(size)
-		// Store-and-forward: the far end receives the packet one
-		// propagation delay after the last bit leaves.
-		l.e.Q.After(l.delay, func() {
-			l.inFlight--
-			l.deliverPkt(p)
-		})
-		l.serializeNext()
-	})
+	ev := l.getEvent()
+	ev.p = p
+	ev.size = size
+	ev.stage = stageTxDone
+	l.e.Q.AfterTimed(tx, ev)
 }

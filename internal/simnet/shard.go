@@ -321,9 +321,6 @@ func (sh *sharding) build() {
 		return
 	}
 	root := sh.root
-	if root.ClosureEvents {
-		panic("simnet: ClosureEvents (the legacy closure reference path) is serial-only; disable it or skip EnableSharding")
-	}
 	if root.Tap != nil {
 		panic("simnet: packet taps observe every domain and are serial-only; detach the tap or skip EnableSharding")
 	}

@@ -59,14 +59,6 @@ echo "== benches (one iteration each, smoke) =="
 # double as smoke coverage for the allocation-free hot path.
 go test -bench=. -benchmem -benchtime=1x -run='^$' ./...
 
-echo "== v2plint timing regression guard (fresh vs committed BENCH_lint.json) =="
-# Record the committed whole-module lint cost before benchsnap
-# regenerates the file below; a fresh run more than 3x slower than the
-# committed snapshot means an analyzer (or the call-graph build) has
-# blown up and fails the build. The 3x headroom absorbs machine noise.
-committed_lint_wall="$(grep -m1 '"wall_ms"' BENCH_lint.json | tr -dc '0-9.')"
-
-
 echo "== production-day scenario smoke =="
 # Short horizon: the quick scale compresses the six-phase operational
 # day into 24ms of simulated time, so the smoke stays seconds of wall
@@ -89,12 +81,20 @@ for scheme in switchv2p hostcache hosttor nocache gwcache; do
     || { echo "crossover smoke: no SLO row for scheme $scheme"; exit 1; }
 done
 
-echo "== bench snapshots (BENCH_engine.json, BENCH_scenario.json, BENCH_workload.json, BENCH_lint.json) =="
-# Machine-readable perf trajectory: engine event throughput (the
-# BenchmarkEngineEventsPerSec measurement), the quick production-day
-# cost, container-trace generation throughput, and the full-module
-# v2plint cost per analyzer.
-# Committing the refreshed files records the trend over time.
+echo "== benchmark digest gate (go run ./bench, seed 1, one short repetition per workload) =="
+# Every bench workload hashes its simulation output and compares it with
+# bench/golden.json; -trace 0 skips the profiled phase, so this is ~40 s.
+# All five workloads must print sim_digest_match 1.
+digest_matches="$(go run ./bench -seed 1 -trace 0 -reps 1 -seconds 5 | grep -c 'sim_digest_match 1' || true)"
+test "$digest_matches" = 5 || { echo "bench digest gate: $digest_matches of 5 workloads match bench/golden.json"; exit 1; }
+
+echo "== v2plint timing regression guard (fresh vs committed BENCH_lint.json) =="
+# A fresh whole-module lint more than 3x slower than the committed
+# snapshot means an analyzer (or the call-graph build) has blown up and
+# fails the build; the 3x headroom absorbs machine noise. benchsnap
+# rewrites BENCH_lint.json, so read the committed figure first;
+# committing the refreshed file records the trend over time.
+committed_lint_wall="$(grep -m1 '"wall_ms"' BENCH_lint.json | tr -dc '0-9.')"
 go run ./cmd/benchsnap -out .
 fresh_lint_wall="$(grep -m1 '"wall_ms"' BENCH_lint.json | tr -dc '0-9.')"
 echo "lint wall: committed ${committed_lint_wall}ms, fresh ${fresh_lint_wall}ms"
