@@ -1,11 +1,24 @@
 // Package eventq implements the discrete-event scheduler at the heart of
-// the simulator: a binary min-heap of timestamped events with stable FIFO
-// ordering among events scheduled for the same instant. Stability matters
-// for determinism: two packets enqueued for the same nanosecond must always
-// dequeue in the order they were scheduled.
+// the simulator: a queue of timestamped events dispatched in (time,
+// insertion order) order. Stability matters for determinism: two packets
+// enqueued for the same nanosecond must always dequeue in the order they
+// were scheduled.
+//
+// The queue has two tiers. Events due less than wheelSlots nanoseconds
+// after the current instant — serialization and link-propagation events,
+// 96–98 % of everything a simulation schedules — go on a timing wheel
+// with one slot per nanosecond: O(1) to schedule, O(1) to dispatch, no
+// comparisons. Everything else (gateway delays, retransmission timers,
+// flow starts, cross-shard handoffs) goes in a 4-ary min-heap. Dispatch
+// takes whichever tier's head is smaller by (time, tie-break key), so
+// the order is exactly the order one heap would produce.
 package eventq
 
-import "switchv2p/internal/simtime"
+import (
+	"math/bits"
+
+	"switchv2p/internal/simtime"
+)
 
 // Timed is an event: a record whose Fire method runs when its instant
 // arrives. Schedulers on hot paths implement Timed with a reusable
@@ -38,13 +51,55 @@ type item struct {
 	ev  Timed
 }
 
-// Queue is a min-heap of events ordered by (time, insertion order).
-// The zero value is an empty queue ready for use.
+// The near-term tier is a timing wheel of wheelSlots one-nanosecond
+// slots. Its size follows from what the simulator schedules: on the
+// bench workloads 95.7–98.3 % of events are due at most 1 000 ns ahead
+// (serialization times of 2–120 ns and the 1 µs default link delay,
+// PERF.md has the histogram) and the next populated delay is the 40 µs
+// gateway hop, so 1 024 slots is the smallest power of two that catches
+// the link delay. A configuration with a longer link delay stays
+// correct: those events simply take the heap.
+const (
+	wheelSlots = 1024
+	wheelMask  = wheelSlots - 1
+)
+
+// wheelNode is one pending wheel event, linked into its slot's FIFO (or
+// the freelist) by slab index + 1, so zero means "none" and the zero
+// Queue needs no initialization.
+type wheelNode struct {
+	ev   Timed
+	seq  uint64
+	next uint32
+}
+
+// wheelSlot is the FIFO of the events due at one instant, as slab
+// indices + 1 (zero: empty).
+type wheelSlot struct{ head, tail uint32 }
+
+// Queue dispatches events in (time, insertion order) order. The zero
+// value is an empty queue ready for use.
+//
+// Wheel invariant: every wheel event was scheduled less than wheelSlots
+// ns ahead of a clock that has only advanced since, and nothing pending
+// is earlier than the clock, so all wheel events lie in
+// [now, now+wheelSlots). Hence slot at&wheelMask holds a single
+// timestamp at a time, events join it in increasing seq, and slot FIFO
+// order is (at, seq) order; circular slot order starting at
+// now&wheelMask is time order.
 type Queue struct {
 	heap   []item
 	seq    uint64
 	now    simtime.Time
 	frozen string // non-empty: scheduling panics with this message
+
+	wheelLen int          // events pending in the wheel
+	wheelAt  simtime.Time // earliest wheel timestamp; meaningful when wheelLen > 0
+	nodes    []wheelNode  // slab backing every slot FIFO; grows to the wheel's high-water mark
+	free     uint32       // freelist head, slab index + 1
+	occSum   uint64       // bit w set: occ[w] != 0
+	occ      [wheelSlots / 64]uint64
+	slots    [wheelSlots]wheelSlot
 }
 
 // CrossKeyBase is the tie-break key space reserved for cross-queue
@@ -72,7 +127,7 @@ func (q *Queue) Frozen() bool { return q.frozen != "" }
 func (q *Queue) Now() simtime.Time { return q.now }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.heap) }
+func (q *Queue) Len() int { return len(q.heap) + q.wheelLen }
 
 // At schedules fn to run at instant t. Scheduling in the past (before the
 // current instant) panics: it would violate causality and always indicates
@@ -88,8 +143,8 @@ func (q *Queue) After(d simtime.Duration, fn Event) {
 	q.At(q.now.Add(d), fn)
 }
 
-// AtTimed schedules ev to fire at instant t. A record is stored in the
-// heap by reference, and ownership passes to the queue until Fire.
+// AtTimed schedules ev to fire at instant t. The queue holds the record
+// by reference, and ownership passes to the queue until Fire.
 //
 //v2plint:hotpath
 func (q *Queue) AtTimed(t simtime.Time, ev Timed) {
@@ -100,8 +155,33 @@ func (q *Queue) AtTimed(t simtime.Time, ev Timed) {
 		panic(q.frozen)
 	}
 	q.seq++
-	q.heap = append(q.heap, item{at: t, seq: q.seq, ev: ev})
-	q.up(len(q.heap) - 1)
+	if t-q.now >= wheelSlots {
+		q.heap = append(q.heap, item{at: t, seq: q.seq, ev: ev})
+		q.up(len(q.heap) - 1)
+		return
+	}
+	ref := q.free // slab index + 1 of the node to use
+	if ref != 0 {
+		q.free = q.nodes[ref-1].next
+	} else {
+		q.nodes = append(q.nodes, wheelNode{})
+		ref = uint32(len(q.nodes))
+	}
+	q.nodes[ref-1] = wheelNode{ev: ev, seq: q.seq}
+	slot := &q.slots[t&wheelMask]
+	if slot.head == 0 {
+		slot.head = ref
+		w := uint(t&wheelMask) >> 6
+		q.occ[w] |= 1 << (uint(t) & 63)
+		q.occSum |= 1 << w
+	} else {
+		q.nodes[slot.tail-1].next = ref
+	}
+	slot.tail = ref
+	if q.wheelLen == 0 || t < q.wheelAt {
+		q.wheelAt = t
+	}
+	q.wheelLen++
 }
 
 // AtTimedKeyed schedules ev at instant t with an explicit tie-break key
@@ -140,9 +220,102 @@ func (q *Queue) AfterTimed(d simtime.Duration, ev Timed) {
 //
 //v2plint:hotpath
 func (q *Queue) Step() bool {
-	if len(q.heap) == 0 {
+	var ev Timed
+	switch {
+	case q.wheelFirst():
+		ev = q.popWheel()
+	case len(q.heap) > 0:
+		ev = q.popHeap()
+	default:
 		return false
 	}
+	ev.Fire()
+	return true
+}
+
+// wheelFirst reports whether the earliest pending event, by (time,
+// tie-break key), is the wheel's head rather than the heap's.
+//
+//v2plint:hotpath
+func (q *Queue) wheelFirst() bool {
+	if q.wheelLen == 0 {
+		return false
+	}
+	if len(q.heap) == 0 {
+		return true
+	}
+	h := &q.heap[0]
+	if q.wheelAt != h.at {
+		return q.wheelAt < h.at
+	}
+	return q.wheelSeq() < h.seq
+}
+
+// wheelSeq returns the tie-break key of the wheel's head event. The wheel
+// must not be empty.
+//
+//v2plint:hotpath
+func (q *Queue) wheelSeq() uint64 {
+	return q.nodes[q.slots[q.wheelAt&wheelMask].head-1].seq
+}
+
+// popWheel unlinks the wheel's head event, advances the clock to it and
+// returns it. The wheel must not be empty.
+//
+//v2plint:hotpath
+func (q *Queue) popWheel() Timed {
+	at := q.wheelAt
+	slot := &q.slots[at&wheelMask]
+	ref := slot.head
+	n := &q.nodes[ref-1]
+	ev := n.ev
+	slot.head = n.next
+	*n = wheelNode{next: q.free} // also releases the record for GC
+	q.free = ref
+	q.wheelLen--
+	q.now = at
+	if slot.head == 0 {
+		w := uint(at&wheelMask) >> 6
+		q.occ[w] &^= 1 << (uint(at) & 63)
+		if q.occ[w] == 0 {
+			q.occSum &^= 1 << w
+		}
+		if q.wheelLen > 0 {
+			q.wheelAt = q.nextOccupied(at)
+		}
+	}
+	return ev
+}
+
+// nextOccupied returns the timestamp of the first occupied slot in
+// circular order from now's own slot — by the wheel invariant, the
+// earliest wheel event. The wheel must not be empty.
+//
+//v2plint:hotpath
+func (q *Queue) nextOccupied(now simtime.Time) simtime.Time {
+	c := uint(now & wheelMask)
+	w := c >> 6
+	slot := c
+	if rest := q.occ[w] >> (c & 63); rest != 0 {
+		slot += uint(bits.TrailingZeros64(rest))
+	} else {
+		// The first occupied word after w, else wrap to the lowest one
+		// (which may be w itself: its bits below c).
+		sum := q.occSum
+		if after := sum &^ (1<<(w+1) - 1); after != 0 {
+			sum = after
+		}
+		w = uint(bits.TrailingZeros64(sum))
+		slot = w<<6 + uint(bits.TrailingZeros64(q.occ[w]))
+	}
+	return now + simtime.Time((slot-c)&wheelMask)
+}
+
+// popHeap removes the heap's root, advances the clock to it and returns
+// its event. The heap must not be empty.
+//
+//v2plint:hotpath
+func (q *Queue) popHeap() Timed {
 	it := q.heap[0]
 	n := len(q.heap) - 1
 	q.heap[0] = q.heap[n]
@@ -152,8 +325,7 @@ func (q *Queue) Step() bool {
 		q.down(0)
 	}
 	q.now = it.at
-	it.ev.Fire()
-	return true
+	return it.ev
 }
 
 // Run dispatches events until the queue is empty or until the next event
@@ -163,11 +335,14 @@ func (q *Queue) Step() bool {
 //v2plint:hotpath
 func (q *Queue) Run(horizon simtime.Time) int {
 	n := 0
-	for len(q.heap) > 0 && q.heap[0].at <= horizon {
+	for {
+		t, ok := q.PeekTime()
+		if !ok || t > horizon {
+			return n
+		}
 		q.Step()
 		n++
 	}
-	return n
 }
 
 // RunBefore dispatches events strictly earlier than t and returns the
@@ -178,11 +353,14 @@ func (q *Queue) Run(horizon simtime.Time) int {
 //v2plint:hotpath
 func (q *Queue) RunBefore(t simtime.Time) int {
 	n := 0
-	for len(q.heap) > 0 && q.heap[0].at < t {
+	for {
+		next, ok := q.PeekTime()
+		if !ok || next >= t {
+			return n
+		}
 		q.Step()
 		n++
 	}
-	return n
 }
 
 // PeekKey returns the (time, tie-break key) of the earliest pending
@@ -190,6 +368,9 @@ func (q *Queue) RunBefore(t simtime.Time) int {
 // the globally next event across shard queues: compare (time, key)
 // lexicographically, then by shard index.
 func (q *Queue) PeekKey() (simtime.Time, uint64, bool) {
+	if q.wheelFirst() {
+		return q.wheelAt, q.wheelSeq(), true
+	}
 	if len(q.heap) == 0 {
 		return 0, 0, false
 	}
@@ -201,6 +382,9 @@ func (q *Queue) PeekKey() (simtime.Time, uint64, bool) {
 //
 //v2plint:hotpath
 func (q *Queue) PeekTime() (simtime.Time, bool) {
+	if q.wheelFirst() {
+		return q.wheelAt, true
+	}
 	if len(q.heap) == 0 {
 		return 0, false
 	}

@@ -1,6 +1,7 @@
 package eventq
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -342,4 +343,63 @@ func BenchmarkQueue(b *testing.B) {
 			}
 		}
 	})
+}
+
+// holdMixes are BenchmarkHold's delay distributions. simmix is the
+// histogram of schedule-ahead delays measured on the bench workloads
+// (PERF.md): serialization times, the 1 µs link delay, the 40 µs gateway
+// hop and a rare 200 µs timer. uniform100us is what bench's
+// eventq.hold_ns kernel draws — 1 % of it lands within the wheel.
+var holdMixes = []struct {
+	name string
+	draw func(rng *rand.Rand) simtime.Duration
+}{
+	{"simmix", func(rng *rand.Rand) simtime.Duration {
+		x := rng.Intn(1000) // per mille
+		for _, b := range []struct {
+			upTo  int
+			delay simtime.Duration
+		}{{485, 1000}, {640, 2}, {795, 30}, {870, 118}, {930, 6}, {965, 8}, {999, 40000}} {
+			if x < b.upTo {
+				return b.delay
+			}
+		}
+		return 200000
+	}},
+	{"uniform100us", func(rng *rand.Rand) simtime.Duration {
+		return simtime.Duration(rng.Int63n(int64(100 * simtime.Microsecond)))
+	}},
+}
+
+// BenchmarkHold is the classic hold model at the pending-event counts the
+// bench workloads peak at: pop the earliest event, schedule one pooled
+// record a drawn delay ahead. One op is one Step plus one AtTimed.
+func BenchmarkHold(b *testing.B) {
+	for _, mix := range holdMixes {
+		for _, pending := range []int{500, 12000, 41000} {
+			b.Run(fmt.Sprintf("%s/pending=%d", mix.name, pending), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				delays := make([]simtime.Duration, 1<<12)
+				for i := range delays {
+					delays[i] = mix.draw(rng)
+				}
+				var q Queue
+				sink := 0
+				ev := &countEvent{n: &sink}
+				for i := 0; i < pending; i++ {
+					q.AtTimed(simtime.Time(delays[i%len(delays)]), ev)
+				}
+				hold := func(n int) {
+					for i := 0; i < n; i++ {
+						q.Step()
+						q.AtTimed(q.Now().Add(delays[i%len(delays)]), ev)
+					}
+				}
+				hold(4 * pending) // reach the steady-state spread of pending events
+				b.ReportAllocs()
+				b.ResetTimer()
+				hold(b.N)
+			})
+		}
+	}
 }

@@ -1,0 +1,339 @@
+package eventq
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"switchv2p/internal/simtime"
+	"switchv2p/internal/topology"
+)
+
+// modelQueue is the independent reference the two-tier queue is checked
+// against: every pending event in one slice, stably sorted by (at, key)
+// before each read. Local events take keys from the model's own
+// insertion counter; keyed events bring theirs.
+type modelQueue struct {
+	pending []modelEvent
+	seq     uint64
+	now     simtime.Time
+}
+
+type modelEvent struct {
+	at  simtime.Time
+	key uint64
+	id  int
+}
+
+func (m *modelQueue) push(at simtime.Time, id int) {
+	m.seq++
+	m.pending = append(m.pending, modelEvent{at, m.seq, id})
+}
+
+func (m *modelQueue) pushKeyed(at simtime.Time, key uint64, id int) {
+	m.pending = append(m.pending, modelEvent{at, key, id})
+}
+
+func (m *modelQueue) peek() (modelEvent, bool) {
+	if len(m.pending) == 0 {
+		return modelEvent{}, false
+	}
+	sort.SliceStable(m.pending, func(i, j int) bool {
+		a, b := m.pending[i], m.pending[j]
+		return a.at < b.at || (a.at == b.at && a.key < b.key)
+	})
+	return m.pending[0], true
+}
+
+func (m *modelQueue) pop() (modelEvent, bool) {
+	e, ok := m.peek()
+	if ok {
+		m.pending = m.pending[1:]
+		m.now = e.at
+	}
+	return e, ok
+}
+
+// modelDelays straddle the wheel boundary (1023 in, 1024 out) and cover
+// the simulator's own delays: serialization times, the 1 µs link delay,
+// the 40 µs gateway hop, an RTO-scale timer, and "never".
+var modelDelays = [...]simtime.Duration{0, 1, 30, 120, 1000, 1022, 1023, 1024, 1025, 40000, 5 * simtime.Millisecond, simtime.Duration(simtime.Never)}
+
+// modelRun drives a Queue and the model with one op stream, two bytes
+// per op, and checks they agree after every op. Each dispatched event
+// pops the model from inside Fire, so Run and RunBefore are checked
+// event by event, and may schedule a child on both.
+type modelRun struct {
+	t       *testing.T
+	q       Queue
+	m       modelQueue
+	nextID  int
+	nextKey uint64
+	fired   int
+}
+
+type modelFire struct {
+	r          *modelRun
+	id         int
+	child      int // index into modelDelays, or -1
+	childKeyed bool
+}
+
+func (f *modelFire) Fire() {
+	r := f.r
+	r.fired++
+	want, ok := r.m.pop()
+	if !ok || want.id != f.id {
+		r.t.Fatalf("event %d fired; model expected %+v (pending %v)", f.id, want, ok)
+	}
+	if r.q.Now() != r.m.now {
+		r.t.Fatalf("Now = %d inside Fire of event %d, model %d", r.q.Now(), f.id, r.m.now)
+	}
+	if f.child >= 0 {
+		r.schedule(f.child, f.childKeyed, -1, false)
+	}
+}
+
+// after returns the instant delay modelDelays[i] ahead, saturating at Never.
+func (r *modelRun) after(i int) simtime.Time {
+	at := r.q.Now().Add(modelDelays[i])
+	if at < r.q.Now() {
+		at = simtime.Never
+	}
+	return at
+}
+
+func (r *modelRun) schedule(delay int, keyed bool, child int, childKeyed bool) {
+	r.nextID++
+	ev := &modelFire{r: r, id: r.nextID, child: child, childKeyed: childKeyed}
+	at := r.after(delay)
+	if !keyed {
+		r.q.AtTimed(at, ev)
+		r.m.push(at, ev.id)
+		return
+	}
+	// A varying high part makes key order differ from insertion order.
+	r.nextKey++
+	key := CrossKeyBase | uint64(ev.id*7%5)<<40 | r.nextKey
+	r.q.AtTimedKeyed(at, ev, key)
+	r.m.pushKeyed(at, key, ev.id)
+}
+
+func (r *modelRun) check(op int) {
+	t := r.t
+	if r.q.Len() != len(r.m.pending) {
+		t.Fatalf("op %d: Len = %d, model %d", op, r.q.Len(), len(r.m.pending))
+	}
+	if r.q.Now() != r.m.now {
+		t.Fatalf("op %d: Now = %d, model %d", op, r.q.Now(), r.m.now)
+	}
+	want, ok := r.m.peek()
+	if at, got := r.q.PeekTime(); got != ok || at != want.at {
+		t.Fatalf("op %d: PeekTime = %d,%v, model %d,%v", op, at, got, want.at, ok)
+	}
+	if at, key, got := r.q.PeekKey(); got != ok || at != want.at || key != want.key {
+		t.Fatalf("op %d: PeekKey = %d,%#x,%v, model %d,%#x,%v", op, at, key, got, want.at, want.key, ok)
+	}
+}
+
+func runModelOps(t *testing.T, ops []byte) {
+	r := &modelRun{t: t}
+	for i := 0; i+1 < len(ops); i += 2 {
+		op, arg := ops[i], int(ops[i+1])
+		delay := arg & 15 % len(modelDelays)
+		switch op & 7 {
+		case 0, 1, 2, 3: // schedule; op bits 3–4 choose the child a Fire schedules
+			child, childKeyed := -1, false
+			if kind := op >> 3 & 3; kind != 0 {
+				child, childKeyed = arg>>4%len(modelDelays), kind == 3
+			}
+			r.schedule(delay, op&7 == 3, child, childKeyed)
+		case 4, 5:
+			before := r.fired
+			_, pending := r.m.peek()
+			if stepped := r.q.Step(); stepped != pending || (r.fired-before == 1) != pending {
+				t.Fatalf("op %d: Step = %v and fired %d, model had pending = %v", i/2, stepped, r.fired-before, pending)
+			}
+		case 6:
+			h, before := r.after(delay), r.fired
+			if n := r.q.Run(h); n != r.fired-before {
+				t.Fatalf("op %d: Run returned %d, fired %d", i/2, n, r.fired-before)
+			}
+			if e, ok := r.m.peek(); ok && e.at <= h {
+				t.Fatalf("op %d: Run(%d) left the event at %d pending", i/2, h, e.at)
+			}
+		case 7:
+			h, before := r.after(delay), r.fired
+			if n := r.q.RunBefore(h); n != r.fired-before {
+				t.Fatalf("op %d: RunBefore returned %d, fired %d", i/2, n, r.fired-before)
+			}
+			if e, ok := r.m.peek(); ok && e.at < h {
+				t.Fatalf("op %d: RunBefore(%d) left the event at %d pending", i/2, h, e.at)
+			}
+		}
+		r.check(i / 2)
+	}
+	// Drain: whatever is left must come out in model order too.
+	for r.q.Step() {
+	}
+	r.check(len(ops) / 2)
+}
+
+// TestQueueMatchesModel replays random op streams against the reference
+// model. Schedule-heavy streams build up to a thousand pending events;
+// the others keep both tiers sparse and the clock moving.
+func TestQueueMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]byte, 2*1500)
+		rng.Read(ops)
+		if seed%3 == 0 { // schedule-heavy: turn most dispatch ops into schedules
+			for i := 0; i < len(ops); i += 2 {
+				if rng.Intn(4) != 0 {
+					ops[i] &^= 4
+				}
+			}
+		}
+		runModelOps(t, ops)
+	}
+}
+
+// FuzzQueueModel lets the fuzzer search for an op stream on which the
+// queue and the model disagree. Seed corpus: testdata/fuzz/FuzzQueueModel.
+func FuzzQueueModel(f *testing.F) {
+	f.Add([]byte{0, 4, 0, 7, 4, 0, 4, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4096 {
+			ops = ops[:4096]
+		}
+		runModelOps(t, ops)
+	})
+}
+
+// TestTierBoundaryOrder pins (at, key) order where the two tiers meet.
+func TestTierBoundaryOrder(t *testing.T) {
+	type step struct {
+		at    simtime.Time // schedule at this instant …
+		keyed uint64       // … with this key when non-zero …
+		by    int          // … from inside the Fire of this event (-1: before the run)
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []step // event i logs i
+		want  []int
+	}{
+		{"heap event, then a wheel event for the same instant", // 0 is 2000 ns ahead, 2 only 500
+			[]step{{2000, 0, -1}, {1500, 0, -1}, {2000, 0, 1}}, []int{1, 0, 2}},
+		{"zero-delay push waits behind a same-instant heap event",
+			[]step{{5000, 0, -1}, {5000, 0, -1}, {5000, 0, 0}}, []int{0, 1, 2}},
+		{"keyed event sorts after a same-instant wheel event scheduled later",
+			[]step{{500, CrossKeyBase | 9, -1}, {500, 0, -1}}, []int{1, 0}},
+		{"keyed event sorts after same-instant wheel events on both sides of it",
+			[]step{{500, 0, -1}, {500, CrossKeyBase | 9, -1}, {500, 0, -1}}, []int{0, 2, 1}},
+		{"keyed events order by key, not insertion",
+			[]step{{500, CrossKeyBase | 9, -1}, {500, CrossKeyBase | 3, -1}}, []int{1, 0}},
+		{"cursor wraps past slot 1023", // from slot 500: slots 510 and 600, then 0, 376 and 499 of the next lap
+			[]step{{500, 0, -1}, {510, 0, 0}, {1400, 0, 0}, {600, 0, 0}, {1523, 0, 0}, {1024, 0, 0}}, []int{0, 1, 3, 5, 2, 4}},
+		{"delay 1023 takes the wheel, 1024 the heap, order holds",
+			[]step{{1024, 0, -1}, {1023, 0, -1}, {1024, 0, 3}, {1, 0, -1}}, []int{3, 1, 0, 2}},
+		{"idle gap longer than the wheel",
+			[]step{{10, 0, -1}, {5000, 0, -1}, {5010, 0, 1}, {9000, 0, 1}, {5000, 0, 1}}, []int{0, 1, 4, 2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var q Queue
+			var got []int
+			var scheduleBy func(by int)
+			scheduleBy = func(by int) {
+				for i, s := range tc.steps {
+					if s.by != by {
+						continue
+					}
+					i := i
+					fire := Event(func() {
+						got = append(got, i)
+						if q.Now() != tc.steps[i].at {
+							t.Errorf("event %d fired at %d, want %d", i, q.Now(), tc.steps[i].at)
+						}
+						scheduleBy(i)
+					})
+					if s.keyed != 0 {
+						q.AtTimedKeyed(s.at, fire, s.keyed)
+					} else {
+						q.AtTimed(s.at, fire)
+					}
+				}
+			}
+			scheduleBy(-1)
+			if n := q.Run(simtime.Never); n != len(tc.steps) || q.Len() != 0 {
+				t.Fatalf("dispatched %d of %d events, %d left", n, len(tc.steps), q.Len())
+			}
+			for i := range tc.want {
+				if got[i] != tc.want[i] {
+					t.Fatalf("fire order %v, want %v", got, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestLinkDelayLandsInWheel is the white-box guard on the coupling the
+// optimisation depends on: the default link delay, half of all events,
+// must take the wheel. Shrinking wheelSlots or raising the default delay
+// past it would leave every test green and the simulator 2× slower.
+func TestLinkDelayLandsInWheel(t *testing.T) {
+	for _, cfg := range []topology.Config{topology.FT8(), topology.FT16()} {
+		var q Queue
+		ev := &countEvent{n: new(int)}
+		q.AtTimed(12345, ev)
+		q.Step()
+		q.AfterTimed(cfg.LinkDelay, ev)
+		if q.wheelLen != 1 || len(q.heap) != 0 {
+			t.Fatalf("LinkDelay %v: wheel holds %d events and the heap %d, want 1 and 0 (wheelSlots = %d)",
+				cfg.LinkDelay, q.wheelLen, len(q.heap), wheelSlots)
+		}
+		q.AfterTimed(wheelSlots, ev)
+		if q.wheelLen != 1 || len(q.heap) != 1 || q.Len() != 2 {
+			t.Fatalf("a delay of wheelSlots ns must take the heap: wheel %d, heap %d, Len %d", q.wheelLen, len(q.heap), q.Len())
+		}
+	}
+}
+
+// TestScheduleRejections covers the panics both tiers share: a frozen
+// queue rejects every scheduling call with its message (and still
+// dispatches what it holds), and AtTimedKeyed rejects local-range keys
+// and the past.
+func TestScheduleRejections(t *testing.T) {
+	panics := func(name, want string, fn func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if got := recover(); got != want {
+				t.Fatalf("%s: panic %v, want %q", name, got, want)
+			}
+		}()
+		fn()
+	}
+	var q Queue
+	ev := &countEvent{n: new(int)}
+	q.AtTimed(100, ev)  // wheel
+	q.AtTimed(5000, ev) // heap
+	q.Step()
+	panics("keyed in the past", "eventq: scheduling event in the past", func() { q.AtTimedKeyed(99, ev, CrossKeyBase) })
+	panics("local-range key", "eventq: AtTimedKeyed key below CrossKeyBase", func() { q.AtTimedKeyed(200, ev, CrossKeyBase-1) })
+	if q.Frozen() {
+		t.Fatal("new queue reports Frozen")
+	}
+	q.Freeze("frozen for the test")
+	if !q.Frozen() {
+		t.Fatal("Frozen = false after Freeze")
+	}
+	panics("AtTimed, wheel range", "frozen for the test", func() { q.AtTimed(q.Now().Add(5), ev) })
+	panics("AtTimed, heap range", "frozen for the test", func() { q.AtTimed(q.Now().Add(5000), ev) })
+	panics("AfterTimed", "frozen for the test", func() { q.AfterTimed(5, ev) })
+	panics("At", "frozen for the test", func() { q.At(q.Now(), func() {}) })
+	panics("After", "frozen for the test", func() { q.After(5, func() {}) })
+	panics("AtTimedKeyed", "frozen for the test", func() { q.AtTimedKeyed(q.Now(), ev, CrossKeyBase) })
+	if q.Len() != 1 || q.Run(simtime.Never) != 1 || *ev.n != 2 {
+		t.Fatalf("frozen queue: Len %d, fired %d; want the pending event still dispatched", q.Len(), *ev.n)
+	}
+}

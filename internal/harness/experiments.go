@@ -331,9 +331,7 @@ func Migration(cfg MigrationConfig) (*MigrationResult, error) {
 		return nil, fmt.Errorf("harness: only %d sender VMs available", len(srcs))
 	}
 	wl := trace.Incast(dst, srcs, cfg.TotalPackets, cfg.Payload, cfg.Duration)
-	for _, f := range wl.Flows {
-		w.Agent.AddFlow(f)
-	}
+	w.Agent.AddFlows(wl.Flows)
 	// Migrate the destination to a server in a different rack.
 	dstHost, _ := w.Net.HostOf(dst)
 	var newHost int32 = -1

@@ -517,9 +517,7 @@ func Build(cfg Config) (*World, error) {
 			return nil, err
 		}
 	}
-	for _, f := range workload.Flows {
-		agent.AddFlow(f)
-	}
+	agent.AddFlows(workload.Flows)
 	return w, nil
 }
 

@@ -286,7 +286,7 @@ func planPopulation(spec Spec, w *harness.World, pl *plan) error {
 					return fmt.Errorf("scenario %q: phase %q traffic: %w", spec.Name, p.Name, err)
 				}
 				for i := range wl.Flows {
-					f := wl.Flows[i]
+					f := &wl.Flows[i]
 					x := float64(f.Start) / float64(p.Duration)
 					if x >= 1 {
 						x = 1
@@ -294,8 +294,8 @@ func planPopulation(spec Spec, w *harness.World, pl *plan) error {
 					f.Start = win.start + simtime.Time(rampWarp(x, p.LoadStart, p.LoadEnd)*float64(win.duration()))
 					f.ID = nextID
 					nextID++
-					w.Agent.AddFlow(f)
 				}
+				w.Agent.AddFlows(wl.Flows)
 				pl.flows[k] = len(wl.Flows)
 			}
 		}

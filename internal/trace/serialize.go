@@ -36,7 +36,14 @@ func (w *Workload) Write(out io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadWorkload parses a workload written by Write.
+// maxPrealloc caps how many flows ReadWorkload reserves room for on the
+// header's word alone; a longer file grows the slice as its flows arrive.
+const maxPrealloc = 1 << 16
+
+// ReadWorkload parses a workload written by Write. The input is
+// untrusted: the header's flow count only sizes a bounded reservation,
+// and a flow the engine would later panic on (or silently mis-file) is
+// rejected here, by index.
 func ReadWorkload(in io.Reader) (*Workload, error) {
 	dec := json.NewDecoder(bufio.NewReader(in))
 	var hdr fileHeader
@@ -49,12 +56,25 @@ func ReadWorkload(in io.Reader) (*Workload, error) {
 	if hdr.Flows < 0 {
 		return nil, fmt.Errorf("trace: negative flow count %d", hdr.Flows)
 	}
-	w := &Workload{Name: hdr.Name, Flows: make([]transport.FlowSpec, 0, hdr.Flows)}
+	w := &Workload{Name: hdr.Name, Flows: make([]transport.FlowSpec, 0, min(hdr.Flows, maxPrealloc))}
+	ids := make(map[uint64]struct{}, cap(w.Flows))
 	for i := 0; i < hdr.Flows; i++ {
 		var f transport.FlowSpec
 		if err := dec.Decode(&f); err != nil {
 			return nil, fmt.Errorf("trace: decoding flow %d: %w", i, err)
 		}
+		_, dup := ids[f.ID]
+		switch {
+		case f.Proto != transport.TCP && f.Proto != transport.UDP:
+			return nil, fmt.Errorf("trace: flow %d: unknown Proto %d", i, f.Proto)
+		case f.Start < 0:
+			return nil, fmt.Errorf("trace: flow %d: negative Start %d", i, f.Start)
+		case f.Bytes < 0 || f.Packets < 0 || f.PacketPayload < 0 || f.Interval < 0:
+			return nil, fmt.Errorf("trace: flow %d: negative Bytes, Packets, PacketPayload or Interval", i)
+		case dup:
+			return nil, fmt.Errorf("trace: flow %d: duplicate ID %d", i, f.ID)
+		}
+		ids[f.ID] = struct{}{}
 		w.Flows = append(w.Flows, f)
 	}
 	return w, nil

@@ -121,7 +121,7 @@ func Hadoop(cfg Config) (*Workload, error) {
 	cdf := HadoopCDF()
 	n := cfg.flowCount(cdf.Mean())
 	starts := poissonStarts(n, cfg.Duration, rng)
-	w := &Workload{Name: "hadoop"}
+	w := &Workload{Name: "hadoop", Flows: make([]transport.FlowSpec, 0, n)}
 	for i := 0; i < n; i++ {
 		// Destinations uniform over the whole population: with ~10 flows
 		// per VM this yields the near-universal ≥2-flow reuse reported.
@@ -155,7 +155,7 @@ func WebSearch(cfg Config) (*Workload, error) {
 	pool = pool[:max(1, len(pool)*48/100)]
 	next := 0
 	var used []netaddr.VIP
-	w := &Workload{Name: "websearch"}
+	w := &Workload{Name: "websearch", Flows: make([]transport.FlowSpec, 0, n)}
 	for i := 0; i < n; i++ {
 		var dst netaddr.VIP
 		if len(used) > 0 && (next >= len(pool) || rng.Float64() < 0.25) {
@@ -194,7 +194,7 @@ func Alibaba(cfg Config) (*Workload, error) {
 		popSize = 1
 	}
 	zipf := rand.NewZipf(rng, 1.3, 4, uint64(popSize-1))
-	w := &Workload{Name: "alibaba"}
+	w := &Workload{Name: "alibaba", Flows: make([]transport.FlowSpec, 0, n)}
 	for i := 0; i < n; i++ {
 		dst := cfg.VIPs[perm[int(zipf.Uint64())]]
 		src := pickSrcNot(cfg.VIPs, dst, rng)
@@ -230,7 +230,7 @@ func Microbursts(cfg Config) (*Workload, error) {
 		popSize = 1
 	}
 	zipf := rand.NewZipf(rng, 1.2, 8, uint64(popSize-1))
-	w := &Workload{Name: "microbursts"}
+	w := &Workload{Name: "microbursts", Flows: make([]transport.FlowSpec, 0, n)}
 	for i := 0; i < n; i++ {
 		dst := cfg.VIPs[perm[int(zipf.Uint64())]]
 		src := pickSrcNot(cfg.VIPs, dst, rng)

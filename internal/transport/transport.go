@@ -12,6 +12,7 @@ package transport
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"switchv2p/internal/netaddr"
 	"switchv2p/internal/packet"
@@ -133,12 +134,60 @@ func New(e *simnet.Engine, cfg Config) *Agent {
 // AddFlow registers a flow and schedules its start.
 func (a *Agent) AddFlow(spec FlowSpec) *FlowRecord {
 	rec := &FlowRecord{Spec: spec}
+	if spec.Proto == TCP {
+		a.register(rec, &tcpSender{}, &tcpReceiver{})
+	} else {
+		a.register(rec, nil, nil)
+	}
+	return rec
+}
+
+// AddFlows registers a whole flow list, in order, exactly as one AddFlow
+// per flow would — but sizes the endpoint tables once and carves the
+// records and TCP endpoints from three slabs instead of allocating three
+// small objects per flow. The records are appended to Records.
+func (a *Agent) AddFlows(specs []FlowSpec) {
+	tcp := 0
+	for i := range specs {
+		if specs[i].Proto == TCP {
+			tcp++
+		}
+	}
+	// A map cannot be grown in place: presize each while it is still empty.
+	if tcp > 0 && len(a.senders) == 0 {
+		a.senders = make(map[uint64]*tcpSender, tcp)
+		a.receivers = make(map[uint64]*tcpReceiver, tcp)
+	}
+	if udp := len(specs) - tcp; udp > 0 && len(a.udp) == 0 {
+		a.udp = make(map[uint64]*FlowRecord, udp)
+	}
+	a.Records = slices.Grow(a.Records, len(specs))
+	recs := make([]FlowRecord, len(specs))
+	senders := make([]tcpSender, tcp)
+	receivers := make([]tcpReceiver, tcp)
+	tcp = 0
+	for i := range specs {
+		recs[i].Spec = specs[i]
+		if specs[i].Proto == TCP {
+			a.register(&recs[i], &senders[tcp], &receivers[tcp])
+			tcp++
+		} else {
+			a.register(&recs[i], nil, nil)
+		}
+	}
+}
+
+// register files one flow's record and, for TCP, its two endpoints (the
+// caller supplies their storage), and schedules the flow's start.
+func (a *Agent) register(rec *FlowRecord, s *tcpSender, r *tcpReceiver) {
+	spec := &rec.Spec
 	a.Records = append(a.Records, rec)
 	switch spec.Proto {
 	case TCP:
-		s := &tcpSender{a: a, rec: rec, host: -1}
+		*s = tcpSender{a: a, rec: rec, host: -1}
+		*r = tcpReceiver{a: a, rec: rec}
 		a.senders[spec.ID] = s
-		a.receivers[spec.ID] = &tcpReceiver{a: a, rec: rec}
+		a.receivers[spec.ID] = r
 		if host, ok := a.hostOf(spec.Src); ok {
 			// Schedule on the queue that owns the source host (the root
 			// queue on a serial engine, the host's domain queue when
@@ -160,7 +209,6 @@ func (a *Agent) AddFlow(spec FlowSpec) *FlowRecord {
 	default:
 		panic(fmt.Sprintf("transport: unknown proto %d", spec.Proto))
 	}
-	return rec
 }
 
 // hostOf returns the current host of a VM; the bool is false if unknown.

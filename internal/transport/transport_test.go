@@ -282,3 +282,49 @@ func TestBluebirdOverloadNoRTORunaway(t *testing.T) {
 		t.Fatal("expected CP-drop retransmissions")
 	}
 }
+
+// TestAddFlowsMatchesAddFlow registers one mixed TCP/UDP flow list two
+// ways — one AddFlow per flow, and AddFlows in two batches (the second
+// lands on already-populated tables) — and requires identical records in
+// identical order after the run.
+func TestAddFlowsMatchesAddFlow(t *testing.T) {
+	var specs []FlowSpec
+	for i := 0; i < 40; i++ {
+		f := FlowSpec{ID: uint64(i + 1), Start: simtime.Time(i) * 700}
+		if i%4 == 3 {
+			f.Proto, f.Packets, f.PacketPayload, f.Interval = UDP, 5+i, 400, simtime.Microsecond
+		} else {
+			f.Proto, f.Bytes = TCP, 800*(i+1)
+		}
+		specs = append(specs, f)
+	}
+	run := func(add func(a *Agent, specs []FlowSpec)) []*FlowRecord {
+		w := newWorld(t, switchV2P)
+		for i := range specs {
+			specs[i].Src, specs[i].Dst = w.vips[i%17], w.vips[100+i%23]
+		}
+		add(w.agent, specs)
+		w.e.Run(simtime.Never)
+		return w.agent.Records
+	}
+	one := run(func(a *Agent, specs []FlowSpec) {
+		for _, f := range specs {
+			a.AddFlow(f)
+		}
+	})
+	batch := run(func(a *Agent, specs []FlowSpec) {
+		a.AddFlows(specs[:25])
+		a.AddFlows(specs[25:])
+	})
+	if len(one) != len(specs) || len(batch) != len(specs) {
+		t.Fatalf("records: %d by AddFlow, %d by AddFlows, want %d", len(one), len(batch), len(specs))
+	}
+	for i := range one {
+		if *one[i] != *batch[i] {
+			t.Fatalf("flow %d differs:\nAddFlow  %+v\nAddFlows %+v", i, *one[i], *batch[i])
+		}
+		if !one[i].Completed {
+			t.Fatalf("flow %d did not complete: %+v", i, *one[i])
+		}
+	}
+}

@@ -40,6 +40,21 @@ go test ./...
 echo "== race =="
 go test -race ./...
 
+echo "== fuzz (5 s per target, from the committed seed corpora) =="
+# `go test` above already replays every seed (f.Add and testdata/fuzz);
+# this lets the mutator search briefly from them. -fuzz takes one target
+# in one package per invocation. A crasher is written to the package's
+# testdata/fuzz/<target>/ — commit it with the fix.
+while read -r target pkg; do
+  go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s "$pkg"
+done <<'EOF'
+FuzzQueueModel ./internal/eventq
+FuzzReadWorkload ./internal/trace
+FuzzRead ./internal/ptrace
+FuzzUnmarshal ./internal/packet
+FuzzHashVIP ./internal/packet
+EOF
+
 echo "== shard determinism (byte-identical reports at 1/2/4/8 workers, under -race) =="
 # The sharded engine's core promise: same seed, same bytes, any worker
 # count — including telemetry series, fault schedules, and the serial
