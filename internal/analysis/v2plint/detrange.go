@@ -145,7 +145,7 @@ func callSink(pass *Pass, call *ast.CallExpr) (string, bool) {
 // isSortedKeyCollection recognizes the canonical deterministic idiom:
 //
 //	for k := range m { keys = append(keys, k) }
-//	... sort.Slice(keys, ...) / slices.Sort(keys) / sortVIPs(keys) ...
+//	... sort.Slice(keys, ...) / slices.Sort(keys) / sortKeys(keys) ...
 //
 // i.e. the body is a single append of the range key, and the collected
 // slice is later passed to a sort call in the same file.

@@ -123,12 +123,14 @@ type Engine struct {
 	// drains). A nil gauge costs one inlined nil check per buffer update.
 	BufGauge *telemetry.Gauge
 
-	// Fabric adjacency, built once in New so the forwarding hot path
-	// never touches a map: swNbr[s] holds the egress links from switch s
-	// to each neighboring switch, in edge order; swOrd[s][t] is the dense
-	// ordinal of neighbor t in swNbr[s], or -1 when s-t is not an edge.
+	// Link tables, built once in New so the forwarding hot path is plain
+	// array reads: swNbr[s] holds the egress links from switch s to each
+	// neighboring switch, in edge order; hopLink is parallel to the
+	// topology's hop slots (Topology.HopRange / HopSlots), so the links
+	// toward the ECMP next hops from one switch to another are one
+	// sub-slice of it.
 	swNbr    [][]*link
-	swOrd    [][]int32
+	hopLink  []*link
 	hostUp   []*link // host -> its ToR
 	hostDown []*link // ToR -> host, indexed by host
 	bufUsed  []int   // shared-buffer occupancy per switch
@@ -191,18 +193,19 @@ func New(topo *topology.Topology, net *vnet.Net, scheme Scheme, cfg Config) *Eng
 	e.hostUp = make([]*link, len(topo.Hosts))
 	e.hostDown = make([]*link, len(topo.Hosts))
 	e.swNbr = make([][]*link, len(topo.Switches))
-	e.swOrd = make([][]int32, len(topo.Switches))
-	for i := range e.swOrd {
-		ord := make([]int32, len(topo.Switches))
-		for j := range ord {
-			ord[j] = -1
-		}
-		e.swOrd[i] = ord
-	}
 
 	for _, edge := range topo.Edges {
 		e.addLink(edge.A, edge.B, edge.Class)
 		e.addLink(edge.B, edge.A, edge.Class)
+	}
+	// One link per hop slot, walking each switch's own slots: a switch has
+	// a few dozen of them, against len(Switches) destinations.
+	next, srcStart := topo.HopSlots()
+	e.hopLink = make([]*link, len(next))
+	for sw := range topo.Switches {
+		for i := srcStart[sw]; i < srcStart[sw+1]; i++ {
+			e.hopLink[i] = e.fabricLink(int32(sw), next[i])
+		}
 	}
 
 	// Copy the accessor's slice instead of aliasing it: Gateways()
@@ -247,9 +250,24 @@ func (e *Engine) addLink(from, to topology.NodeRef, class topology.LinkClass) {
 	} else if to.Kind == topology.KindHost {
 		e.hostDown[to.Idx] = l
 	} else {
-		e.swOrd[from.Idx][to.Idx] = int32(len(e.swNbr[from.Idx]))
 		e.swNbr[from.Idx] = append(e.swNbr[from.Idx], l)
 	}
+}
+
+// fabricLink returns the egress link from switch from to its neighbor
+// switch to, or nil when the two are not adjacent (or from is no switch
+// index). A scan of from's own links — at most an FT16 core's 50 — for
+// wiring and fault-time code, not for the forwarding path.
+func (e *Engine) fabricLink(from, to int32) *link {
+	if from < 0 || int(from) >= len(e.swNbr) {
+		return nil
+	}
+	for _, l := range e.swNbr[from] {
+		if l.dstSw == to {
+			return l
+		}
+	}
+	return nil
 }
 
 // Now returns the current simulated time. On a sharded root engine this
@@ -516,20 +534,20 @@ func (e *Engine) forwardFromSwitch(sw int32, p *packet.Packet) {
 //
 //v2plint:hotpath
 func (e *Engine) ecmpForward(sw, dstSw int32, p *packet.Packet) {
-	hops := e.Topo.NextHops(sw, dstSw)
-	if len(hops) == 0 {
+	lo, hi := e.Topo.HopRange(sw, dstSw)
+	links := e.hopLink[lo:hi]
+	if len(links) == 0 {
 		e.C.Drops++
 		return
 	}
 	var h uint32
-	next := hops[0]
-	if len(hops) > 1 {
+	l := links[0]
+	if len(links) > 1 {
 		h = netaddr.FlowHash(p.SrcPIP, p.DstPIP, p.FlowID^(uint64(sw)*0x9e3779b1))
-		next = hops[h%uint32(len(hops))]
+		l = links[h%uint32(len(links))]
 	}
-	l := e.swNbr[sw][e.swOrd[sw][next]]
 	if e.activeFaults > 0 && (l.faultDown || l.swFaults != 0) {
-		l = e.rerouteHop(sw, hops, h)
+		l = rerouteHop(links, h)
 		if l == nil {
 			e.C.Drops++
 			e.C.FaultDrops++
@@ -540,16 +558,16 @@ func (e *Engine) ecmpForward(sw, dstSw int32, p *packet.Packet) {
 	l.enqueue(p)
 }
 
-// rerouteHop picks the h-th usable next hop, or nil when every
-// equal-cost hop toward the destination is downed. Allocation-free: two
-// passes over the (small) next-hop slice.
+// rerouteHop picks the h-th usable link among those toward the equal-cost
+// next hops, or nil when every one of them is downed. Allocation-free: two
+// passes over the (small) link slice.
 //
 //v2plint:hotpath
 //v2plint:faultpath
-func (e *Engine) rerouteHop(sw int32, hops []int32, h uint32) *link {
+func rerouteHop(links []*link, h uint32) *link {
 	usable := 0
-	for _, c := range hops {
-		if l := e.swNbr[sw][e.swOrd[sw][c]]; !l.faultDown && l.swFaults == 0 {
+	for _, l := range links {
+		if !l.faultDown && l.swFaults == 0 {
 			usable++
 		}
 	}
@@ -557,8 +575,8 @@ func (e *Engine) rerouteHop(sw int32, hops []int32, h uint32) *link {
 		return nil
 	}
 	k := int(h % uint32(usable))
-	for _, c := range hops {
-		if l := e.swNbr[sw][e.swOrd[sw][c]]; !l.faultDown && l.swFaults == 0 {
+	for _, l := range links {
+		if !l.faultDown && l.swFaults == 0 {
 			if k == 0 {
 				return l
 			}

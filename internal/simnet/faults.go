@@ -42,9 +42,7 @@ func (e *Engine) linkBetween(from, to topology.NodeRef) *link {
 			return e.hostDown[to.Idx]
 		}
 	case from.Kind == topology.KindSwitch && to.Kind == topology.KindSwitch:
-		if ord := e.swOrd[from.Idx][to.Idx]; ord >= 0 {
-			return e.swNbr[from.Idx][ord]
-		}
+		return e.fabricLink(from.Idx, to.Idx)
 	}
 	return nil
 }
@@ -88,13 +86,9 @@ func (e *Engine) SetSwitchFault(sw int32, down bool) error {
 		d = -1
 	}
 	mark := func(l *link) { l.swFaults = uint8(int8(l.swFaults) + d) }
-	for _, l := range e.swNbr[sw] { // egress to fabric neighbors
-		mark(l)
-	}
-	for nbr, ord := range e.swOrd {
-		if o := ord[sw]; o >= 0 { // ingress from fabric neighbors
-			mark(e.swNbr[nbr][o])
-		}
+	for _, l := range e.swNbr[sw] {
+		mark(l)                         // egress to a fabric neighbor
+		mark(e.fabricLink(l.dstSw, sw)) // ingress from it
 	}
 	for _, h := range e.Topo.HostsAtToR(sw) { // attached hosts, both directions
 		mark(e.hostUp[h])

@@ -67,17 +67,11 @@ func TestLinkFaultDropsAndRestores(t *testing.T) {
 func TestSwitchFaultBlocksBothEndpoints(t *testing.T) {
 	f := newFixture(t, gwScheme{})
 	// Any fabric link: ToR 0 and its first fabric neighbor.
-	nbr := int32(-1)
-	for s := int32(0); int(s) < len(f.e.Topo.Switches); s++ {
-		if f.e.swOrd[0][s] >= 0 {
-			nbr = s
-			break
-		}
-	}
-	if nbr < 0 {
+	if len(f.e.swNbr[0]) == 0 {
 		t.Fatal("switch 0 has no fabric neighbor")
 	}
-	l := f.e.swNbr[0][f.e.swOrd[0][nbr]]
+	l := f.e.swNbr[0][0]
+	nbr := l.dstSw
 	if err := f.e.SetSwitchFault(0, true); err != nil {
 		t.Fatal(err)
 	}

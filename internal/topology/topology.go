@@ -7,6 +7,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"switchv2p/internal/netaddr"
 	"switchv2p/internal/simtime"
@@ -237,12 +238,33 @@ type Topology struct {
 	Hosts    []Host
 	Edges    []Edge
 
-	adj         [][]int32 // switch -> neighboring switch indices
-	hostsAtToR  [][]int32 // switch -> attached host indices (empty for non-ToRs)
-	next        [][][]int32
-	switchByPIP map[netaddr.PIP]int32
-	hostByPIP   map[netaddr.PIP]int32
-	gateways    []int32 // host indices of gateway instances
+	adj        [][]int32 // switch -> neighboring switch indices
+	hostsAtToR [][]int32 // switch -> attached host indices (empty for non-ToRs)
+	gateways   []int32   // host indices of gateway instances
+
+	// ECMP routes. A source switch has only a handful of distinct next-hop
+	// sets (FT16: at most 51, 9 616 over all 816 switches, for 665 856
+	// (src, dst) pairs), so each distinct set is stored once, as a "group":
+	// group g occupies hops[groupStart[g]:groupStart[g+1]], and
+	// route[src*len(Switches)+dst] names the group of next hops from src
+	// toward dst. Group 0 is the empty set (src == dst, or unreachable). The
+	// groups of one source are contiguous, the sources in index order:
+	// srcStart[s] is the first hop slot of switch s.
+	//
+	// route holds int32 ids. One byte per pair with ids local to the source
+	// (0.65 MB for 2.66 MB on FT16) measured 1.007x and 1.022x on alibaba-ft16's
+	// sim_pkts_per_s, ahead in 4 and 5 of 6 pairs, inside the run-to-run
+	// spread (PERF.md §7.6): not worth a limit of 255 groups per switch.
+	route      []int32
+	groupStart []int32
+	hops       []int32
+	srcStart   []int32
+
+	// byPIP resolves an address: PIPs come from one sequential allocator, so
+	// pip - firstPIP is a dense index. Entries >= 0 are host indices, entries
+	// < 0 are ^switch index.
+	firstPIP netaddr.PIP
+	byPIP    []int32
 }
 
 // New builds the fat-tree described by cfg and computes routing tables.
@@ -250,12 +272,7 @@ func New(cfg Config) (*Topology, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Topology{
-		Cfg:         cfg,
-		switchByPIP: make(map[netaddr.PIP]int32),
-		hostByPIP:   make(map[netaddr.PIP]int32),
-	}
-	var pips netaddr.PIPAllocator
+	t := &Topology{Cfg: cfg}
 
 	gwCount := make(map[int]int, len(cfg.GatewayPods))
 	for i, p := range cfg.GatewayPods {
@@ -267,18 +284,25 @@ func New(cfg Config) (*Topology, error) {
 	}
 	gwPod := func(p int) bool { _, ok := gwCount[p]; return ok }
 
+	// Every address comes from this one sequential allocator, so byPIP
+	// grows in step with it and pip - firstPIP is the entry's index.
+	var pips netaddr.PIPAllocator
+	newPIP := func(entry int32) netaddr.PIP {
+		p := pips.Next()
+		if len(t.byPIP) == 0 {
+			t.firstPIP = p
+		}
+		t.byPIP = append(t.byPIP, entry)
+		return p
+	}
 	addSwitch := func(role SwitchRole, pod, rack int) int32 {
 		idx := int32(len(t.Switches))
-		s := Switch{Idx: idx, PIP: pips.Next(), Role: role, Pod: pod, Rack: rack}
-		t.Switches = append(t.Switches, s)
-		t.switchByPIP[s.PIP] = idx
+		t.Switches = append(t.Switches, Switch{Idx: idx, PIP: newPIP(^idx), Role: role, Pod: pod, Rack: rack})
 		return idx
 	}
 	addHost := func(pod, rack int, tor int32, gw bool) int32 {
 		idx := int32(len(t.Hosts))
-		h := Host{Idx: idx, PIP: pips.Next(), Pod: pod, Rack: rack, ToR: tor, Gateway: gw}
-		t.Hosts = append(t.Hosts, h)
-		t.hostByPIP[h.PIP] = idx
+		t.Hosts = append(t.Hosts, Host{Idx: idx, PIP: newPIP(idx), Pod: pod, Rack: rack, ToR: tor, Gateway: gw})
 		if gw {
 			t.gateways = append(t.gateways, idx)
 		}
@@ -361,51 +385,101 @@ func New(cfg Config) (*Topology, error) {
 	return t, nil
 }
 
-// computeRoutes fills the ECMP next-hop table: next[src][dst] lists the
-// neighbor switches of src that lie on a shortest path to switch dst.
+// computeRoutes fills the ECMP tables (see Topology.route): the next hops
+// from src toward dst are the neighbors of src, in adjacency order, that
+// are one hop closer to dst than src is.
 func (t *Topology) computeRoutes() {
 	n := len(t.Switches)
-	t.next = make([][][]int32, n)
-	for i := range t.next {
-		t.next[i] = make([][]int32, n)
+
+	// dist[a*n+b] is the hop count between switches a and b, -1 when they
+	// are disconnected: one BFS per switch over the switch graph.
+	dist := make([]int16, n*n)
+	for i := range dist {
+		dist[i] = -1
 	}
-	dist := make([]int32, n)
 	queue := make([]int32, 0, n)
-	for dst := 0; dst < n; dst++ {
-		// BFS from dst over the switch graph.
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[dst] = 0
-		queue = append(queue[:0], int32(dst))
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
+	for a := 0; a < n; a++ {
+		d := dist[a*n : (a+1)*n]
+		d[a] = 0
+		queue = append(queue[:0], int32(a))
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
 			for _, v := range t.adj[u] {
-				if dist[v] < 0 {
-					dist[v] = dist[u] + 1
+				if d[v] < 0 {
+					d[v] = d[u] + 1
 					queue = append(queue, v)
 				}
 			}
 		}
-		for src := 0; src < n; src++ {
-			if src == dst || dist[src] < 0 {
-				continue
+	}
+
+	t.route = make([]int32, n*n)
+	t.groupStart = []int32{0, 0} // group 0: the empty set
+	t.srcStart = make([]int32, n+1)
+	var set []int32
+	for src := 0; src < n; src++ {
+		t.srcStart[src] = int32(len(t.hops))
+		first := len(t.groupStart) - 1 // this source's groups are first, first+1, ...
+		row := t.route[src*n : (src+1)*n]
+		for dst := 0; dst < n; dst++ {
+			d := dist[src*n+dst]
+			if d <= 0 {
+				continue // src == dst or unreachable: group 0
 			}
-			var hops []int32
+			set = set[:0]
 			for _, v := range t.adj[src] {
-				if dist[v] == dist[src]-1 {
-					hops = append(hops, v)
+				if dist[int(v)*n+dst] == d-1 {
+					set = append(set, v)
 				}
 			}
-			t.next[src][dst] = hops
+			// Neighboring destinations mostly share a group, so try the
+			// previous destination's first (4 of New(FT16())'s 37 ms without
+			// it); a source has few groups, so a scan finds the rest.
+			if dst > 0 && row[dst-1] != 0 && slices.Equal(t.group(row[dst-1]), set) {
+				row[dst] = row[dst-1]
+				continue
+			}
+			g := first
+			for g < len(t.groupStart)-1 && !slices.Equal(t.group(int32(g)), set) {
+				g++
+			}
+			if g == len(t.groupStart)-1 {
+				t.hops = append(t.hops, set...)
+				t.groupStart = append(t.groupStart, int32(len(t.hops)))
+			}
+			row[dst] = int32(g)
 		}
 	}
+	t.srcStart[n] = int32(len(t.hops))
+}
+
+// group returns the hops of group g. The slice is capped so that an
+// append by a caller cannot reach into the next group.
+func (t *Topology) group(g int32) []int32 {
+	lo, hi := t.groupStart[g], t.groupStart[g+1]
+	return t.hops[lo:hi:hi]
 }
 
 // NextHops returns the ECMP next-hop candidates from switch src toward
 // switch dst. The slice is empty when dst is unreachable or src == dst.
-func (t *Topology) NextHops(src, dst int32) []int32 { return t.next[src][dst] }
+func (t *Topology) NextHops(src, dst int32) []int32 {
+	return t.group(t.route[int(src)*len(t.Switches)+int(dst)])
+}
+
+// HopRange returns the half-open range of hop slots that hold
+// NextHops(src, dst); HopSlots says which switch each slot leads to. A
+// forwarding engine keeps its egress links in an array parallel to the
+// slots, so picking a next hop is two table reads and no search.
+func (t *Topology) HopRange(src, dst int32) (lo, hi int32) {
+	g := t.route[int(src)*len(t.Switches)+int(dst)]
+	return t.groupStart[g], t.groupStart[g+1]
+}
+
+// HopSlots returns every hop slot: slot i leads to switch next[i], and
+// next[srcStart[s]:srcStart[s+1]] are the slots of source switch s (all
+// of its next-hop groups, each stored once). Both slices are the
+// topology's own; callers must not modify them.
+func (t *Topology) HopSlots() (next, srcStart []int32) { return t.hops, t.srcStart }
 
 // SwitchDistance returns the hop count between two switches, or -1 if
 // disconnected.
@@ -416,7 +490,7 @@ func (t *Topology) SwitchDistance(a, b int32) int {
 	d := 0
 	cur := a
 	for cur != b {
-		hops := t.next[cur][b]
+		hops := t.NextHops(cur, b)
 		if len(hops) == 0 {
 			return -1
 		}
@@ -434,14 +508,19 @@ func (t *Topology) HostsAtToR(sw int32) []int32 { return t.hostsAtToR[sw] }
 
 // SwitchByPIP resolves a physical address to a switch index.
 func (t *Topology) SwitchByPIP(p netaddr.PIP) (int32, bool) {
-	i, ok := t.switchByPIP[p]
-	return i, ok
+	// An address below firstPIP wraps to a huge index and misses too.
+	if i := uint32(p - t.firstPIP); i < uint32(len(t.byPIP)) && t.byPIP[i] < 0 {
+		return ^t.byPIP[i], true
+	}
+	return 0, false
 }
 
 // HostByPIP resolves a physical address to a host index.
 func (t *Topology) HostByPIP(p netaddr.PIP) (int32, bool) {
-	i, ok := t.hostByPIP[p]
-	return i, ok
+	if i := uint32(p - t.firstPIP); i < uint32(len(t.byPIP)) && t.byPIP[i] >= 0 {
+		return t.byPIP[i], true
+	}
+	return 0, false
 }
 
 // Gateways returns the host indices of all translation gateway instances.

@@ -16,32 +16,29 @@ import (
 // planner hand out stable addresses for VMs that only materialize later
 // in simulated time.
 func (n *Net) ReserveVIP() netaddr.VIP {
-	return n.vipPool.Next()
+	return n.issue()
 }
 
 // PlaceVM places a reserved VIP on the given host for the given tenant
 // (0 = default tenant). It is the runtime half of ReserveVIP; unlike
 // AddVM it reports errors instead of panicking because scenario drivers
-// call it from scheduled events.
+// call it from scheduled events. An address ReserveVIP never issued is
+// rejected: the tables have no entry for it.
 func (n *Net) PlaceVM(vip netaddr.VIP, host int32, tenant TenantID) error {
-	if _, ok := n.hostOf[vip]; ok {
+	i, ok := n.slot(vip)
+	if !ok {
+		return fmt.Errorf("vnet: VIP %v was never issued by this network", vip)
+	}
+	if n.hostOf[i] != noHost {
 		return fmt.Errorf("vnet: VIP %v is already placed", vip)
 	}
-	if n.topo.Hosts[host].Gateway {
-		return fmt.Errorf("vnet: cannot place VM on gateway host %d", host)
+	if err := n.checkServer(host); err != nil {
+		return fmt.Errorf("vnet: cannot place VIP %v: %w", vip, err)
 	}
 	if tenant > MaxTenantID {
 		return fmt.Errorf("vnet: tenant %d exceeds the 24-bit VNI space", tenant)
 	}
-	n.hostOf[vip] = host
-	n.vmsAt[host] = append(n.vmsAt[host], vip)
-	if tenant != 0 {
-		if n.tenantOf == nil {
-			n.tenantOf = make(map[netaddr.VIP]TenantID)
-		}
-		n.tenantOf[vip] = tenant
-	}
-	n.Version++
+	n.place(i, vip, host, tenant)
 	return nil
 }
 
@@ -52,20 +49,17 @@ func (n *Net) PlaceVM(vip netaddr.VIP, host int32, tenant TenantID) error {
 // withdrawn. In-network caches are NOT notified — stale entries age out
 // or misdeliver exactly as the paper's departure analysis expects.
 func (n *Net) RemoveVM(vip netaddr.VIP) error {
-	host, ok := n.hostOf[vip]
+	host, ok := n.HostOf(vip)
 	if !ok {
 		return fmt.Errorf("vnet: remove of unknown VIP %v", vip)
 	}
-	vms := n.vmsAt[host]
-	for i, v := range vms {
-		if v == vip {
-			vms[i] = vms[len(vms)-1]
-			n.vmsAt[host] = vms[:len(vms)-1]
-			break
-		}
+	n.unlist(host, vip)
+	i := vip - n.firstVIP
+	n.hostOf[i] = noHost
+	n.placed--
+	if n.tenantOf != nil {
+		n.tenantOf[i] = 0
 	}
-	delete(n.hostOf, vip)
-	delete(n.tenantOf, vip)
 	// Withdraw follow-me rules for the departed VM at every prior host.
 	// Indexed host loop: deterministic order, no map iteration.
 	for h := int32(0); h < int32(len(n.topo.Hosts)); h++ {

@@ -19,54 +19,27 @@ func (n *Net) AddVMForTenant(host int32, tenant TenantID) (netaddr.VIP, error) {
 	if tenant > MaxTenantID {
 		return netaddr.NoVIP, fmt.Errorf("vnet: tenant %d exceeds the 24-bit VNI space", tenant)
 	}
-	vip := n.AddVM(host)
-	if tenant != 0 {
-		if n.tenantOf == nil {
-			n.tenantOf = make(map[netaddr.VIP]TenantID)
-		}
-		n.tenantOf[vip] = tenant
-	}
-	return vip, nil
+	return n.addVM(host, tenant), nil
 }
 
 // TenantOf returns the VM's tenant (0 for the default tenant and for
 // unknown VIPs).
 func (n *Net) TenantOf(vip netaddr.VIP) TenantID {
-	return n.tenantOf[vip]
+	if i, ok := n.slot(vip); ok && n.tenantOf != nil {
+		return n.tenantOf[i]
+	}
+	return 0
 }
 
 // TenantVMs returns all VIPs belonging to the given tenant, in creation
 // order. For tenant 0 this enumerates VMs never assigned to a tenant.
 func (n *Net) TenantVMs(tenant TenantID) []netaddr.VIP {
-	hosts := make([]int32, 0, len(n.vmsAt))
-	for h := range n.vmsAt {
-		hosts = append(hosts, h)
-	}
-	sortHosts(hosts)
 	var out []netaddr.VIP
-	for _, h := range hosts {
-		for _, vip := range n.vmsAt[h] {
-			if n.tenantOf[vip] == tenant {
-				out = append(out, vip)
-			}
+	for i, h := range n.hostOf {
+		vip := n.firstVIP + netaddr.VIP(i)
+		if h != noHost && n.TenantOf(vip) == tenant {
+			out = append(out, vip)
 		}
 	}
-	sortVIPs(out)
 	return out
-}
-
-func sortHosts(h []int32) {
-	for i := 1; i < len(h); i++ {
-		for j := i; j > 0 && h[j] < h[j-1]; j-- {
-			h[j], h[j-1] = h[j-1], h[j]
-		}
-	}
-}
-
-func sortVIPs(v []netaddr.VIP) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

@@ -165,3 +165,25 @@ func TestAllMappings(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLookup400k is the gateway's authoritative translation at the
+// paper's FT16-400K scale: a random Lookup over 400 000 placed VMs (the
+// figure includes the PRNG draw).
+func BenchmarkLookup400k(b *testing.B) {
+	topo, err := topology.New(topology.FT16())
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := New(topo)
+	rng := rand.New(rand.NewSource(1))
+	first := n.PlaceUniform(400000, rng)[0] // addresses are sequential from here
+	var sink netaddr.PIP
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pip, _ := n.Lookup(first + netaddr.VIP(rng.Intn(400000)))
+		sink += pip
+	}
+	lookupSink = sink
+}
+
+var lookupSink netaddr.PIP
