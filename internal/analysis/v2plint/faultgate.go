@@ -56,7 +56,7 @@ var knownForwarding = map[string]bool{
 	"Engine.GatewayFor":        true,
 	"link.enqueue":             true,
 	"link.startNext":           true,
-	"link.serializeNext":       true,
+	"link.Fire":                true,
 	"linkEvent.Fire":           true,
 }
 

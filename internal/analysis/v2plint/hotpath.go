@@ -49,8 +49,8 @@ var knownHotPath = map[string]map[string]bool{
 	"simnet": {
 		"link.enqueue":       true,
 		"link.startNext":     true,
-		"link.serializeNext": true,
-		"link.getEvent":      true,
+		"link.grow":          true,
+		"link.Fire":          true,
 		"linkEvent.Fire":     true,
 		"Engine.ecmpForward": true,
 	},

@@ -334,17 +334,17 @@ func (e *Engine) InFlightPackets() int {
 	n := 0
 	for _, l := range e.hostUp {
 		if l != nil {
-			n += l.inFlight
+			n += int(l.tail - l.head)
 		}
 	}
 	for _, l := range e.hostDown {
 		if l != nil {
-			n += l.inFlight
+			n += int(l.tail - l.head)
 		}
 	}
 	for _, nbrs := range e.swNbr {
 		for _, l := range nbrs {
-			n += l.inFlight
+			n += int(l.tail - l.head)
 		}
 	}
 	return n

@@ -34,13 +34,13 @@ func bareLink() (*Engine, *link) {
 }
 
 // TestLinkSerializerSteadyStateAllocFree is the acceptance guard: once
-// the event heap, the egress queue, and the freelist are warm, pushing a
-// packet through serialization and propagation allocates nothing.
+// the event queue and the link's ring are warm, pushing a packet through
+// serialization and propagation allocates nothing.
 func TestLinkSerializerSteadyStateAllocFree(t *testing.T) {
 	e, l := bareLink()
 	p := packet.NewData(1, 0, 1000, 1, 2, 3)
-	// Warm up: grows the heap backing array, the queue slice, and the
-	// freelist to their steady-state sizes.
+	// Warm up: grows the event queue and the ring to their steady-state
+	// sizes.
 	for i := 0; i < 8; i++ {
 		l.enqueue(p)
 		e.Q.Run(simtime.Never)
@@ -128,27 +128,29 @@ func TestBufGaugeDrainsToZero(t *testing.T) {
 	}
 }
 
-// TestLinkQueueBoundedUnderSaturation is the egress-queue compaction
-// regression test: a link that never fully drains used to grow its
-// backing array without bound (compaction only happened at the
-// head==len reset). Holding the queue at a steady ~1-packet backlog
-// while the head advances for thousands of packets must leave the
-// backing array at a small constant capacity.
+// TestLinkQueueBoundedUnderSaturation: a link that never drains advances
+// its ring indices forever, and the ring must not grow with them. One
+// arrival per departure (a packet is two events) holds a standing backlog
+// for thousands of packets; the ring stays within twice the backlog's
+// high-water mark.
 func TestLinkQueueBoundedUnderSaturation(t *testing.T) {
-	_, l := bareLink()
+	e, l := bareLink()
 	p := packet.NewData(1, 0, 1000, 1, 2, 3)
-	// Pin the serializer busy so enqueue never kicks startNext itself,
-	// then alternate one arrival with one serializer pop: the queue
-	// holds steady at one packet while head advances every iteration —
-	// the exact saturation pattern that used to defeat compaction.
-	l.busy = true
-	l.queue = append(l.queue, p)
+	for i := 0; i < 3; i++ {
+		l.enqueue(p)
+	}
+	high := 0
 	for i := 0; i < 10000; i++ {
 		l.enqueue(p)
-		l.serializeNext()
+		high = max(high, int(l.tail-l.head))
+		e.Q.Step()
+		e.Q.Step()
+		if l.head == l.tail {
+			t.Fatalf("link drained after %d packets: the test no longer saturates it", i)
+		}
 	}
-	if c := cap(l.queue); c > 64 {
-		t.Fatalf("saturated link queue capacity grew to %d, want a small constant", c)
+	if len(l.ring) > 2*high {
+		t.Fatalf("after %d packets the ring has %d slots for a backlog of at most %d", l.tail, len(l.ring), high)
 	}
 }
 

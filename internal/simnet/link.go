@@ -46,73 +46,85 @@ type link struct {
 	swFaults  uint8
 	loss      float64
 
-	// inFlight counts packets accepted by this link and not yet handed to
-	// the far end: queued, serializing, or in propagation flight.
-	inFlight int
-
-	queue []*packet.Packet
-	head  int
-	busy  bool
-
-	// free is the freelist of pooled event records. A record leaves the
-	// freelist when a packet starts serializing and returns in its deliver
-	// stage, so the pool grows to this link's in-flight high-water mark
-	// and is then reused forever: the steady-state serializer path
-	// allocates nothing.
-	free []*linkEvent
+	// The ring: every packet this link has accepted and not yet handed to
+	// the far end, oldest first, addressed by three free-running indices
+	// (masked by len(ring)-1 on use, so they may wrap):
+	//
+	//	[head, tx)   serialized, in propagation flight
+	//	tx           on the serializer (when tx != tail)
+	//	(tx, tail)   waiting behind it
+	//
+	// The link is idle when tx == tail and holds tail-head packets. The
+	// ring is nil until the link's first packet, then ringMin slots,
+	// doubling whenever all of them are occupied.
+	ring           []linkSlot
+	head, tx, tail uint32
 }
 
-// linkEvent is a pooled, pre-bound event record (eventq.Timed) that
-// carries one packet through the link's two scheduled instants: the end
-// of serialization (stageTxDone) and the end of propagation
-// (stageDeliver). The queue owns the record between AfterTimed and Fire;
-// the link owns it otherwise. A record is recycled onto l.free before
-// deliver runs, so re-entrant enqueues on the same link may reuse it
-// immediately.
-type linkEvent struct {
-	l     *link
-	p     *packet.Packet
-	size  int
-	stage uint8
+// linkSlot is one ring entry: a packet and the size it was admitted at,
+// so the shared-buffer release equals the claim and neither scheduled
+// stage has to touch the packet.
+type linkSlot struct {
+	p    *packet.Packet
+	size int
 }
 
-const (
-	stageTxDone uint8 = iota
-	stageDeliver
-)
+// ringMin is the length of a link's first ring; a power of two.
+const ringMin = 4
 
-// Fire dispatches the record's current stage.
+// A link is FIFO and both of its scheduled instants are monotone in
+// arrival order — serialization ends are serialized, and a delivery is a
+// serialization end plus the constant delay — so the link needs no
+// per-packet event record: it is its own event, under two method sets.
+// As *link it is the end of serialization of slot tx; as *linkEvent it is
+// the end of propagation of slot head. The queue dispatches in (time,
+// insertion) order, so the k-th delivery to fire is the k-th scheduled,
+// which is slot head.
+type linkEvent link
+
+// Fire ends the serialization of slot tx: the packet's last bit has left,
+// so its shared-buffer claim is released, it starts its propagation
+// flight, and the serializer moves on to the next waiting packet.
+//
+//v2plint:hotpath
+func (l *link) Fire() {
+	s := &l.ring[l.tx&uint32(len(l.ring)-1)]
+	if l.fromSwitch >= 0 {
+		l.e.bufUsed[l.fromSwitch] -= s.size
+		l.e.BufGauge.Set(int64(l.e.bufUsed[l.fromSwitch]))
+	}
+	if l.boundary {
+		// The far end lives in another shard: the packet leaves the ring
+		// here, for the deterministic cross-shard mailbox, instead of
+		// waiting out the propagation stage on this shard's queue. Nothing
+		// is ever in flight on a boundary link, so head == tx.
+		p := s.p
+		s.p = nil
+		l.head++
+		l.e.shard.post(l, p)
+	} else {
+		// Store-and-forward: the far end receives the packet one
+		// propagation delay after the last bit leaves.
+		l.e.Q.AfterTimed(l.delay, (*linkEvent)(l))
+	}
+	l.tx++
+	if l.tx != l.tail {
+		l.startNext()
+	}
+}
+
+// Fire ends the propagation of slot head and hands its packet to the far
+// end. The slot is released first, so a re-entrant enqueue on the same
+// link may reuse it immediately.
 //
 //v2plint:hotpath
 func (ev *linkEvent) Fire() {
-	switch ev.stage {
-	case stageTxDone:
-		ev.l.txDone(ev.size)
-		if ev.l.boundary {
-			// The far end lives in another shard: hand the packet to the
-			// deterministic cross-shard mailbox instead of scheduling the
-			// propagation stage on this shard's queue. The record is
-			// recycled here, so the pool behaves exactly as in the local
-			// case.
-			l, p := ev.l, ev.p
-			ev.p = nil
-			l.free = append(l.free, ev)
-			l.inFlight--
-			l.e.shard.post(l, p)
-		} else {
-			// Store-and-forward: the far end receives the packet one
-			// propagation delay after the last bit leaves.
-			ev.stage = stageDeliver
-			ev.l.e.Q.AfterTimed(ev.l.delay, ev)
-		}
-		ev.l.serializeNext()
-	default: // stageDeliver
-		l, p := ev.l, ev.p
-		ev.p = nil
-		l.free = append(l.free, ev)
-		l.inFlight--
-		l.deliverPkt(p)
-	}
+	l := (*link)(ev)
+	s := &l.ring[l.head&uint32(len(l.ring)-1)]
+	p := s.p
+	s.p = nil
+	l.head++
+	l.deliverPkt(p)
 }
 
 // deliverPkt hands the packet to the far end of the link: a host NIC or
@@ -131,25 +143,12 @@ func (l *link) deliverPkt(p *packet.Packet) {
 	// serializer); the packet is discarded.
 }
 
-// getEvent pops a pooled record, allocating only to grow the pool.
-//
-//v2plint:hotpath
-func (l *link) getEvent() *linkEvent {
-	if n := len(l.free); n > 0 {
-		ev := l.free[n-1]
-		l.free = l.free[:n-1]
-		return ev
-	}
-	//v2plint:allow hotpath pool growth: one record per in-flight high-water mark, then reused forever
-	return &linkEvent{l: l}
-}
-
-// enqueue appends p to the egress queue, dropping it if the link is
-// down (fault injection), lossy (probabilistic loss window), or if the
-// owning switch's shared buffer is exhausted, and kicks the serializer
-// if idle. The fault-flag read is gated: activeFaults counts every
-// downed link and failed switch, so the gate never changes which
-// packets drop, only spares healthy runs the flag reads.
+// enqueue admits p to the ring, dropping it if the link is down (fault
+// injection), lossy (probabilistic loss window), or if the owning
+// switch's shared buffer is exhausted, and starts the serializer if idle.
+// The fault-flag read is gated: activeFaults counts every downed link and
+// failed switch, so the gate never changes which packets drop, only
+// spares healthy runs the flag reads.
 //
 //v2plint:hotpath
 func (l *link) enqueue(p *packet.Packet) {
@@ -173,68 +172,34 @@ func (l *link) enqueue(p *packet.Packet) {
 		l.e.bufUsed[l.fromSwitch] += size
 		l.e.BufGauge.Set(int64(l.e.bufUsed[l.fromSwitch]))
 	}
-	l.inFlight++
-	l.queue = append(l.queue, p)
-	if !l.busy {
-		l.busy = true
+	if int(l.tail-l.head) == len(l.ring) {
+		l.grow()
+	}
+	l.ring[l.tail&uint32(len(l.ring)-1)] = linkSlot{p: p, size: size}
+	l.tail++
+	if l.tail-l.tx == 1 { // the serializer was idle
 		l.startNext()
 	}
 }
 
-// txDone releases the packet's shared-buffer claim when its last bit
-// leaves the serializer.
+// grow doubles a full ring (or makes the first one). Every occupied slot
+// keeps its index: the longer mask only places it differently.
 //
 //v2plint:hotpath
-func (l *link) txDone(size int) {
-	if l.fromSwitch >= 0 {
-		l.e.bufUsed[l.fromSwitch] -= size
-		l.e.BufGauge.Set(int64(l.e.bufUsed[l.fromSwitch]))
+func (l *link) grow() {
+	old := l.ring
+	//v2plint:allow hotpath ring growth: doubles to at most twice this link's in-flight high-water mark, then reused forever
+	l.ring = make([]linkSlot, max(ringMin, 2*len(old)))
+	for i := l.head; i != l.tail; i++ {
+		l.ring[i&uint32(len(l.ring)-1)] = old[i&uint32(len(old)-1)]
 	}
 }
 
-// serializeNext continues with the next queued packet, or idles the
-// serializer.
-//
-//v2plint:hotpath
-func (l *link) serializeNext() {
-	if l.head < len(l.queue) {
-		l.startNext()
-	} else {
-		l.busy = false
-	}
-}
-
-// startNext begins serializing the packet at the head of the queue,
-// carried by a pooled linkEvent record.
+// startNext puts slot tx on the serializer: the link itself is the event
+// that ends its serialization.
 //
 //v2plint:hotpath
 func (l *link) startNext() {
-	p := l.queue[l.head]
-	l.queue[l.head] = nil
-	l.head++
-	if l.head == len(l.queue) {
-		l.queue = l.queue[:0]
-		l.head = 0
-	} else if l.head*2 >= len(l.queue) {
-		// Under sustained backlog the queue never fully drains, so waiting
-		// for that moment would let the backing array grow without bound
-		// while head advances. Copy the live tail down once head crosses
-		// the midpoint: each element moves at most once per half-drain
-		// (amortized O(1) per packet) and capacity stays bounded by about
-		// twice the backlog high-water mark.
-		n := copy(l.queue, l.queue[l.head:])
-		tail := l.queue[n:]
-		for i := range tail {
-			tail[i] = nil
-		}
-		l.queue = l.queue[:n]
-		l.head = 0
-	}
-	size := p.Size()
-	tx := simtime.TransmitTime(size, l.bps)
-	ev := l.getEvent()
-	ev.p = p
-	ev.size = size
-	ev.stage = stageTxDone
-	l.e.Q.AfterTimed(tx, ev)
+	size := l.ring[l.tx&uint32(len(l.ring)-1)].size
+	l.e.Q.AfterTimed(simtime.TransmitTime(size, l.bps), l)
 }

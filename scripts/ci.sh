@@ -49,6 +49,7 @@ while read -r target pkg; do
   go test -run '^$' -fuzz "^${target}\$" -fuzztime 5s "$pkg"
 done <<'EOF'
 FuzzQueueModel ./internal/eventq
+FuzzLinkModel ./internal/simnet
 FuzzNetModel ./internal/vnet
 FuzzReadWorkload ./internal/trace
 FuzzRead ./internal/ptrace
