@@ -251,6 +251,12 @@ func (e *Engine) HostNow(host int32) simtime.Time { return e.hostQ(host).Now() }
 // Q.At.
 func (e *Engine) HostAt(host int32, t simtime.Time, fn func()) { e.hostQ(host).At(t, fn) }
 
+// HostAtTimed is HostAt for a typed event: host-side code that schedules
+// per flow or per timer passes a record instead of allocating a closure.
+func (e *Engine) HostAtTimed(host int32, t simtime.Time, ev eventq.Timed) {
+	e.hostQ(host).AtTimed(t, ev)
+}
+
 // HostAfter schedules fn d after the host's current instant (see
 // HostAt).
 func (e *Engine) HostAfter(host int32, d simtime.Duration, fn func()) {

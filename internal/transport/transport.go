@@ -193,11 +193,11 @@ func (a *Agent) register(rec *FlowRecord, s *tcpSender, r *tcpReceiver) {
 			// queue on a serial engine, the host's domain queue when
 			// sharded).
 			s.host = host
-			a.e.HostAt(host, spec.Start, s.start)
+			a.e.HostAtTimed(host, spec.Start, (*senderStart)(s))
 		} else {
 			// Source VM not placed yet (churn scenarios place VMs
 			// mid-run): root-queue fallback, serial engine only.
-			a.e.Q.At(spec.Start, s.start)
+			a.e.Q.AtTimed(spec.Start, (*senderStart)(s))
 		}
 	case UDP:
 		a.udp[spec.ID] = rec
@@ -297,6 +297,17 @@ type tcpSender struct {
 	retries     int
 	done        bool
 }
+
+// A sender is its own event, under one method set per scheduled action:
+// scheduling it allocates nothing, where a method value would cost a
+// closure per call.
+type (
+	senderStart tcpSender // the flow's start
+	senderTimer tcpSender // the retransmission timer
+)
+
+func (ev *senderStart) Fire() { (*tcpSender)(ev).start() }
+func (ev *senderTimer) Fire() { (*tcpSender)(ev).onTimer() }
 
 func (s *tcpSender) start() {
 	if s.host < 0 {
@@ -428,7 +439,7 @@ func (s *tcpSender) armRTO() {
 		return // the pending event will chase the new deadline
 	}
 	s.timerActive = true
-	s.a.e.HostAt(s.host, s.deadline, s.onTimer)
+	s.a.e.HostAtTimed(s.host, s.deadline, (*senderTimer)(s))
 }
 
 // onTimer fires the single retransmission timer: if the deadline moved
@@ -440,7 +451,7 @@ func (s *tcpSender) onTimer() {
 		return
 	}
 	if now := s.a.e.HostNow(s.host); now < s.deadline {
-		s.a.e.HostAt(s.host, s.deadline, s.onTimer)
+		s.a.e.HostAtTimed(s.host, s.deadline, (*senderTimer)(s))
 		return
 	}
 	s.timerActive = false

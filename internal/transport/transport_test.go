@@ -328,3 +328,36 @@ func TestAddFlowsMatchesAddFlow(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowStartAndTimerScheduleWithoutAllocating: a TCP sender is its own
+// start and timer event, so registering a batch of flows allocates per
+// batch (slabs, tables, queue growth), not per flow, and re-arming the
+// retransmission timer allocates nothing.
+func TestFlowStartAndTimerScheduleWithoutAllocating(t *testing.T) {
+	w := newWorld(t, noCache)
+	specs := make([]FlowSpec, 1000)
+	for i := range specs {
+		specs[i] = FlowSpec{ID: uint64(i + 1), Src: w.vips[i%17], Dst: w.vips[100+i%23], Proto: TCP, Bytes: 500, Start: simtime.Time(i)}
+	}
+	perBatch := testing.AllocsPerRun(1, func() {
+		New(w.e, DefaultConfig()).AddFlows(specs)
+	})
+	if perBatch >= float64(len(specs))/4 {
+		t.Fatalf("AddFlows of %d flows allocates %v times: flow start is allocating per flow", len(specs), perBatch)
+	}
+
+	w = newWorld(t, noCache)
+	w.agent.AddFlow(specs[0])
+	w.e.Run(simtime.Never)
+	s := w.agent.senders[specs[0].ID]
+	if !s.done || s.timerActive {
+		t.Fatalf("flow did not finish with its timer retired: done %v, timer active %v", s.done, s.timerActive)
+	}
+	rearm := testing.AllocsPerRun(100, func() {
+		s.armRTO()
+		w.e.Run(simtime.Never) // the timer finds the flow done and retires
+	})
+	if rearm != 0 {
+		t.Fatalf("arming the retransmission timer allocates %v times, want 0", rearm)
+	}
+}
