@@ -216,6 +216,47 @@ func TestBluebirdCPQueueDrops(t *testing.T) {
 	if w.e.C.Delivered == 0 {
 		t.Fatal("expected some deliveries")
 	}
+	// The CP's drops are in the engine's books, and a tenant packet parked
+	// in the CP is not a consumed control packet.
+	c := &w.e.C
+	if c.Drops != bb.CPDrops || c.Delivered+c.Drops != c.HostSent || c.ConsumedControl != 0 {
+		t.Fatalf("sent %d = delivered %d + drops %d does not hold, or CP drops %d are not the drops, or consumed control %d != 0",
+			c.HostSent, c.Delivered, c.Drops, bb.CPDrops, c.ConsumedControl)
+	}
+}
+
+// TestBluebirdFlushLosesQueuedWork: a flushed control plane loses the
+// packets it had queued — they are dropped and counted, not delivered —
+// and its queue occupancy restarts at zero instead of being driven
+// negative by the lost work's completions.
+func TestBluebirdFlushLosesQueuedWork(t *testing.T) {
+	var bb *Bluebird
+	w := newWorld(t, func(topo *topology.Topology) simnet.Scheme {
+		bb = NewBluebird(topo, 1024, DefaultBluebirdParams())
+		return bb
+	})
+	src, dst := w.vips[0], w.vips[9]
+	tor := w.topo.Hosts[w.hostOf(src)].ToR
+	for i := 0; i < 5; i++ {
+		w.e.HostSend(w.hostOf(src), packet.NewData(1, i, 1000, src, dst, 0))
+	}
+	w.e.Run(simtime.Time(3 * simtime.Microsecond)) // all five are in the CP queue
+	if bb.Misses != 5 || bb.cp[tor].queuedBytes <= 0 {
+		t.Fatalf("before the flush: misses %d, queued %d B", bb.Misses, bb.cp[tor].queuedBytes)
+	}
+	bb.FlushCache(tor)
+	// One more miss after the flush: the new control plane's own work.
+	w.e.HostSend(w.hostOf(src), packet.NewData(1, 5, 1000, src, dst, 0))
+	for w.e.Q.Step() {
+		if q := bb.cp[tor].queuedBytes; q < 0 {
+			t.Fatalf("t=%d: CP queue occupancy %d B", w.e.Now(), q)
+		}
+	}
+	c := &w.e.C
+	if bb.CPDrops != 5 || c.Drops != 5 || bb.CPForwarded != 1 || c.Delivered != 1 || bb.cp[tor].queuedBytes != 0 {
+		t.Fatalf("after the drain: CP drops %d, drops %d, CP forwarded %d, delivered %d, queued %d B; want 5, 5, 1, 1, 0",
+			bb.CPDrops, c.Drops, bb.CPForwarded, c.Delivered, bb.cp[tor].queuedBytes)
+	}
 }
 
 func TestOnDemandMissPenaltyThenDirect(t *testing.T) {

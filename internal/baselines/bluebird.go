@@ -37,6 +37,9 @@ func DefaultBluebirdParams() BluebirdParams {
 type bluebirdCP struct {
 	busyUntil   simtime.Time
 	queuedBytes int
+	// gen counts FlushCache calls: work queued under an older generation
+	// was lost with the control plane that held it.
+	gen uint32
 }
 
 // Bluebird resolves addresses in the ToR data plane when the route cache
@@ -52,7 +55,8 @@ type Bluebird struct {
 	// Stats: aggregate counters, only read after the run; increments
 	// cannot influence scheduling. They are plain shared fields, so
 	// Bluebird (like every scheme off harness.ShardSupported's
-	// whitelist) runs on the serial engine.
+	// whitelist) runs on the serial engine. Every CP drop is also one of
+	// the engine's Drops.
 	Hits, Misses int64
 	CPDrops      int64
 	CPForwarded  int64
@@ -81,10 +85,11 @@ func (*Bluebird) Name() string { return "Bluebird" }
 func (b *Bluebird) Cache(sw int32) *core.Cache { return b.caches[sw] }
 
 // FlushCache implements simnet.Scheme: a failed ToR loses its
-// route cache and whatever work its local control plane had queued.
+// route cache and whatever work its local control plane had queued (the
+// packets of that work are dropped when their completions come due).
 func (b *Bluebird) FlushCache(sw int32) {
 	b.caches[sw].Flush()
-	b.cp[sw] = bluebirdCP{}
+	b.cp[sw] = bluebirdCP{gen: b.cp[sw].gen + 1}
 }
 
 // SenderResolve implements simnet.Scheme: hosts leave packets unresolved
@@ -124,10 +129,11 @@ func (b *Bluebird) slowPath(e *simnet.Engine, sw int32, p *packet.Packet) {
 	cp := &b.cp[sw]
 	size := p.Size()
 	if cp.queuedBytes+size > b.params.CPQueueBytes {
-		b.CPDrops++
+		b.cpDrop(e)
 		return
 	}
 	cp.queuedBytes += size
+	gen := cp.gen
 	now := e.Now()
 	start := cp.busyUntil
 	if start < now {
@@ -136,10 +142,14 @@ func (b *Bluebird) slowPath(e *simnet.Engine, sw int32, p *packet.Packet) {
 	done := start.Add(simtime.TransmitTime(size, b.params.CPLinkBps))
 	cp.busyUntil = done
 	e.Q.At(done.Add(b.params.CPForwardLatency), func() {
+		if cp.gen != gen {
+			b.cpDrop(e) // queued before a flush: lost with the old control plane
+			return
+		}
 		cp.queuedBytes -= size
 		pip, ok := e.Net.Lookup(p.DstVIP)
 		if !ok {
-			b.CPDrops++
+			b.cpDrop(e)
 			return
 		}
 		b.CPForwarded++
@@ -154,6 +164,13 @@ func (b *Bluebird) slowPath(e *simnet.Engine, sw int32, p *packet.Packet) {
 			b.caches[sw].Insert(netaddr.Mapping{VIP: p.DstVIP, PIP: pip})
 		}
 	})
+}
+
+// cpDrop counts a tenant packet lost on the slow path, in the scheme's
+// own counter and in the engine's books.
+func (b *Bluebird) cpDrop(e *simnet.Engine) {
+	b.CPDrops++
+	e.C.Drops++
 }
 
 // HostMisdeliver implements simnet.Scheme.

@@ -78,8 +78,10 @@ type Counters struct {
 	GatewayUnknownVIP int64        // gateway lookups that failed (should not happen)
 
 	// Fault-injection counters (internal/faults). All three kinds of
-	// fault drop also count toward Drops, so packet conservation
-	// (Delivered + Drops >= HostSent) holds under any fault schedule.
+	// fault drop also count toward Drops, so packet conservation (at
+	// drain, HostSent + LearningPkts + InvalidationPkts == Delivered +
+	// Drops + ConsumedControl + StrayControlPkts) holds under any fault
+	// schedule.
 	FaultDrops int64 // packets dropped at a downed link, switch or gateway
 	LossDrops  int64 // packets dropped by a probabilistic loss window
 	Rerouted   int64 // packets steered off their hash-preferred ECMP hop
@@ -491,7 +493,11 @@ func (e *Engine) switchArrive(sw int32, from topology.NodeRef, p *packet.Packet)
 		e.Tap(topology.SwitchRef(sw), p)
 	}
 	if !e.Scheme.SwitchArrive(e, sw, from, p) {
-		e.C.ConsumedControl++
+		// The scheme keeps the packet. A control packet ends here; a tenant
+		// packet is the scheme's to re-inject or to count as dropped.
+		if p.Kind == packet.Learning || p.Kind == packet.Invalidation {
+			e.C.ConsumedControl++
+		}
 		return
 	}
 	e.forwardFromSwitch(sw, p)
