@@ -336,17 +336,17 @@ func (e *Engine) InFlightPackets() int {
 	n := 0
 	for _, l := range e.hostUp {
 		if l != nil {
-			n += int(l.tail - l.head)
+			n += l.inFlight()
 		}
 	}
 	for _, l := range e.hostDown {
 		if l != nil {
-			n += int(l.tail - l.head)
+			n += l.inFlight()
 		}
 	}
 	for _, nbrs := range e.swNbr {
 		for _, l := range nbrs {
-			n += int(l.tail - l.head)
+			n += l.inFlight()
 		}
 	}
 	return n

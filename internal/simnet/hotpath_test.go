@@ -142,10 +142,10 @@ func TestLinkQueueBoundedUnderSaturation(t *testing.T) {
 	high := 0
 	for i := 0; i < 10000; i++ {
 		l.enqueue(p)
-		high = max(high, int(l.tail-l.head))
+		high = max(high, l.inFlight())
 		e.Q.Step()
 		e.Q.Step()
-		if l.head == l.tail {
+		if l.inFlight() == 0 {
 			t.Fatalf("link drained after %d packets: the test no longer saturates it", i)
 		}
 	}

@@ -54,9 +54,9 @@ type link struct {
 	//	tx           on the serializer (when tx != tail)
 	//	(tx, tail)   waiting behind it
 	//
-	// The link is idle when tx == tail and holds tail-head packets. The
-	// ring is nil until the link's first packet, then ringMin slots,
-	// doubling whenever all of them are occupied.
+	// The link is idle when tx == tail and holds tail-head packets
+	// (inFlight). The ring is nil until the link's first packet, then
+	// ringMin slots, doubling whenever all of them are occupied.
 	ring           []linkSlot
 	head, tx, tail uint32
 }
@@ -71,6 +71,13 @@ type linkSlot struct {
 
 // ringMin is the length of a link's first ring; a power of two.
 const ringMin = 4
+
+// slot returns the ring entry index i addresses.
+func (l *link) slot(i uint32) *linkSlot { return &l.ring[i&uint32(len(l.ring)-1)] }
+
+// inFlight counts the packets the link holds: accepted and not yet handed
+// to the far end.
+func (l *link) inFlight() int { return int(l.tail - l.head) }
 
 // A link is FIFO and both of its scheduled instants are monotone in
 // arrival order — serialization ends are serialized, and a delivery is a
@@ -88,7 +95,7 @@ type linkEvent link
 //
 //v2plint:hotpath
 func (l *link) Fire() {
-	s := &l.ring[l.tx&uint32(len(l.ring)-1)]
+	s := l.slot(l.tx)
 	if l.fromSwitch >= 0 {
 		l.e.bufUsed[l.fromSwitch] -= s.size
 		l.e.BufGauge.Set(int64(l.e.bufUsed[l.fromSwitch]))
@@ -120,7 +127,7 @@ func (l *link) Fire() {
 //v2plint:hotpath
 func (ev *linkEvent) Fire() {
 	l := (*link)(ev)
-	s := &l.ring[l.head&uint32(len(l.ring)-1)]
+	s := l.slot(l.head)
 	p := s.p
 	s.p = nil
 	l.head++
@@ -172,10 +179,10 @@ func (l *link) enqueue(p *packet.Packet) {
 		l.e.bufUsed[l.fromSwitch] += size
 		l.e.BufGauge.Set(int64(l.e.bufUsed[l.fromSwitch]))
 	}
-	if int(l.tail-l.head) == len(l.ring) {
+	if l.inFlight() == len(l.ring) {
 		l.grow()
 	}
-	l.ring[l.tail&uint32(len(l.ring)-1)] = linkSlot{p: p, size: size}
+	*l.slot(l.tail) = linkSlot{p: p, size: size}
 	l.tail++
 	if l.tail-l.tx == 1 { // the serializer was idle
 		l.startNext()
@@ -191,7 +198,7 @@ func (l *link) grow() {
 	//v2plint:allow hotpath ring growth: doubles to at most twice this link's in-flight high-water mark, then reused forever
 	l.ring = make([]linkSlot, max(ringMin, 2*len(old)))
 	for i := l.head; i != l.tail; i++ {
-		l.ring[i&uint32(len(l.ring)-1)] = old[i&uint32(len(old)-1)]
+		*l.slot(i) = old[i&uint32(len(old)-1)]
 	}
 }
 
@@ -200,6 +207,5 @@ func (l *link) grow() {
 //
 //v2plint:hotpath
 func (l *link) startNext() {
-	size := l.ring[l.tx&uint32(len(l.ring)-1)].size
-	l.e.Q.AfterTimed(simtime.TransmitTime(size, l.bps), l)
+	l.e.Q.AfterTimed(simtime.TransmitTime(l.slot(l.tx).size, l.bps), l)
 }

@@ -97,7 +97,7 @@ func runLinkCase(t *testing.T, c linkCase) linkRun {
 	// queued behind the link events already pending for the same instant.
 	var arrive func(i int)
 	arrive = func(i int) {
-		if n := len(l.ring); n > 0 && int(l.tail-l.head) == n {
+		if n := len(l.ring); n > 0 && l.inFlight() == n {
 			run.grewAllBusy = run.grewAllBusy || (l.head != l.tx && l.tail-l.tx > 1)
 			run.grewWrapped = run.grewWrapped || l.head&uint32(n-1) != 0
 		}
@@ -113,7 +113,7 @@ func runLinkCase(t *testing.T, c linkCase) linkRun {
 	for e.Q.Step() {
 		now := e.Q.Now()
 		run.indexWrapped = run.indexWrapped || l.tail < c.start
-		high = max(high, int(l.tail-l.head))
+		high = max(high, l.inFlight())
 		if len(l.ring) > max(ringMin, 2*high) {
 			t.Fatalf("t=%d: ring has %d slots, occupancy high-water mark %d", now, len(l.ring), high)
 		}

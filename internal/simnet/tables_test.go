@@ -83,7 +83,7 @@ func TestEcmpForwardPicksTheHashedHop(t *testing.T) {
 				e.ecmpForward(sw, dst, p)
 				var took []int32
 				for _, l := range e.swNbr[sw] {
-					if l.tail != l.head {
+					if l.inFlight() > 0 {
 						took = append(took, l.dstSw)
 					}
 				}

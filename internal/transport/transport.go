@@ -300,14 +300,30 @@ type tcpSender struct {
 
 // A sender is its own event, under one method set per scheduled action:
 // scheduling it allocates nothing, where a method value would cost a
-// closure per call.
+// closure per call. eventq.Queue.Step dispatches these like any typed
+// event, so the hot-path check follows it in here; both are marked as
+// roots of their own, and what they allocate — once per flow, once per
+// expired timer, not per hop — is waived where it is called.
 type (
 	senderStart tcpSender // the flow's start
 	senderTimer tcpSender // the retransmission timer
 )
 
-func (ev *senderStart) Fire() { (*tcpSender)(ev).start() }
-func (ev *senderTimer) Fire() { (*tcpSender)(ev).onTimer() }
+// Fire starts the flow.
+//
+//v2plint:hotpath
+func (ev *senderStart) Fire() {
+	//v2plint:allow hotpath once per flow: start makes the flow's per-segment arrays and sends its first window, one packet allocation per send
+	(*tcpSender)(ev).start()
+}
+
+// Fire runs the retransmission timer.
+//
+//v2plint:hotpath
+func (ev *senderTimer) Fire() {
+	//v2plint:allow hotpath an expired timer retransmits, one packet allocation like every send; a timer that is early or stale allocates nothing
+	(*tcpSender)(ev).onTimer()
+}
 
 func (s *tcpSender) start() {
 	if s.host < 0 {
