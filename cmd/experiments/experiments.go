@@ -199,6 +199,7 @@ func fig7(sc Scale) error {
 		harness.SchemeSwitchV2P, harness.SchemeDirect,
 	}
 	reports := make(map[string]*harness.Report)
+	var csvRows []*harness.Report
 	tw, done := newTable("scheme", "pod1", "pod2", "pod3", "pod4", "pod5", "pod6", "pod7", "pod8", "totalMB", "stretch")
 	for _, s := range schemes {
 		cfg := sc.baseConfig("hadoop")
@@ -208,6 +209,7 @@ func fig7(sc Scale) error {
 			return err
 		}
 		reports[s] = r
+		csvRows = append(csvRows, r)
 		row := []string{r.Scheme}
 		for _, b := range r.PerPodBytes {
 			row = append(row, fmt.Sprintf("%d", b>>20))
@@ -216,6 +218,7 @@ func fig7(sc Scale) error {
 		fmt.Fprintln(tw, strings.Join(row, "\t"))
 	}
 	done()
+	writeCSV("fig7_pod_bytes.csv", func(w *os.File) error { return harness.WritePodBytesCSV(w, csvRows) })
 	nc, gw, sv, d := reports[harness.SchemeNoCache], reports[harness.SchemeGwCache],
 		reports[harness.SchemeSwitchV2P], reports[harness.SchemeDirect]
 	fmt.Printf("network bytes: SwitchV2P vs NoCache %.2fx, vs GwCache %.2fx, vs Direct +%.0f%%\n",

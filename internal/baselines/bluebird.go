@@ -81,9 +81,6 @@ func NewBluebird(topo *topology.Topology, linesPerToR int, params BluebirdParams
 // Name implements simnet.Scheme.
 func (*Bluebird) Name() string { return "Bluebird" }
 
-// Cache exposes a ToR's route cache for tests.
-func (b *Bluebird) Cache(sw int32) *core.Cache { return b.caches[sw] }
-
 // FlushCache implements simnet.Scheme: a failed ToR loses its
 // route cache and whatever work its local control plane had queued (the
 // packets of that work are dropped when their completions come due).

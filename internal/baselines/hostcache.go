@@ -165,14 +165,6 @@ func (t *hostTable) invalidate(vip netaddr.VIP, stale netaddr.PIP) bool {
 	return true
 }
 
-// flush empties the table.
-func (t *hostTable) flush() {
-	clear(t.index)
-	t.head, t.tail = -1, -1
-	t.used = 0
-	t.free = t.free[:0]
-}
-
 func (t *hostTable) len() int { return len(t.index) }
 
 // HostTierOptions parameterizes the host-cache tier shared by HostCache
@@ -328,10 +320,6 @@ func (t *hostTier) invalidateSender(e *simnet.Engine, staleHost int32, p *packet
 		t.HS.Invalidations++
 	}
 }
-
-// flushHost empties one host's table (test hook; switch failures do not
-// destroy host state).
-func (t *hostTier) flushHost(host int32) { t.tables[host].flush() }
 
 // HostTableLen exposes a host table's occupancy for tests and probes.
 func (t *hostTier) HostTableLen(host int32) int { return t.tables[host].len() }

@@ -12,12 +12,6 @@ import (
 // that divide an aggregate entry budget according to a policy, for use
 // in Options.SizeFor.
 
-// AllocUniform spreads total entries evenly over every switch.
-func AllocUniform(topo *topology.Topology, total int) func(topology.Switch) int {
-	per := total / len(topo.Switches)
-	return func(topology.Switch) int { return per }
-}
-
 // AllocToROnly gives the whole budget to the ToR layer (including
 // gateway ToRs), evenly.
 func AllocToROnly(topo *topology.Topology, total int) func(topology.Switch) int {

@@ -26,16 +26,6 @@ func allocTotal(topo *topology.Topology, f func(topology.Switch) int) int {
 	return total
 }
 
-func TestAllocUniform(t *testing.T) {
-	topo := ft8(t)
-	f := AllocUniform(topo, 8000)
-	for _, sw := range topo.Switches {
-		if got := f(sw); got != 100 {
-			t.Fatalf("uniform share = %d, want 100", got)
-		}
-	}
-}
-
 func TestAllocToROnly(t *testing.T) {
 	topo := ft8(t)
 	f := AllocToROnly(topo, 3200)

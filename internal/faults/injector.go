@@ -39,12 +39,6 @@ func New(cfg *Config, topo *topology.Topology) (*Injector, error) {
 	return in, nil
 }
 
-// Len returns the number of scheduled events.
-func (in *Injector) Len() int { return len(in.events) }
-
-// Schedule returns the compiled, time-sorted event schedule.
-func (in *Injector) Schedule() []Event { return in.events }
-
 // Attach registers every scheduled event on the engine's queue and, if
 // the config uses loss windows, seeds the engine's loss PRNG. col may
 // be nil (no fault timeline is recorded). Call once, before Engine.Run.

@@ -109,16 +109,6 @@ func WritePodBytesCSV(out io.Writer, reports []*Report) error {
 	return writeAll(w, rows)
 }
 
-// WriteTelemetryCSV exports a report's telemetry timeline in wide form
-// (one column per series). It fails when the run was built without
-// telemetry or in profile-only mode, which records no timeline.
-func WriteTelemetryCSV(out io.Writer, r *Report) error {
-	if r.Telemetry == nil || r.Telemetry.ProfileOnly() {
-		return fmt.Errorf("harness: report has no telemetry timeline")
-	}
-	return r.Telemetry.Timeline.WriteCSV(out)
-}
-
 // WriteMigrationCSV exports Table 4-style migration results.
 func WriteMigrationCSV(out io.Writer, results []*MigrationResult) error {
 	w := csv.NewWriter(out)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"switchv2p/internal/simtime"
-	"switchv2p/internal/telemetry"
 )
 
 func parseCSV(t *testing.T, buf *bytes.Buffer) [][]string {
@@ -99,50 +98,5 @@ func TestWriteMigrationCSV(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "SwitchV2P,0.100000,17.000000,605.000000,271,22") {
 		t.Fatalf("migration csv: %q", buf.String())
-	}
-}
-
-func TestWriteTelemetryCSV(t *testing.T) {
-	cfg := quickConfig(SchemeSwitchV2P)
-	cfg.Telemetry = &telemetry.Options{}
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTelemetryCSV(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, &buf)
-	if len(rows) < 3 {
-		t.Fatalf("timeline rows = %d, want several samples", len(rows))
-	}
-	if rows[0][0] != "time_us" {
-		t.Fatalf("header = %v", rows[0])
-	}
-	want := map[string]bool{"cache.hitrate": false, "gateway.pkts_per_sec": false}
-	for _, col := range rows[0] {
-		if _, ok := want[col]; ok {
-			want[col] = true
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Fatalf("series %q missing from header %v", name, rows[0])
-		}
-	}
-	for _, row := range rows[1:] {
-		if len(row) != len(rows[0]) {
-			t.Fatalf("ragged row %v", row)
-		}
-	}
-
-	// No telemetry (or profile-only) => explicit error, not an empty file.
-	plain, err := Run(quickConfig(SchemeSwitchV2P))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTelemetryCSV(&buf, plain); err == nil {
-		t.Fatal("telemetry-less report accepted")
 	}
 }

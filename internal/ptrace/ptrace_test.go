@@ -2,6 +2,9 @@ package ptrace
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"strings"
 	"testing"
 
 	"switchv2p/internal/baselines"
@@ -191,6 +194,22 @@ func TestReadRejectsGarbage(t *testing.T) {
 			t.Errorf("%s accepted", tc.name)
 		}
 	}
+
+	// The retired EOF-terminated format is not a second dialect: its
+	// magic is rejected like any other.
+	retired := append([]byte("SV2PTRC2"), buf.Bytes()[16:]...)
+	if _, err := Read(bytes.NewReader(retired)); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("Read(SV2PTRC2 stream) = %v, want bad magic", err)
+	}
+
+	// Why the header counts records: a file cut exactly at a record
+	// boundary (17 header bytes plus the wire bytes before the end) still
+	// fails, with ErrUnexpectedEOF.
+	lastWire := len(tr.Records[len(tr.Records)-1].Packet.Marshal())
+	cut := buf.Bytes()[:buf.Len()-17-lastWire]
+	if _, err := Read(bytes.NewReader(cut)); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("Read(cut at record boundary) = %v, want ErrUnexpectedEOF", err)
+	}
 }
 
 func TestClose(t *testing.T) {
@@ -201,6 +220,30 @@ func TestClose(t *testing.T) {
 	w.e.Run(simtime.Never)
 	if len(tr.Records) != 0 {
 		t.Fatal("tracer captured after Close")
+	}
+}
+
+// TestCloseDoesNotClobberReplacement: closing a tracer that was
+// replaced by a newer one must leave the newer tracer capturing.
+func TestCloseDoesNotClobberReplacement(t *testing.T) {
+	w := newWorld(t)
+	old := New(w.e, Options{})
+	replacement := New(w.e, Options{})
+	old.Close()
+	if w.e.Tap == nil {
+		t.Fatal("old tracer's Close removed the replacement's tap")
+	}
+	w.send(1, 0, w.vips[0], w.vips[9])
+	w.e.Run(simtime.Never)
+	if len(replacement.Records) == 0 {
+		t.Error("replacement tracer captured nothing after old.Close")
+	}
+	if len(old.Records) != 0 {
+		t.Error("closed tracer kept capturing")
+	}
+	replacement.Close()
+	if w.e.Tap != nil || w.e.TapOwner != nil {
+		t.Error("owning tracer's Close must detach the tap")
 	}
 }
 

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 
-	"switchv2p/internal/baselines"
 	"switchv2p/internal/core"
 	"switchv2p/internal/harness"
 )
@@ -45,15 +44,13 @@ func takeSnap(w *harness.World) counterSnap {
 	return s
 }
 
-// coreStatsOf exposes the live SwitchV2P stats for schemes that have
-// them (mirrors harness.Report's type switch); nil for cacheless
-// baselines, which then skip the cache-churn SLO.
+// coreStatsOf exposes the live cache stats of every scheme that caches
+// in the network — SwitchV2P and the baselines that embed *core.Scheme
+// (GwCache, Hybrid, HostToR) — through the promoted Stats accessor; nil
+// for the rest, which then skip the cache-churn SLO.
 func coreStatsOf(w *harness.World) *core.Stats {
-	switch s := w.Scheme.(type) {
-	case *core.Scheme:
-		return &s.S
-	case *baselines.Hybrid:
-		return &s.Scheme.S
+	if s, ok := w.Scheme.(interface{ Stats() *core.Stats }); ok {
+		return s.Stats()
 	}
 	return nil
 }

@@ -76,6 +76,28 @@ func TestProductionDayRuns(t *testing.T) {
 	}
 }
 
+// TestCacheChurnCoversEmbeddedCaches: GwCache and HostToR cache in the
+// network through an embedded *core.Scheme, so a phase in which their
+// switches looked anything up reports a churn measurement, not the −1
+// "no in-network cache" sentinel that skips the churn SLO.
+func TestCacheChurnCoversEmbeddedCaches(t *testing.T) {
+	for _, scheme := range []string{harness.SchemeGwCache, harness.SchemeHostToR} {
+		spec := miniDay(7)
+		spec.Base.Scheme = scheme
+		rep, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := coreStatsOf(rep.Final.World); st == nil || st.Lookups == 0 {
+			t.Fatalf("%s: no in-network lookups; the test proves nothing", scheme)
+		}
+		if p := rep.Phases[0]; p.Flows == 0 || p.CacheChurn < 0 {
+			t.Errorf("%s: phase %s carried %d flows, cache churn %v, want a measurement >= 0",
+				scheme, p.Name, p.Flows, p.CacheChurn)
+		}
+	}
+}
+
 // TestSameSeedByteIdentical: two runs of the same spec must produce
 // byte-identical table and JSON reports.
 func TestSameSeedByteIdentical(t *testing.T) {

@@ -64,12 +64,6 @@ func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
 // FromStd converts a time.Duration into a simulated Duration.
 func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
 
-// Micro returns a Duration of n microseconds.
-func Micro(n int64) Duration { return Duration(n) * Microsecond }
-
-// Milli returns a Duration of n milliseconds.
-func Milli(n int64) Duration { return Duration(n) * Millisecond }
-
 // TransmitTime returns how long it takes to serialize size bytes onto a link
 // of the given bandwidth in bits per second. It rounds up to a whole
 // nanosecond so that back-to-back packets never overlap.

@@ -1,6 +1,5 @@
-// Package stats provides the measurement primitives the evaluation
-// uses: an exact-percentile sample collector for latency-style metrics
-// and a log-bucketed streaming histogram for unbounded populations.
+// Package stats provides the measurement primitive the evaluation
+// uses: an exact-percentile sample collector for latency-style metrics.
 package stats
 
 import (
@@ -111,87 +110,4 @@ func (s *Sample) Stddev() float64 {
 func (s *Sample) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f p50=%.2f p99=%.2f max=%.2f",
 		s.N(), s.Mean(), s.Quantile(0.5), s.Quantile(0.99), s.Max())
-}
-
-// Histogram is a log-bucketed streaming histogram: constant memory,
-// bounded relative error per bucket. Buckets are powers of `growth`
-// starting at `first`.
-type Histogram struct {
-	first   float64
-	growth  float64
-	counts  []uint64
-	under   uint64 // observations below first
-	total   uint64
-	sum     float64
-	maxSeen float64
-}
-
-// NewHistogram creates a histogram with buckets [first, first*growth,
-// ...]. growth must be > 1.
-func NewHistogram(first, growth float64, buckets int) (*Histogram, error) {
-	if first <= 0 || growth <= 1 || buckets <= 0 {
-		return nil, fmt.Errorf("stats: invalid histogram shape (first=%v growth=%v buckets=%d)",
-			first, growth, buckets)
-	}
-	return &Histogram{first: first, growth: growth, counts: make([]uint64, buckets)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	h.total++
-	h.sum += v
-	if v > h.maxSeen {
-		h.maxSeen = v
-	}
-	if v < h.first {
-		h.under++
-		return
-	}
-	idx := int(math.Log(v/h.first) / math.Log(h.growth))
-	if idx >= len(h.counts) {
-		idx = len(h.counts) - 1
-	}
-	h.counts[idx]++
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() uint64 { return h.total }
-
-// Mean returns the exact mean of all observations.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Max returns the largest observation seen (exact).
-func (h *Histogram) Max() float64 { return h.maxSeen }
-
-// Quantile returns an upper-bound estimate of the q-quantile: the upper
-// edge of the bucket containing it.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(h.total)))
-	if rank <= h.under {
-		return h.first
-	}
-	acc := h.under
-	edge := h.first
-	for _, c := range h.counts {
-		edge *= h.growth
-		acc += c
-		if acc >= rank {
-			return edge
-		}
-	}
-	return h.maxSeen
 }

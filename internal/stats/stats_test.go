@@ -79,85 +79,3 @@ func TestSampleQuantileOrderingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHistogramValidation(t *testing.T) {
-	for _, bad := range [][3]float64{{0, 2, 10}, {1, 1, 10}, {1, 2, 0}} {
-		if _, err := NewHistogram(bad[0], bad[1], int(bad[2])); err == nil {
-			t.Fatalf("accepted invalid shape %v", bad)
-		}
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h, err := NewHistogram(1, 2, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{0.5, 1.5, 3, 6, 12, 100} {
-		h.Add(v)
-	}
-	if h.N() != 6 {
-		t.Fatalf("N = %d", h.N())
-	}
-	if h.Max() != 100 {
-		t.Fatalf("Max = %v", h.Max())
-	}
-	wantMean := (0.5 + 1.5 + 3 + 6 + 12 + 100) / 6
-	if math.Abs(h.Mean()-wantMean) > 1e-9 {
-		t.Fatalf("Mean = %v, want %v", h.Mean(), wantMean)
-	}
-}
-
-func TestHistogramQuantileBounds(t *testing.T) {
-	// Property: the histogram quantile is an upper bound within one
-	// bucket's growth factor of the exact quantile.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h, err := NewHistogram(1, 1.5, 64)
-		if err != nil {
-			return false
-		}
-		var s Sample
-		for i := 0; i < 500; i++ {
-			v := math.Exp(rng.Float64() * 10) // 1 .. e^10
-			h.Add(v)
-			s.Add(v)
-		}
-		for _, q := range []float64{0.5, 0.9, 0.99} {
-			exact := s.Quantile(q)
-			est := h.Quantile(q)
-			if est < exact/1.5001 || est > exact*1.5001 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h, err := NewHistogram(1, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.N() != 0 {
-		t.Fatal("empty histogram not zero")
-	}
-}
-
-func TestHistogramUnderflowOverflow(t *testing.T) {
-	h, err := NewHistogram(10, 2, 3) // buckets: [10,20) [20,40) [40,80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(1)    // underflow
-	h.Add(1000) // overflow -> clamped to last bucket
-	if h.N() != 2 {
-		t.Fatalf("N = %d", h.N())
-	}
-	if got := h.Quantile(0.25); got != 10 {
-		t.Fatalf("underflow quantile = %v, want first edge", got)
-	}
-}

@@ -17,20 +17,14 @@ const DefaultInterval = 10 * simtime.Microsecond
 const DefaultWindow = 256
 
 // StreamOptions converts the sampler to windowed/streaming operation:
-// every tick is emitted incrementally to the configured writers and the
+// every tick is emitted incrementally to the configured writer and the
 // in-memory Timeline retains only the most recent Window samples, so a
-// run of any simulated length samples in constant memory. The emitted
-// byte streams match the buffered exporters exactly: CSV receives the
-// same bytes Timeline.WriteCSV would produce for an unbounded run, and
-// NDJSON the same bytes Timeline.WriteNDJSON would.
+// run of any simulated length samples in constant memory. CSV receives
+// the same bytes Timeline.WriteCSV would produce for an unbounded run.
 type StreamOptions struct {
 	// CSV, when non-nil, receives the timeline incrementally in the wide
 	// CSV format (header at Attach, one row per tick).
 	CSV io.Writer
-	// NDJSON, when non-nil, receives the timeline incrementally as
-	// newline-delimited JSON (one header object, then one row object per
-	// tick).
-	NDJSON io.Writer
 	// Window bounds in-memory sample retention (0 = DefaultWindow).
 	Window int
 }
@@ -47,11 +41,6 @@ type Options struct {
 	// (see StreamOptions). Ignored when ProfileOnly is set: with no
 	// sampler there is nothing to stream.
 	Stream *StreamOptions
-	// MaxFaults bounds the fault timeline: once that many records exist
-	// further RecordFault calls are counted in FaultsDropped and
-	// discarded, keeping long fault-heavy horizons in constant memory
-	// (0 = unbounded).
-	MaxFaults int
 }
 
 // Series is one named time-series; Values is indexed like the owning
@@ -77,7 +66,7 @@ type Timeline struct {
 
 	// Dropped counts samples evicted from the in-memory window by a
 	// streaming collector (always 0 in buffered operation). Evicted
-	// samples were already emitted to the stream writers; only the
+	// samples were already emitted to the stream writer; only the
 	// in-memory copy is released.
 	Dropped int64
 }
@@ -117,8 +106,6 @@ type Collector struct {
 	// Faults is the ordered timeline of fault events applied during the
 	// run (empty when no fault injection is configured).
 	Faults []FaultRecord
-	// FaultsDropped counts fault records discarded by Options.MaxFaults.
-	FaultsDropped int64
 
 	profileOnly bool
 	probes      []probe
@@ -128,9 +115,7 @@ type Collector struct {
 	stream    *StreamOptions
 	window    int
 	ticks     int64
-	maxFaults int
-	csvw      *streamCSV
-	ndjw      *streamNDJSON
+	csvw      *csvEmitter
 	streamErr error
 }
 
@@ -150,7 +135,6 @@ func New(opts Options) *Collector {
 		Registry:    NewRegistry(),
 		Timeline:    &Timeline{Interval: iv},
 		profileOnly: opts.ProfileOnly,
-		maxFaults:   opts.MaxFaults,
 	}
 	if opts.Stream != nil && !opts.ProfileOnly {
 		c.stream = opts.Stream
@@ -160,24 +144,6 @@ func New(opts Options) *Collector {
 		}
 	}
 	return c
-}
-
-// ProfileOnly reports whether the time-series sampler is disabled
-// (false for a nil collector: no collector, no sampler to disable).
-func (c *Collector) ProfileOnly() bool {
-	if c == nil {
-		return false
-	}
-	return c.profileOnly
-}
-
-// Streaming reports whether the sampler runs in windowed/streaming
-// operation (false for a nil collector).
-func (c *Collector) Streaming() bool {
-	if c == nil {
-		return false
-	}
-	return c.stream != nil
 }
 
 // Ticks returns the total number of sampling ticks taken, including
@@ -196,15 +162,9 @@ func (c *Collector) Ticks() int64 {
 
 // RecordFault appends one event to the fault timeline. The injector
 // calls it at the simulation time the fault is applied, so records are
-// naturally in non-decreasing time order. Once Options.MaxFaults
-// records exist, further events only bump FaultsDropped. Safe on a nil
-// collector.
+// naturally in non-decreasing time order. Safe on a nil collector.
 func (c *Collector) RecordFault(timeUs float64, kind, detail string) {
 	if c == nil {
-		return
-	}
-	if c.maxFaults > 0 && len(c.Faults) >= c.maxFaults {
-		c.FaultsDropped++
 		return
 	}
 	c.Faults = append(c.Faults, FaultRecord{TimeUs: timeUs, Kind: kind, Detail: detail})
@@ -226,8 +186,8 @@ func (c *Collector) AddProbe(name string, fn func() float64) {
 // sampler re-arms itself only while other events remain pending, so it
 // never keeps a drained simulation alive, and its ticks are pure
 // observations — an attached collector does not change any result.
-// In streaming operation this also emits the exporter headers, so all
-// probes must be registered first. A nil collector attaches nothing.
+// In streaming operation this also emits the CSV header, so all probes
+// must be registered first. A nil collector attaches nothing.
 func (c *Collector) Attach(q *eventq.Queue) {
 	if c == nil {
 		return
@@ -237,7 +197,7 @@ func (c *Collector) Attach(q *eventq.Queue) {
 	}
 	c.q = q
 	if c.stream != nil {
-		c.initStreams()
+		c.initStream()
 	}
 	q.After(c.Interval, c.tick)
 }
@@ -247,14 +207,14 @@ func (c *Collector) Attach(q *eventq.Queue) {
 // interval instead of the collector self-scheduling queue events (the
 // sharded root queue is frozen). It returns the sampling interval and
 // whether sampling is enabled at all (false for a nil or profile-only
-// collector). In streaming operation it also emits the exporter
-// headers, so all probes must be registered first.
+// collector). In streaming operation it also emits the CSV header, so
+// all probes must be registered first.
 func (c *Collector) BarrierSampling() (simtime.Duration, bool) {
 	if c == nil || c.profileOnly {
 		return 0, false
 	}
 	if c.stream != nil {
-		c.initStreams()
+		c.initStream()
 	}
 	return c.Interval, true
 }

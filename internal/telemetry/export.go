@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"switchv2p/internal/simtime"
 )
 
 // fixed formats a float with a fixed precision so exported CSV/JSON
@@ -31,11 +33,9 @@ type jsonExport struct {
 	Counters   []CounterValue `json:"counters"`
 	Gauges     []GaugeValue   `json:"gauges"`
 	Faults     []FaultRecord  `json:"faults,omitempty"`
-	// SamplesDropped / FaultsDropped surface streaming-window and
-	// fault-cap evictions; both are omitted (keeping buffered exports
-	// byte-identical to prior versions) when zero.
+	// SamplesDropped surfaces streaming-window evictions; omitted (so
+	// buffered exports carry no such key) when zero.
 	SamplesDropped int64       `json:"samples_dropped,omitempty"`
-	FaultsDropped  int64       `json:"faults_dropped,omitempty"`
 	Profile        jsonProfile `json:"profile"`
 }
 
@@ -56,7 +56,6 @@ func (c *Collector) WriteJSON(w io.Writer) error {
 		Gauges:         c.Registry.Gauges(),
 		Faults:         c.Faults,
 		SamplesDropped: c.Timeline.Dropped,
-		FaultsDropped:  c.FaultsDropped,
 		Profile: jsonProfile{
 			Events:           c.Profile.Events,
 			HeapHighWater:    c.Profile.HeapHighWater,
@@ -91,30 +90,57 @@ func (t *Timeline) WriteCSV(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	cw := csv.NewWriter(w)
-	header := []string{"time_us"}
-	for _, s := range t.Series {
-		header = append(header, s.Name)
-	}
-	if err := cw.Write(header); err != nil {
+	e, err := newCSVEmitter(w, t.Series)
+	if err != nil {
 		return err
 	}
-	row := make([]string, len(header))
 	for i, tm := range t.Times {
-		row[0] = fixed(float64(tm) / 1000)
-		for j, s := range t.Series {
-			v := 0.0
-			if i < len(s.Values) {
-				v = s.Values[i]
+		err := e.writeRow(tm, func(j int) float64 {
+			if vs := t.Series[j].Values; i < len(vs) {
+				return vs[i]
 			}
-			row[j+1] = fixed(v)
-		}
-		if err := cw.Write(row); err != nil {
+			return 0
+		})
+		if err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return e.flush()
+}
+
+// csvEmitter is the one place the wide timeline CSV is formatted: the
+// buffered exporter above and the streaming collector (stream.go) both
+// write through it, so their bytes cannot diverge.
+type csvEmitter struct {
+	cw  *csv.Writer
+	row []string
+}
+
+// newCSVEmitter writes the header row: time_us, then one column per
+// series.
+func newCSVEmitter(w io.Writer, series []*Series) (*csvEmitter, error) {
+	row := make([]string, 1, len(series)+1)
+	row[0] = "time_us"
+	for _, s := range series {
+		row = append(row, s.Name)
+	}
+	e := &csvEmitter{cw: csv.NewWriter(w), row: row}
+	return e, e.cw.Write(row)
+}
+
+// writeRow writes one sample row: the instant in microseconds, then
+// value(j) for series column j, all at fixed precision.
+func (e *csvEmitter) writeRow(tm simtime.Time, value func(j int) float64) error {
+	e.row[0] = fixed(float64(tm) / 1000)
+	for j := range e.row[1:] {
+		e.row[j+1] = fixed(value(j))
+	}
+	return e.cw.Write(e.row)
+}
+
+func (e *csvEmitter) flush() error {
+	e.cw.Flush()
+	return e.cw.Error()
 }
 
 // WriteFaultsCSV exports the fault timeline as CSV (time_us at fixed
@@ -180,9 +206,6 @@ func (c *Collector) Summary() string {
 	}
 	for _, f := range c.Faults {
 		fmt.Fprintf(&b, "fault     t=%-10s %-16s %s\n", fixed(f.TimeUs)+"us", f.Kind, f.Detail)
-	}
-	if c.FaultsDropped > 0 {
-		fmt.Fprintf(&b, "fault     (+%d further events beyond the MaxFaults cap)\n", c.FaultsDropped)
 	}
 	return b.String()
 }

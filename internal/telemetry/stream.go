@@ -1,195 +1,43 @@
 package telemetry
 
-import (
-	"bufio"
-	"encoding/csv"
-	"encoding/json"
-	"io"
+import "switchv2p/internal/simtime"
 
-	"switchv2p/internal/simtime"
-)
+// Incremental CSV emission for windowed/streaming collectors. The
+// invariant: the bytes produced over a run of any length are exactly
+// what the buffered exporter (Timeline.WriteCSV) would produce had
+// every sample been retained — both go through csvEmitter. Short runs
+// with large windows verify this directly (the oracle tests); long runs
+// then stream the same bytes in constant memory.
 
-// Incremental exporter plumbing for windowed/streaming collectors. The
-// invariant both emitters maintain: the byte stream produced over a run
-// of any length is exactly what the corresponding buffered exporter
-// (Timeline.WriteCSV / Timeline.WriteNDJSON) would produce had every
-// sample been retained. Short runs with large windows verify this
-// directly (the oracle tests); long runs then stream the same bytes in
-// constant memory.
-
-type streamCSV struct {
-	cw  *csv.Writer
-	row []string
-}
-
-type streamNDJSON struct {
-	bw   *bufio.Writer
-	buf  []byte
-	vals []float64
-}
-
-// initStreams emits the exporter headers. Called from Attach, after
-// every probe is registered and before the first tick.
-func (c *Collector) initStreams() {
-	if c.stream.CSV != nil {
-		cw := csv.NewWriter(c.stream.CSV)
-		header := make([]string, 0, len(c.Timeline.Series)+1)
-		header = append(header, "time_us")
-		for _, s := range c.Timeline.Series {
-			header = append(header, s.Name)
-		}
-		if err := cw.Write(header); err != nil && c.streamErr == nil {
-			c.streamErr = err
-		}
-		c.csvw = &streamCSV{cw: cw, row: make([]string, len(header))}
-	}
-	if c.stream.NDJSON != nil {
-		bw := bufio.NewWriter(c.stream.NDJSON)
-		if _, err := bw.Write(ndjsonHeader(c.Interval, c.Timeline.Series)); err != nil && c.streamErr == nil {
-			c.streamErr = err
-		}
-		c.ndjw = &streamNDJSON{bw: bw, vals: make([]float64, len(c.Timeline.Series))}
-	}
-}
-
-// emit writes the sample just recorded by tick to the stream writers.
-// The scratch buffers are reused, so a steady-state tick allocates
-// nothing beyond what fixed() formats.
-func (c *Collector) emit(now simtime.Time) {
-	if c.streamErr != nil {
+// initStream emits the CSV header. Called after every probe is
+// registered and before the first tick.
+func (c *Collector) initStream() {
+	if c.stream.CSV == nil {
 		return
 	}
-	if c.csvw != nil {
-		row := c.csvw.row
-		row[0] = fixed(float64(now) / 1000)
-		for i, p := range c.probes {
-			row[i+1] = fixed(p.series.last)
-		}
-		if err := c.csvw.cw.Write(row); err != nil {
-			c.streamErr = err
-			return
-		}
-	}
-	if c.ndjw != nil {
-		for i, p := range c.probes {
-			c.ndjw.vals[i] = p.series.last
-		}
-		c.ndjw.buf = appendNDJSONRow(c.ndjw.buf[:0], now, c.ndjw.vals)
-		if _, err := c.ndjw.bw.Write(c.ndjw.buf); err != nil {
-			c.streamErr = err
-		}
-	}
+	c.csvw, c.streamErr = newCSVEmitter(c.stream.CSV, c.Timeline.Series)
 }
 
-// FlushStreams flushes the incremental exporters and reports the first
+// emit writes the sample just recorded by tick to the stream writer.
+// The row buffer is reused, so a steady-state tick allocates nothing
+// beyond what fixed() formats.
+func (c *Collector) emit(now simtime.Time) {
+	if c.csvw == nil || c.streamErr != nil {
+		return
+	}
+	c.streamErr = c.csvw.writeRow(now, func(j int) float64 { return c.probes[j].series.last })
+}
+
+// FlushStreams flushes the incremental exporter and reports the first
 // write error encountered during the run. It must be called once the
 // simulation finishes; the harness does so automatically. A nil
-// collector (or one without streams) reports success.
+// collector (or one without a stream) reports success.
 func (c *Collector) FlushStreams() error {
-	if c == nil {
+	if c == nil || c.csvw == nil {
 		return nil
 	}
-	if c.streamErr != nil {
-		return c.streamErr
-	}
-	if c.csvw != nil {
-		c.csvw.cw.Flush()
-		if err := c.csvw.cw.Error(); err != nil {
-			c.streamErr = err
-			return err
-		}
-	}
-	if c.ndjw != nil {
-		if err := c.ndjw.bw.Flush(); err != nil {
-			c.streamErr = err
-			return err
-		}
-	}
-	return nil
-}
-
-// StreamErr returns the first write error encountered by the stream
-// emitters (nil for a nil collector).
-func (c *Collector) StreamErr() error {
-	if c == nil {
-		return nil
+	if c.streamErr == nil {
+		c.streamErr = c.csvw.flush()
 	}
 	return c.streamErr
-}
-
-// ndjsonHeader renders the NDJSON stream's leading header object:
-// sampling interval plus the series name axis shared by every row.
-func ndjsonHeader(interval simtime.Duration, series []*Series) []byte {
-	names := make([]string, len(series))
-	for i, s := range series {
-		names[i] = s.Name
-	}
-	nameJSON, err := json.Marshal(names)
-	if err != nil {
-		// A []string cannot fail to marshal; keep the stream well-formed
-		// regardless.
-		nameJSON = []byte("[]")
-	}
-	b := append([]byte(`{"interval_us":`), fixed(interval.Micros())...)
-	b = append(b, `,"series":`...)
-	b = append(b, nameJSON...)
-	b = append(b, '}', '\n')
-	return b
-}
-
-// appendNDJSONRow renders one sample row. Shared by the streaming
-// emitter and the buffered oracle so the two byte streams cannot
-// diverge.
-func appendNDJSONRow(b []byte, tm simtime.Time, vals []float64) []byte {
-	b = append(b, `{"time_us":`...)
-	b = append(b, fixed(float64(tm)/1000)...)
-	b = append(b, `,"values":[`...)
-	for i, v := range vals {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, fixed(v)...)
-	}
-	b = append(b, ']', '}', '\n')
-	return b
-}
-
-// WriteNDJSON exports the retained timeline as newline-delimited JSON:
-// one header object, then one row object per sample. This is the
-// buffered oracle for StreamOptions.NDJSON — on a run whose window
-// retained every sample it produces byte-identical output. A nil
-// timeline writes nothing and reports success.
-func (t *Timeline) WriteNDJSON(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(ndjsonHeader(t.Interval, t.Series)); err != nil {
-		return err
-	}
-	vals := make([]float64, len(t.Series))
-	var buf []byte
-	for i, tm := range t.Times {
-		for j, s := range t.Series {
-			vals[j] = 0
-			if i < len(s.Values) {
-				vals[j] = s.Values[i]
-			}
-		}
-		buf = appendNDJSONRow(buf[:0], tm, vals)
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteNDJSON exports the collector's retained timeline as NDJSON (see
-// Timeline.WriteNDJSON). A nil collector writes nothing and reports
-// success.
-func (c *Collector) WriteNDJSON(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
-	return c.Timeline.WriteNDJSON(w)
 }

@@ -33,18 +33,13 @@ func TestStreamMatchesBufferedOracle(t *testing.T) {
 
 	buffered := New(Options{Interval: iv})
 	driveSampler(buffered, ticks)
-	var wantCSV, wantND bytes.Buffer
+	var wantCSV bytes.Buffer
 	if err := buffered.WriteCSV(&wantCSV); err != nil {
 		t.Fatal(err)
 	}
-	if err := buffered.WriteNDJSON(&wantND); err != nil {
-		t.Fatal(err)
-	}
 
-	var gotCSV, gotND bytes.Buffer
-	streaming := New(Options{Interval: iv, Stream: &StreamOptions{
-		CSV: &gotCSV, NDJSON: &gotND, Window: 8,
-	}})
+	var gotCSV bytes.Buffer
+	streaming := New(Options{Interval: iv, Stream: &StreamOptions{CSV: &gotCSV, Window: 8}})
 	driveSampler(streaming, ticks)
 	if err := streaming.FlushStreams(); err != nil {
 		t.Fatal(err)
@@ -53,10 +48,6 @@ func TestStreamMatchesBufferedOracle(t *testing.T) {
 	if gotCSV.String() != wantCSV.String() {
 		t.Errorf("streamed CSV diverges from buffered oracle\nstreamed:\n%s\nbuffered:\n%s",
 			gotCSV.String(), wantCSV.String())
-	}
-	if gotND.String() != wantND.String() {
-		t.Errorf("streamed NDJSON diverges from buffered oracle\nstreamed:\n%s\nbuffered:\n%s",
-			gotND.String(), wantND.String())
 	}
 	if lines := strings.Count(gotCSV.String(), "\n"); lines != ticks+1 {
 		t.Errorf("streamed CSV has %d lines, want %d rows + header", lines, ticks)
@@ -117,29 +108,10 @@ func TestStreamSummaryMatchesBuffered(t *testing.T) {
 	}
 }
 
-func TestMaxFaultsBound(t *testing.T) {
-	c := New(Options{MaxFaults: 3})
-	for i := 0; i < 10; i++ {
-		c.RecordFault(float64(i), "SwitchFail", "switch 1")
-	}
-	if got := len(c.Faults); got != 3 {
-		t.Errorf("retained %d fault records, want 3", got)
-	}
-	if got := c.FaultsDropped; got != 7 {
-		t.Errorf("FaultsDropped = %d, want 7", got)
-	}
-	if c.Faults[0].TimeUs != 0 || c.Faults[2].TimeUs != 2 {
-		t.Errorf("cap must keep the oldest records, got %+v", c.Faults)
-	}
-	if !strings.Contains(c.Summary(), "+7 further events") {
-		t.Errorf("Summary does not surface dropped fault count:\n%s", c.Summary())
-	}
-}
-
 func TestProfileOnlyIgnoresStream(t *testing.T) {
 	var buf bytes.Buffer
 	c := New(Options{ProfileOnly: true, Stream: &StreamOptions{CSV: &buf}})
-	if c.Streaming() {
+	if c.stream != nil {
 		t.Error("ProfileOnly collector must not stream")
 	}
 	c.Attach(&eventq.Queue{})
@@ -156,14 +128,7 @@ func TestNilCollectorStreamMethods(t *testing.T) {
 	if err := c.FlushStreams(); err != nil {
 		t.Error(err)
 	}
-	if err := c.WriteNDJSON(&bytes.Buffer{}); err != nil {
-		t.Error(err)
-	}
-	if c.Streaming() || c.Ticks() != 0 || c.StreamErr() != nil {
-		t.Error("nil collector accessors must report zero values")
-	}
-	var tl *Timeline
-	if err := tl.WriteNDJSON(&bytes.Buffer{}); err != nil {
-		t.Error(err)
+	if c.Ticks() != 0 {
+		t.Error("nil collector must report zero ticks")
 	}
 }

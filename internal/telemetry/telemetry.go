@@ -2,7 +2,8 @@
 // metrics registry with allocation-free counters and gauges cheap
 // enough for the simulator hot path, a time-series sampler driven by
 // simulation events, engine profiling hooks (events/sec, heap depth),
-// and JSON/CSV exporters.
+// and JSON/CSV exporters. The CSV timeline — and only it — can also be
+// streamed tick by tick through a bounded window (StreamOptions).
 //
 // Telemetry is strictly opt-in. Instrumented code holds *Counter and
 // *Gauge handles whose methods are no-ops on a nil receiver, so hot

@@ -163,7 +163,7 @@ func TestSamplerFollowsQueue(t *testing.T) {
 func TestProfileOnlySchedulesNothing(t *testing.T) {
 	q := new(eventq.Queue)
 	c := New(Options{ProfileOnly: true})
-	if !c.ProfileOnly() {
+	if !c.profileOnly {
 		t.Fatal("ProfileOnly not reported")
 	}
 	c.Attach(q)

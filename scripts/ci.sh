@@ -16,9 +16,10 @@ echo "== v2plint (determinism + contract lint) =="
 # -json keeps the findings machine-readable for CI annotation tooling;
 # a clean run prints [] and exits 0, any unwaived finding fails the
 # build. -time lists every analyzer that ran with its wall clock (plus
-# call-graph construction) on stderr, so the suite and lint-cost
-# regressions are both visible in logs.
-go run ./cmd/v2plint -json -time ./...
+# call-graph construction) on stderr, so the suite and its cost are
+# visible in logs. The whole-module lint takes under a second; the
+# timeout fails the step if an analyzer or the call-graph build blows up.
+timeout 60 go run ./cmd/v2plint -json -time ./...
 
 echo "== staticcheck =="
 if command -v staticcheck >/dev/null 2>&1; then
@@ -71,9 +72,10 @@ go run ./examples/quickstart >/dev/null
 go run ./examples/faults -quick >/dev/null
 
 echo "== benches (one iteration each, smoke) =="
-# Compile-and-run every benchmark once so they cannot bit-rot; the
-# allocation benches (LinkSerializer, EcmpForward, EngineEventsPerSec)
-# double as smoke coverage for the allocation-free hot path.
+# Compile-and-run every package-local micro-benchmark once so they
+# cannot bit-rot; the allocation benches (LinkSerializer, EcmpForward)
+# double as smoke coverage for the allocation-free hot path. End-to-end
+# throughput is measured by `go run ./bench`, not here.
 go test -bench=. -benchmem -benchtime=1x -run='^$' ./...
 
 echo "== production-day scenario smoke =="
@@ -104,18 +106,5 @@ echo "== benchmark digest gate (go run ./bench, seed 1, one short repetition per
 # All five workloads must print sim_digest_match 1.
 digest_matches="$(go run ./bench -seed 1 -trace 0 -reps 1 -seconds 5 | grep -c 'sim_digest_match 1' || true)"
 test "$digest_matches" = 5 || { echo "bench digest gate: $digest_matches of 5 workloads match bench/golden.json"; exit 1; }
-
-echo "== v2plint timing regression guard (fresh vs committed BENCH_lint.json) =="
-# A fresh whole-module lint more than 3x slower than the committed
-# snapshot means an analyzer (or the call-graph build) has blown up and
-# fails the build; the 3x headroom absorbs machine noise. benchsnap
-# rewrites BENCH_lint.json, so read the committed figure first;
-# committing the refreshed file records the trend over time.
-committed_lint_wall="$(grep -m1 '"wall_ms"' BENCH_lint.json | tr -dc '0-9.')"
-go run ./cmd/benchsnap -out .
-fresh_lint_wall="$(grep -m1 '"wall_ms"' BENCH_lint.json | tr -dc '0-9.')"
-echo "lint wall: committed ${committed_lint_wall}ms, fresh ${fresh_lint_wall}ms"
-awk -v c="$committed_lint_wall" -v f="$fresh_lint_wall" 'BEGIN { exit !(c > 0 && f <= 3 * c) }' \
-  || { echo "lint timing regression: fresh ${fresh_lint_wall}ms > 3x committed ${committed_lint_wall}ms"; exit 1; }
 
 echo "CI OK"

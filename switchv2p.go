@@ -116,7 +116,7 @@ type (
 	// (set Config.Telemetry to a non-nil value).
 	TelemetryOptions = telemetry.Options
 	// TelemetryStreamOptions switches the collector to streaming
-	// operation (bounded ring window, incremental CSV/NDJSON emission)
+	// operation (bounded ring window, incremental CSV emission)
 	// so long horizons sample in constant memory.
 	TelemetryStreamOptions = telemetry.StreamOptions
 	// TelemetryCollector holds a run's collected telemetry
