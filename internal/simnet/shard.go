@@ -145,7 +145,7 @@ type sharding struct {
 // schedulers panic loudly instead of racing), and per-domain engine
 // views take over at the first Run. Call it after New and before any
 // flows are scheduled; callers that schedule host-side events must use
-// HostAt/HostAfter, and barrier-side tools AtBarrier/SetBarrierSampler.
+// HostAtTimed, and barrier-side tools AtBarrier/SetBarrierSampler.
 func (e *Engine) EnableSharding(workers int) {
 	if e.dom >= 0 {
 		panic("simnet: EnableSharding called on a shard view")
@@ -199,7 +199,7 @@ func (e *Engine) EnableSharding(workers int) {
 	}
 	e.shard = sh
 	e.Q.Freeze("simnet: the root event queue is frozen in sharded mode; " +
-		"schedule host events via HostAt/HostAfter and barrier work via " +
+		"schedule host events via HostAtTimed and barrier work via " +
 		"AtBarrier, or run this scheme/tool on the serial engine")
 }
 
@@ -245,23 +245,12 @@ func (e *Engine) hostQ(host int32) *eventq.Queue {
 //v2plint:hotpath
 func (e *Engine) HostNow(host int32) simtime.Time { return e.hostQ(host).Now() }
 
-// HostAt schedules fn at instant t on the queue that owns the given
-// host. It is the sharded-safe replacement for Q.At in host-side code
-// (transport timers, flow starts); on a serial engine it is exactly
-// Q.At.
-func (e *Engine) HostAt(host int32, t simtime.Time, fn func()) { e.hostQ(host).At(t, fn) }
-
-// HostAtTimed is HostAt for a typed event: host-side code that schedules
-// per flow or per timer passes a record instead of allocating a closure.
+// HostAtTimed schedules ev at instant t on the queue that owns the given
+// host. It is the sharded-safe replacement for Q.AtTimed in host-side code
+// (flow starts, transport timers, datagram pacing); on a serial engine it
+// is exactly Q.AtTimed.
 func (e *Engine) HostAtTimed(host int32, t simtime.Time, ev eventq.Timed) {
 	e.hostQ(host).AtTimed(t, ev)
-}
-
-// HostAfter schedules fn d after the host's current instant (see
-// HostAt).
-func (e *Engine) HostAfter(host int32, d simtime.Duration, fn func()) {
-	q := e.hostQ(host)
-	q.At(q.Now().Add(d), fn)
 }
 
 // viewOf returns the engine view owning the given host. Only valid

@@ -99,7 +99,7 @@ func (blackhole) FlushCache(int32)                                              
 // emit when segments {2,3} of a 10-segment window are overtaken by
 // segments 4..9: ACKs 1,2 then six duplicate ACKs of 2, then full
 // catch-up.
-func reorderedAckStream(s *tcpSender) {
+func reorderedAckStream(s *flow) {
 	s.onAck(s.host, 1)
 	s.onAck(s.host, 2)
 	for i := 0; i < 6; i++ {
@@ -109,7 +109,7 @@ func reorderedAckStream(s *tcpSender) {
 }
 
 func TestDupThreshControlsSpuriousRetransmits(t *testing.T) {
-	build := func(dupThresh int) *tcpSender {
+	build := func(dupThresh int) *flow {
 		topo, err := topology.New(topology.FT8())
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +122,7 @@ func TestDupThreshControlsSpuriousRetransmits(t *testing.T) {
 		a := New(e, cfg)
 		a.AddFlow(FlowSpec{ID: 1, Src: vips[0], Dst: vips[9], Proto: TCP, Bytes: 14000})
 		e.Q.Step() // run the flow-start event: the initial window is sent
-		return a.senders[1]
+		return a.flows[1]
 	}
 
 	// Aggressive legacy threshold: the six reorder-induced dupACKs

@@ -2,7 +2,7 @@
 // traffic runs over: a simplified TCP (slow start, AIMD congestion
 // avoidance, duplicate-ACK fast retransmit with a large reordering
 // tolerance in the spirit of RACK-TLP, and an RTO fallback) for flow
-// completion time measurements, and UDP constant-rate/burst senders for
+// completion time measurements, and UDP constant-rate/burst flows for
 // the Microbursts, Video and incast workloads.
 //
 // The Agent registers itself as the engine's delivery handler and owns
@@ -105,10 +105,10 @@ type Agent struct {
 	e   *simnet.Engine
 	cfg Config
 
-	senders   map[uint64]*tcpSender
-	receivers map[uint64]*tcpReceiver
-	udp       map[uint64]*FlowRecord
-	Records   []*FlowRecord
+	// flows finds a flow by id. A map, not a slice: the in-tree generators
+	// number flows 1..N, but trace.ReadWorkload admits any distinct ids.
+	flows   map[uint64]*flow
+	Records []*FlowRecord
 
 	// Telemetry handles, attached by the harness when telemetry is
 	// enabled. Nil handles are no-ops (see internal/telemetry), so the
@@ -120,94 +120,57 @@ type Agent struct {
 
 // New creates an agent and installs it as the engine's delivery handler.
 func New(e *simnet.Engine, cfg Config) *Agent {
-	a := &Agent{
-		e:         e,
-		cfg:       cfg,
-		senders:   make(map[uint64]*tcpSender),
-		receivers: make(map[uint64]*tcpReceiver),
-		udp:       make(map[uint64]*FlowRecord),
-	}
+	a := &Agent{e: e, cfg: cfg}
 	e.Handler = a.deliver
 	return a
 }
 
 // AddFlow registers a flow and schedules its start.
 func (a *Agent) AddFlow(spec FlowSpec) *FlowRecord {
-	rec := &FlowRecord{Spec: spec}
-	if spec.Proto == TCP {
-		a.register(rec, &tcpSender{}, &tcpReceiver{})
-	} else {
-		a.register(rec, nil, nil)
-	}
-	return rec
+	a.AddFlows([]FlowSpec{spec})
+	return a.Records[len(a.Records)-1]
 }
 
-// AddFlows registers a whole flow list, in order, exactly as one AddFlow
-// per flow would — but sizes the endpoint tables once and carves the
-// records and TCP endpoints from three slabs instead of allocating three
-// small objects per flow. The records are appended to Records.
+// AddFlows registers a flow list, in order, and schedules each flow's
+// start. The flows of one call are carved from one slab and their records
+// appended to Records. An id that is already registered is the caller's
+// bug: two flows filed under one id would be handed each other's packets.
 func (a *Agent) AddFlows(specs []FlowSpec) {
-	tcp := 0
-	for i := range specs {
-		if specs[i].Proto == TCP {
-			tcp++
-		}
-	}
-	// A map cannot be grown in place: presize each while it is still empty.
-	if tcp > 0 && len(a.senders) == 0 {
-		a.senders = make(map[uint64]*tcpSender, tcp)
-		a.receivers = make(map[uint64]*tcpReceiver, tcp)
-	}
-	if udp := len(specs) - tcp; udp > 0 && len(a.udp) == 0 {
-		a.udp = make(map[uint64]*FlowRecord, udp)
+	if len(a.flows) == 0 {
+		// A map cannot be grown in place: size it while it is still empty.
+		a.flows = make(map[uint64]*flow, len(specs))
 	}
 	a.Records = slices.Grow(a.Records, len(specs))
-	recs := make([]FlowRecord, len(specs))
-	senders := make([]tcpSender, tcp)
-	receivers := make([]tcpReceiver, tcp)
-	tcp = 0
+	slab := make([]flow, len(specs))
 	for i := range specs {
-		recs[i].Spec = specs[i]
-		if specs[i].Proto == TCP {
-			a.register(&recs[i], &senders[tcp], &receivers[tcp])
-			tcp++
-		} else {
-			a.register(&recs[i], nil, nil)
+		f, spec := &slab[i], &specs[i]
+		if a.flows[spec.ID] != nil {
+			panic(fmt.Sprintf("transport: duplicate flow id %d", spec.ID))
 		}
-	}
-}
-
-// register files one flow's record and, for TCP, its two endpoints (the
-// caller supplies their storage), and schedules the flow's start.
-func (a *Agent) register(rec *FlowRecord, s *tcpSender, r *tcpReceiver) {
-	spec := &rec.Spec
-	a.Records = append(a.Records, rec)
-	switch spec.Proto {
-	case TCP:
-		*s = tcpSender{a: a, rec: rec, host: -1}
-		*r = tcpReceiver{a: a, rec: rec}
-		a.senders[spec.ID] = s
-		a.receivers[spec.ID] = r
+		f.a, f.rec.Spec = a, *spec
+		switch spec.Proto {
+		case TCP:
+			mss := a.cfg.MSS
+			f.segs = max((spec.Bytes+mss-1)/mss, 1)
+			f.lastSize = max(spec.Bytes-(f.segs-1)*mss, 1)
+		case UDP:
+		default:
+			panic(fmt.Sprintf("transport: unknown proto %d", spec.Proto))
+		}
+		a.flows[spec.ID] = f
+		a.Records = append(a.Records, &f.rec)
 		if host, ok := a.hostOf(spec.Src); ok {
 			// Schedule on the queue that owns the source host (the root
 			// queue on a serial engine, the host's domain queue when
 			// sharded).
-			s.host = host
-			a.e.HostAtTimed(host, spec.Start, (*senderStart)(s))
+			f.host = host
+			a.e.HostAtTimed(host, spec.Start, f)
 		} else {
 			// Source VM not placed yet (churn scenarios place VMs
 			// mid-run): root-queue fallback, serial engine only.
-			a.e.Q.AtTimed(spec.Start, (*senderStart)(s))
+			f.host = -1
+			a.e.Q.AtTimed(spec.Start, f)
 		}
-	case UDP:
-		a.udp[spec.ID] = rec
-		if host, ok := a.hostOf(spec.Src); ok {
-			a.e.HostAt(host, spec.Start, func() { a.udpSend(rec, 0) })
-		} else {
-			a.e.Q.At(spec.Start, func() { a.udpSend(rec, 0) })
-		}
-	default:
-		panic(fmt.Sprintf("transport: unknown proto %d", spec.Proto))
 	}
 }
 
@@ -218,335 +181,308 @@ func (a *Agent) hostOf(vip netaddr.VIP) (int32, bool) {
 
 // deliver is the engine's Handler: dispatch to the flow endpoint.
 func (a *Agent) deliver(host int32, p *packet.Packet) {
+	f := a.flows[p.FlowID]
+	if f == nil {
+		return
+	}
 	switch p.Kind {
 	case packet.Data:
-		if r := a.receivers[p.FlowID]; r != nil {
-			r.onData(host, p)
-			return
-		}
-		if rec := a.udp[p.FlowID]; rec != nil {
-			rec.PacketsGot++
-			if !rec.FirstDelivered {
-				rec.FirstDelivered = true
-				rec.FirstPacketLatency = a.e.HostNow(host).Sub(rec.Spec.Start)
-			}
-			if rec.PacketsGot == int64(rec.Spec.Packets) {
-				rec.Completed = true
-				rec.FCT = a.e.HostNow(host).Sub(rec.Spec.Start)
-			}
-		}
+		f.onData(host, p)
 	case packet.Ack:
-		if s := a.senders[p.FlowID]; s != nil {
-			s.onAck(host, p.AckNo)
-		}
+		f.onAck(host, p.AckNo)
 	}
 }
 
-// udpSend emits UDP packet i of a flow and schedules the next.
-func (a *Agent) udpSend(rec *FlowRecord, i int) {
-	if i >= rec.Spec.Packets {
-		return
-	}
-	host, ok := a.hostOf(rec.Spec.Src)
-	if !ok {
-		return
-	}
-	p := packet.NewData(rec.Spec.ID, i, rec.Spec.PacketPayload, rec.Spec.Src, rec.Spec.Dst, 0)
-	p.FirstSent = i == 0
-	if i == rec.Spec.Packets-1 {
-		p.Fin = true
-	}
-	rec.PacketsSent++
-	a.e.HostSend(host, p)
-	if i+1 < rec.Spec.Packets {
-		a.e.HostAfter(host, rec.Spec.Interval, func() { a.udpSend(rec, i+1) })
-	}
-}
-
-// --- TCP sender ---
-
-type tcpSender struct {
+// flow is one registered flow: its measured record, what registration
+// fixes, then the sender's state and the receiver's state as two
+// contiguous groups — on the sharded engine the source host's worker
+// writes the first and the destination host's worker the second.
+type flow struct {
+	rec FlowRecord
 	a   *Agent
-	rec *FlowRecord
 
-	// host is the flow's source host, resolved at AddFlow (-1 when the
-	// VM was not yet placed — churn scenarios, serial engine only). The
-	// sender's timers live on this host's queue so that, sharded, they
-	// stay inside the host's domain.
+	segs     int // TCP: total segments
+	lastSize int // TCP: payload of the final segment
+
+	// --- sender ---
+
+	// host is the flow's source host, resolved at registration (-1 until
+	// the flow starts when the VM was not yet placed — churn scenarios,
+	// serial engine only). A TCP sender's timer lives on this host's queue
+	// so that, sharded, it stays inside the host's domain.
 	host int32
 
-	segs     int // total segments
-	lastSize int // payload of the final segment
-
 	una      int     // lowest unacknowledged seq
-	nextSeq  int     // next never-sent seq
+	nextSeq  int     // next never-sent seq; UDP: next datagram
 	cwnd     float64 // congestion window, segments
 	ssthresh float64
 	dupAcks  int
 
 	srtt   float64 // smoothed RTT, ns
 	rttvar float64
-	sent   []simtime.Time // send time per segment (for RTT samples)
-	retxed []bool         // segments ever retransmitted (Karn's rule)
+	// sent holds each segment's send time, for RTT samples; nil until the
+	// flow starts. A retransmission zeroes its segment's entry and a zero
+	// is never sampled (Karn's rule).
+	sent []simtime.Time
 
 	// Single lazily re-armed retransmission timer: deadline moves on
 	// every ACK, but only one event is ever pending. The pending event
 	// re-schedules itself if it fires before the current deadline.
 	deadline    simtime.Time
-	timerActive bool
 	retries     int
+	timerActive bool
 	done        bool
+
+	// --- receiver (TCP) ---
+
+	got       []bool // nil until the first segment arrives
+	cum       int    // next expected seq
+	remaining int
 }
 
-// A sender is its own event, under one method set per scheduled action:
-// scheduling it allocates nothing, where a method value would cost a
-// closure per call. eventq.Queue.Step dispatches these like any typed
-// event, so the hot-path check follows it in here; both are marked as
-// roots of their own, and what they allocate — once per flow, once per
-// expired timer, not per hop — is waived where it is called.
-type (
-	senderStart tcpSender // the flow's start
-	senderTimer tcpSender // the retransmission timer
-)
-
-// Fire starts the flow.
+// Fire runs the flow's one pending event. A flow never has two — its
+// start, then the retransmission timer (TCP) or the next datagram (UDP) —
+// so the flow is its own event: scheduling it allocates nothing, where a
+// closure or a method value would cost an allocation per call.
+// eventq.Queue.Step dispatches it like any typed event, so the hot-path
+// check follows it in here; Fire is marked as a root of its own, and what
+// it allocates is waived where it is called.
 //
 //v2plint:hotpath
-func (ev *senderStart) Fire() {
-	//v2plint:allow hotpath once per flow: start makes the flow's per-segment arrays and sends its first window, one packet allocation per send
-	(*tcpSender)(ev).start()
-}
-
-// Fire runs the retransmission timer.
-//
-//v2plint:hotpath
-func (ev *senderTimer) Fire() {
-	//v2plint:allow hotpath an expired timer retransmits, one packet allocation like every send; a timer that is early or stale allocates nothing
-	(*tcpSender)(ev).onTimer()
-}
-
-func (s *tcpSender) start() {
-	if s.host < 0 {
-		if host, ok := s.a.hostOf(s.rec.Spec.Src); ok {
-			s.host = host
+func (f *flow) Fire() {
+	if f.timerActive {
+		if !f.done && f.a.e.HostNow(f.host) < f.deadline {
+			// The deadline moved (an ACK arrived since): chase it with one
+			// re-scheduled event instead of one event per ACK.
+			f.a.e.HostAtTimed(f.host, f.deadline, f)
+			return
+		}
+		f.timerActive = false
+		if f.done {
+			return
 		}
 	}
-	spec := s.rec.Spec
-	mss := s.a.cfg.MSS
-	s.segs = (spec.Bytes + mss - 1) / mss
-	if s.segs == 0 {
-		s.segs = 1
-	}
-	s.lastSize = spec.Bytes - (s.segs-1)*mss
-	if s.lastSize <= 0 {
-		s.lastSize = 1
-	}
-	s.cwnd = s.a.cfg.InitCwnd
-	s.ssthresh = math.Inf(1)
-	s.sent = make([]simtime.Time, s.segs)
-	s.retxed = make([]bool, s.segs)
-	s.sendAvailable()
-	s.armRTO()
+	//v2plint:allow hotpath a due event sends, one packet allocation per send; a flow's start also makes its per-segment array, once per flow; a timer that is early or stale has returned above and allocated nothing
+	f.send()
 }
 
-func (s *tcpSender) payloadOf(seq int) int {
-	if seq == s.segs-1 {
-		return s.lastSize
-	}
-	return s.a.cfg.MSS
-}
-
-// sendAvailable transmits new segments while the window allows.
-func (s *tcpSender) sendAvailable() {
-	for !s.done && s.nextSeq < s.segs && float64(s.nextSeq-s.una) < math.Min(s.cwnd, s.a.cfg.ReceiverWin) {
-		s.transmit(s.nextSeq, false)
-		s.nextSeq++
+// send is the flow's turn to transmit on its own clock (ACK-clocked
+// segments go out through onAck): a UDP flow's next datagram, a TCP
+// flow's first window, or the retransmission its expired timer asks for.
+func (f *flow) send() {
+	switch {
+	case f.rec.Spec.Proto == UDP:
+		f.udpSend()
+	case f.sent == nil:
+		f.start()
+	default:
+		f.onRTO()
 	}
 }
 
-func (s *tcpSender) transmit(seq int, retx bool) {
-	host, ok := s.a.hostOf(s.rec.Spec.Src)
+// udpSend emits the flow's next datagram and schedules the one after.
+func (f *flow) udpSend() {
+	spec, i := &f.rec.Spec, f.nextSeq
+	if i >= spec.Packets {
+		return
+	}
+	host, ok := f.a.hostOf(spec.Src)
 	if !ok {
 		return
 	}
-	spec := s.rec.Spec
-	p := packet.NewData(spec.ID, seq, s.payloadOf(seq), spec.Src, spec.Dst, 0)
-	p.FirstSent = seq == 0 && !retx
-	p.Fin = seq == s.segs-1
-	p.Retx = retx
-	s.sent[seq] = s.a.e.HostNow(host)
-	s.rec.PacketsSent++
-	if retx {
-		s.retxed[seq] = true
-		s.rec.Retransmits++
-		s.a.RetxCounter.Inc()
+	p := packet.NewData(spec.ID, i, spec.PacketPayload, spec.Src, spec.Dst, 0)
+	p.FirstSent = i == 0
+	p.Fin = i == spec.Packets-1
+	f.rec.PacketsSent++
+	f.a.e.HostSend(host, p)
+	f.nextSeq++
+	if f.nextSeq < spec.Packets {
+		f.a.e.HostAtTimed(host, f.a.e.HostNow(host).Add(spec.Interval), f)
 	}
-	s.a.e.HostSend(host, p)
 }
 
-func (s *tcpSender) onAck(host int32, ackNo int) {
-	if s.done {
+// --- TCP sender ---
+
+func (f *flow) start() {
+	if f.host < 0 {
+		if host, ok := f.a.hostOf(f.rec.Spec.Src); ok {
+			f.host = host
+		}
+	}
+	f.cwnd = f.a.cfg.InitCwnd
+	f.ssthresh = math.Inf(1)
+	f.sent = make([]simtime.Time, f.segs)
+	f.sendAvailable()
+	f.armRTO()
+}
+
+func (f *flow) payloadOf(seq int) int {
+	if seq == f.segs-1 {
+		return f.lastSize
+	}
+	return f.a.cfg.MSS
+}
+
+// sendAvailable transmits new segments while the window allows.
+func (f *flow) sendAvailable() {
+	for !f.done && f.nextSeq < f.segs && float64(f.nextSeq-f.una) < math.Min(f.cwnd, f.a.cfg.ReceiverWin) {
+		f.transmit(f.nextSeq, false)
+		f.nextSeq++
+	}
+}
+
+func (f *flow) transmit(seq int, retx bool) {
+	spec := &f.rec.Spec
+	host, ok := f.a.hostOf(spec.Src)
+	if !ok {
 		return
 	}
-	if ackNo > s.una {
+	p := packet.NewData(spec.ID, seq, f.payloadOf(seq), spec.Src, spec.Dst, 0)
+	p.FirstSent = seq == 0 && !retx
+	p.Fin = seq == f.segs-1
+	p.Retx = retx
+	f.rec.PacketsSent++
+	if retx {
+		f.sent[seq] = 0
+		f.rec.Retransmits++
+		f.a.RetxCounter.Inc()
+	} else {
+		f.sent[seq] = f.a.e.HostNow(host)
+	}
+	f.a.e.HostSend(host, p)
+}
+
+func (f *flow) onAck(host int32, ackNo int) {
+	if f.done {
+		return
+	}
+	if ackNo > f.una {
 		// New data acknowledged.
-		acked := ackNo - s.una
+		acked := ackNo - f.una
 		// Karn's rule: never sample RTT from a retransmitted segment —
 		// the measurement is ambiguous and, fed into the backoff, can
 		// run away under persistent congestion.
-		if t := s.sent[ackNo-1]; t > 0 && !s.retxed[ackNo-1] {
-			s.rttSample(float64(s.a.e.HostNow(host).Sub(t)))
+		if t := f.sent[ackNo-1]; t > 0 {
+			f.rttSample(float64(f.a.e.HostNow(host).Sub(t)))
 		}
-		s.una = ackNo
-		s.dupAcks = 0
-		s.retries = 0
+		f.una = ackNo
+		f.dupAcks = 0
+		f.retries = 0
 		for i := 0; i < acked; i++ {
-			if s.cwnd < s.ssthresh {
-				s.cwnd++ // slow start
+			if f.cwnd < f.ssthresh {
+				f.cwnd++ // slow start
 			} else {
-				s.cwnd += 1 / s.cwnd // congestion avoidance
+				f.cwnd += 1 / f.cwnd // congestion avoidance
 			}
 		}
-		if s.una >= s.segs {
-			s.done = true
+		if f.una >= f.segs {
+			f.done = true
 			return
 		}
-		s.armRTO()
-		s.sendAvailable()
+		f.armRTO()
+		f.sendAvailable()
 		return
 	}
 	// Duplicate ACK.
-	s.dupAcks++
-	if s.dupAcks == s.a.cfg.DupThresh {
-		s.dupAcks = 0
-		s.ssthresh = math.Max(s.cwnd/2, 2)
-		s.cwnd = s.ssthresh
-		s.transmit(s.una, true)
-		s.armRTO()
+	f.dupAcks++
+	if f.dupAcks == f.a.cfg.DupThresh {
+		f.dupAcks = 0
+		f.ssthresh = math.Max(f.cwnd/2, 2)
+		f.cwnd = f.ssthresh
+		f.transmit(f.una, true)
+		f.armRTO()
 	}
 }
 
-func (s *tcpSender) rttSample(rtt float64) {
-	if s.srtt == 0 {
-		s.srtt = rtt
-		s.rttvar = rtt / 2
+func (f *flow) rttSample(rtt float64) {
+	if f.srtt == 0 {
+		f.srtt = rtt
+		f.rttvar = rtt / 2
 		return
 	}
-	diff := math.Abs(s.srtt - rtt)
-	s.rttvar = 0.75*s.rttvar + 0.25*diff
-	s.srtt = 0.875*s.srtt + 0.125*rtt
+	diff := math.Abs(f.srtt - rtt)
+	f.rttvar = 0.75*f.rttvar + 0.25*diff
+	f.srtt = 0.875*f.srtt + 0.125*rtt
 }
 
-func (s *tcpSender) rto() simtime.Duration {
-	rto := simtime.Duration(s.srtt + 4*s.rttvar)
-	if rto < s.a.cfg.MinRTO {
-		rto = s.a.cfg.MinRTO
+func (f *flow) rto() simtime.Duration {
+	rto := simtime.Duration(f.srtt + 4*f.rttvar)
+	if rto < f.a.cfg.MinRTO {
+		rto = f.a.cfg.MinRTO
 	}
-	rto *= simtime.Duration(1 << min(s.retries, 6)) // exponential backoff
-	if max := s.a.cfg.MaxRTO; max > 0 && rto > max {
-		rto = max
+	rto *= simtime.Duration(1 << min(f.retries, 6)) // exponential backoff
+	if ceiling := f.a.cfg.MaxRTO; ceiling > 0 && rto > ceiling {
+		rto = ceiling
 	}
 	return rto
 }
 
-func (s *tcpSender) armRTO() {
-	s.deadline = s.a.e.HostNow(s.host).Add(s.rto())
-	if s.timerActive {
+func (f *flow) armRTO() {
+	f.deadline = f.a.e.HostNow(f.host).Add(f.rto())
+	if f.timerActive {
 		return // the pending event will chase the new deadline
 	}
-	s.timerActive = true
-	s.a.e.HostAtTimed(s.host, s.deadline, (*senderTimer)(s))
+	f.timerActive = true
+	f.a.e.HostAtTimed(f.host, f.deadline, f)
 }
 
-// onTimer fires the single retransmission timer: if the deadline moved
-// (an ACK arrived since), chase it with one re-scheduled event instead
-// of one event per ACK.
-func (s *tcpSender) onTimer() {
-	if s.done {
-		s.timerActive = false
+// onRTO answers an expired retransmission timer.
+func (f *flow) onRTO() {
+	f.a.RTOCounter.Inc()
+	f.retries++
+	if f.retries > f.a.cfg.MaxRetries {
+		f.done = true
+		f.rec.TimedOut = true
 		return
 	}
-	if now := s.a.e.HostNow(s.host); now < s.deadline {
-		s.a.e.HostAtTimed(s.host, s.deadline, (*senderTimer)(s))
-		return
-	}
-	s.timerActive = false
-	s.onRTO()
+	f.ssthresh = math.Max(f.cwnd/2, 2)
+	f.cwnd = f.a.cfg.InitCwnd
+	f.dupAcks = 0
+	f.transmit(f.una, true)
+	f.armRTO()
 }
 
-func (s *tcpSender) onRTO() {
-	if s.done {
-		return
-	}
-	s.a.RTOCounter.Inc()
-	s.retries++
-	if s.retries > s.a.cfg.MaxRetries {
-		s.done = true
-		s.rec.TimedOut = true
-		return
-	}
-	s.ssthresh = math.Max(s.cwnd/2, 2)
-	s.cwnd = s.a.cfg.InitCwnd
-	s.dupAcks = 0
-	s.transmit(s.una, true)
-	s.armRTO()
-}
+// --- receiving ---
 
-// --- TCP receiver ---
-
-type tcpReceiver struct {
-	a   *Agent
-	rec *FlowRecord
-
-	got       []bool
-	cum       int // next expected seq
-	remaining int
-	inited    bool
-}
-
-func (r *tcpReceiver) init() {
-	mss := r.a.cfg.MSS
-	segs := (r.rec.Spec.Bytes + mss - 1) / mss
-	if segs == 0 {
-		segs = 1
+// onData counts an arriving data packet; a TCP flow also files the
+// segment and acknowledges it.
+func (f *flow) onData(host int32, p *packet.Packet) {
+	rec := &f.rec
+	if !rec.FirstDelivered {
+		rec.FirstDelivered = true
+		rec.FirstPacketLatency = f.a.e.HostNow(host).Sub(rec.Spec.Start)
 	}
-	r.got = make([]bool, segs)
-	r.remaining = segs
-	r.inited = true
-}
-
-func (r *tcpReceiver) onData(host int32, p *packet.Packet) {
-	if !r.inited {
-		r.init()
-	}
-	if !r.rec.FirstDelivered {
-		r.rec.FirstDelivered = true
-		r.rec.FirstPacketLatency = r.a.e.HostNow(host).Sub(r.rec.Spec.Start)
-	}
-	r.rec.PacketsGot++
-	if p.Seq < len(r.got) && !r.got[p.Seq] {
-		r.got[p.Seq] = true
-		r.remaining--
-		for r.cum < len(r.got) && r.got[r.cum] {
-			r.cum++
+	rec.PacketsGot++
+	if rec.Spec.Proto == UDP {
+		if rec.PacketsGot == int64(rec.Spec.Packets) {
+			f.complete(host)
 		}
-		if r.remaining == 0 && !r.rec.Completed {
-			r.rec.Completed = true
-			r.rec.FCT = r.a.e.HostNow(host).Sub(r.rec.Spec.Start)
+		return
+	}
+	if f.got == nil {
+		f.got = make([]bool, f.segs)
+		f.remaining = f.segs
+	}
+	if p.Seq < len(f.got) && !f.got[p.Seq] {
+		f.got[p.Seq] = true
+		f.remaining--
+		for f.cum < len(f.got) && f.got[f.cum] {
+			f.cum++
+		}
+		if f.remaining == 0 {
+			f.complete(host)
 		}
 	}
 	// Acknowledge (cumulative) — the ACK resolves like any packet.
-	host, ok := r.a.hostOf(r.rec.Spec.Dst)
+	host, ok := f.a.hostOf(rec.Spec.Dst)
 	if !ok {
 		return
 	}
-	ack := packet.NewAck(p.FlowID, r.cum, r.rec.Spec.Dst, r.rec.Spec.Src, 0)
-	r.a.e.HostSend(host, ack)
+	f.a.e.HostSend(host, packet.NewAck(p.FlowID, f.cum, rec.Spec.Dst, rec.Spec.Src, 0))
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// complete records the arrival of the flow's last outstanding packet.
+func (f *flow) complete(host int32) {
+	f.rec.Completed = true
+	f.rec.FCT = f.a.e.HostNow(host).Sub(f.rec.Spec.Start)
 }

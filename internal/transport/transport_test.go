@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"strings"
 	"testing"
 
 	"switchv2p/internal/baselines"
@@ -283,13 +284,15 @@ func TestBluebirdOverloadNoRTORunaway(t *testing.T) {
 	}
 }
 
-// TestAddFlowsMatchesAddFlow registers one mixed TCP/UDP flow list two
-// ways — one AddFlow per flow, and AddFlows in two batches (the second
-// lands on already-populated tables) — and requires identical records in
-// identical order after the run.
+// TestAddFlowsMatchesAddFlow registers one mixed TCP/UDP flow list three
+// ways — one AddFlow per flow, one AddFlows, and AddFlows in two batches
+// (the second lands on an already-populated table) — and requires identical
+// records in identical order after the run. The last two flows, one of each
+// protocol, start from a VM that is placed only after registration, so their
+// start events take the root-queue fallback.
 func TestAddFlowsMatchesAddFlow(t *testing.T) {
 	var specs []FlowSpec
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 42; i++ {
 		f := FlowSpec{ID: uint64(i + 1), Start: simtime.Time(i) * 700}
 		if i%4 == 3 {
 			f.Proto, f.Packets, f.PacketPayload, f.Interval = UDP, 5+i, 400, simtime.Microsecond
@@ -300,10 +303,18 @@ func TestAddFlowsMatchesAddFlow(t *testing.T) {
 	}
 	run := func(add func(a *Agent, specs []FlowSpec)) []*FlowRecord {
 		w := newWorld(t, switchV2P)
+		late := w.net.ReserveVIP()
 		for i := range specs {
 			specs[i].Src, specs[i].Dst = w.vips[i%17], w.vips[100+i%23]
+			if i >= len(specs)-2 {
+				specs[i].Src = late
+			}
 		}
 		add(w.agent, specs)
+		host, _ := w.net.HostOf(w.vips[3])
+		if err := w.net.PlaceVM(late, host, 0); err != nil {
+			t.Fatal(err)
+		}
 		w.e.Run(simtime.Never)
 		return w.agent.Records
 	}
@@ -312,27 +323,67 @@ func TestAddFlowsMatchesAddFlow(t *testing.T) {
 			a.AddFlow(f)
 		}
 	})
-	batch := run(func(a *Agent, specs []FlowSpec) {
-		a.AddFlows(specs[:25])
-		a.AddFlows(specs[25:])
-	})
-	if len(one) != len(specs) || len(batch) != len(specs) {
-		t.Fatalf("records: %d by AddFlow, %d by AddFlows, want %d", len(one), len(batch), len(specs))
+	ways := map[string][]*FlowRecord{
+		"one AddFlows": run(func(a *Agent, specs []FlowSpec) { a.AddFlows(specs) }),
+		"two AddFlows": run(func(a *Agent, specs []FlowSpec) {
+			a.AddFlows(specs[:25])
+			a.AddFlows(specs[25:])
+		}),
 	}
-	for i := range one {
-		if *one[i] != *batch[i] {
-			t.Fatalf("flow %d differs:\nAddFlow  %+v\nAddFlows %+v", i, *one[i], *batch[i])
+	if len(one) != len(specs) {
+		t.Fatalf("%d records by AddFlow, want %d", len(one), len(specs))
+	}
+	for way, batch := range ways {
+		if len(batch) != len(specs) {
+			t.Fatalf("%d records by %s, want %d", len(batch), way, len(specs))
 		}
-		if !one[i].Completed {
-			t.Fatalf("flow %d did not complete: %+v", i, *one[i])
+		for i := range one {
+			if *one[i] != *batch[i] {
+				t.Fatalf("flow %d differs:\nAddFlow  %+v\n%s %+v", i, *one[i], way, *batch[i])
+			}
+			if !one[i].Completed {
+				t.Fatalf("flow %d did not complete: %+v", i, *one[i])
+			}
 		}
 	}
 }
 
-// TestFlowStartAndTimerScheduleWithoutAllocating: a TCP sender is its own
-// start and timer event, so registering a batch of flows allocates per
-// batch (slabs, tables, queue growth), not per flow, and re-arming the
-// retransmission timer allocates nothing.
+// TestDuplicateFlowIDPanics: two flows filed under one id would be handed
+// each other's packets, so registration refuses the second, naming the id.
+func TestDuplicateFlowIDPanics(t *testing.T) {
+	w := newWorld(t, noCache)
+	tcp := FlowSpec{ID: 7, Src: w.vips[0], Dst: w.vips[9], Proto: TCP, Bytes: 500}
+	udp := FlowSpec{ID: 8, Src: w.vips[1], Dst: w.vips[9], Proto: UDP, Packets: 3, PacketPayload: 100}
+	other := FlowSpec{ID: 9, Src: w.vips[2], Dst: w.vips[9], Proto: TCP, Bytes: 500}
+	w.agent.AddFlows([]FlowSpec{tcp, udp})
+	for name, tc := range map[string]struct {
+		id  string
+		add func()
+	}{
+		"AddFlow, TCP":         {"7", func() { w.agent.AddFlow(tcp) }},
+		"AddFlow, UDP":         {"8", func() { w.agent.AddFlow(udp) }},
+		"second AddFlows, TCP": {"7", func() { w.agent.AddFlows([]FlowSpec{other, tcp}) }},
+		"second AddFlows, UDP": {"8", func() { w.agent.AddFlows([]FlowSpec{udp}) }},
+		"across the protocols": {"8", func() { u := tcp; u.ID = 8; w.agent.AddFlow(u) }},
+		"within one AddFlows":  {"21", func() { u := tcp; u.ID = 21; w.agent.AddFlows([]FlowSpec{u, u}) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := "duplicate flow id " + tc.id; !strings.Contains(msg, want) {
+					t.Errorf("%s: panic %q, want one containing %q", name, msg, want)
+				}
+			}()
+			tc.add()
+		}()
+	}
+}
+
+// TestFlowStartAndTimerScheduleWithoutAllocating: a flow is its own start,
+// timer and datagram-pacing event, so registering a batch of flows allocates
+// per batch (slab, table, queue growth), not per flow, re-arming the
+// retransmission timer allocates nothing, and a UDP datagram costs its
+// packet and nothing else.
 func TestFlowStartAndTimerScheduleWithoutAllocating(t *testing.T) {
 	w := newWorld(t, noCache)
 	specs := make([]FlowSpec, 1000)
@@ -349,7 +400,7 @@ func TestFlowStartAndTimerScheduleWithoutAllocating(t *testing.T) {
 	w = newWorld(t, noCache)
 	w.agent.AddFlow(specs[0])
 	w.e.Run(simtime.Never)
-	s := w.agent.senders[specs[0].ID]
+	s := w.agent.flows[specs[0].ID]
 	if !s.done || s.timerActive {
 		t.Fatalf("flow did not finish with its timer retired: done %v, timer active %v", s.done, s.timerActive)
 	}
@@ -359,5 +410,17 @@ func TestFlowStartAndTimerScheduleWithoutAllocating(t *testing.T) {
 	})
 	if rearm != 0 {
 		t.Fatalf("arming the retransmission timer allocates %v times, want 0", rearm)
+	}
+
+	const datagrams = 200
+	id := specs[0].ID
+	perFlow := testing.AllocsPerRun(5, func() {
+		id++
+		w.agent.AddFlow(FlowSpec{ID: id, Src: w.vips[0], Dst: w.vips[9], Proto: UDP,
+			Packets: datagrams, PacketPayload: 500, Interval: simtime.Microsecond, Start: w.e.Now()})
+		w.e.Run(simtime.Never)
+	})
+	if perFlow >= 1.5*datagrams {
+		t.Fatalf("a %d-datagram UDP flow allocates %v times, want one per datagram (its packet) and a handful per flow", datagrams, perFlow)
 	}
 }
