@@ -361,7 +361,9 @@ func Migration(cfg MigrationConfig) (*MigrationResult, error) {
 			panic(err)
 		}
 	})
-	w.Engine.Run(simtime.Never)
+	if err := w.Run(simtime.Never); err != nil {
+		return nil, err
+	}
 
 	c := &w.Engine.C
 	res := &MigrationResult{

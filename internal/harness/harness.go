@@ -364,8 +364,24 @@ type World struct {
 	Telem *telemetry.Collector
 
 	// Injector is the attached fault injector (nil when Config.Faults
-	// is unset); inspect Injector.Applied and Injector.Err after a run.
+	// is unset); inspect Injector.Applied after a run. World.Run returns
+	// its Err.
 	Injector *faults.Injector
+}
+
+// Run runs the simulation to the horizon and reports what a finished run
+// can have failed at: a fault event that did not apply (the injector only
+// collects those) or a telemetry stream that did not flush.
+func (w *World) Run(horizon simtime.Time) error {
+	w.Engine.Run(horizon)
+	if w.Injector != nil {
+		if err := w.Injector.Err(); err != nil {
+			return err
+		}
+	}
+	// Streaming telemetry buffers bytes in its writers until flushed; a
+	// buffered (or absent) collector makes this a no-op.
+	return w.Telem.FlushStreams()
 }
 
 // totalCacheEntries converts the cache fraction into aggregate entries.
@@ -527,15 +543,7 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.Engine.Run(w.Cfg.Horizon)
-	if w.Injector != nil {
-		if err := w.Injector.Err(); err != nil {
-			return nil, err
-		}
-	}
-	// Streaming telemetry buffers bytes in its writers until flushed; a
-	// buffered (or absent) collector makes this a no-op.
-	if err := w.Telem.FlushStreams(); err != nil {
+	if err := w.Run(w.Cfg.Horizon); err != nil {
 		return nil, err
 	}
 	return w.Report(), nil

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
+	"switchv2p/internal/faults"
 	"switchv2p/internal/simtime"
 	"switchv2p/internal/topology"
 )
@@ -349,6 +351,18 @@ func TestMigrationConfigValidation(t *testing.T) {
 	mc.Senders = 100000 // more than servers
 	if _, err := Migration(mc); err == nil {
 		t.Fatal("accepted more senders than servers")
+	}
+
+	// A fault event that cannot be applied fails the run, as it does in
+	// Run: two hosts are never adjacent, which only the engine finds out.
+	mc = DefaultMigrationConfig(base)
+	mc.Senders, mc.TotalPackets = 16, 4000
+	mc.Base.Faults = &faults.Config{Schedule: []faults.Event{{
+		At: simtime.Time(10 * simtime.Microsecond), Kind: faults.LinkDown,
+		A: topology.HostRef(0), B: topology.HostRef(1),
+	}}}
+	if _, err := Migration(mc); err == nil || !strings.Contains(err.Error(), "faults:") {
+		t.Fatalf("a fault on a link that does not exist: error %v, want the injector's", err)
 	}
 }
 

@@ -106,14 +106,7 @@ func Run(spec Spec) (*Report, error) {
 	}
 	rs := schedule(spec, w, pl)
 
-	w.Engine.Run(w.Cfg.Horizon)
-
-	if w.Injector != nil {
-		if err := w.Injector.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Telem.FlushStreams(); err != nil {
+	if err := w.Run(w.Cfg.Horizon); err != nil {
 		return nil, err
 	}
 	if rs.opErr != nil {
