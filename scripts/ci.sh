@@ -67,9 +67,14 @@ go test -race -count=1 -run 'TestShard' ./internal/harness
 
 echo "== examples smoke =="
 # Run the two examples a newcomer meets first: the README quickstart and
-# the fault-injection experiment (-quick keeps it to a small config).
+# the fault-injection experiment (-quick keeps it to a small config);
+# then the only end-to-end runs, outside `go test`, of the UDP incast
+# through the facade (migration) and of AddFlow on an already-built
+# world (multitenant). Under a second each.
 go run ./examples/quickstart >/dev/null
 go run ./examples/faults -quick >/dev/null
+go run ./examples/migration >/dev/null
+go run ./examples/multitenant >/dev/null
 
 echo "== benches (one iteration each, smoke) =="
 # Compile-and-run every package-local micro-benchmark once so they
