@@ -333,6 +333,11 @@ func TestAddFlowsMatchesAddFlow(t *testing.T) {
 	if len(one) != len(specs) {
 		t.Fatalf("%d records by AddFlow, want %d", len(one), len(specs))
 	}
+	for i := range one {
+		if !one[i].Completed {
+			t.Fatalf("flow %d did not complete: %+v", i, *one[i])
+		}
+	}
 	for way, batch := range ways {
 		if len(batch) != len(specs) {
 			t.Fatalf("%d records by %s, want %d", len(batch), way, len(specs))
@@ -340,9 +345,6 @@ func TestAddFlowsMatchesAddFlow(t *testing.T) {
 		for i := range one {
 			if *one[i] != *batch[i] {
 				t.Fatalf("flow %d differs:\nAddFlow  %+v\n%s %+v", i, *one[i], way, *batch[i])
-			}
-			if !one[i].Completed {
-				t.Fatalf("flow %d did not complete: %+v", i, *one[i])
 			}
 		}
 	}
