@@ -333,7 +333,9 @@ type Report struct {
 	Rerouted    int64 // packets steered off their hash-preferred ECMP hop
 	FaultEvents int   // fault events applied during the run
 
-	// CoreStats is present for SwitchV2P runs (Table 5 attribution).
+	// CoreStats is present for every scheme that caches in the network:
+	// SwitchV2P and the baselines that embed it (gwcache, hybrid, hosttor).
+	// Table 5 attribution.
 	CoreStats *core.Stats
 
 	// HostStats is present for the host-cache scheme family (hostcache,
@@ -367,6 +369,17 @@ type World struct {
 	// is unset); inspect Injector.Applied after a run. World.Run returns
 	// its Err.
 	Injector *faults.Injector
+}
+
+// CoreStats returns the live cache statistics of a scheme that caches in
+// the network — SwitchV2P and every baseline that embeds *core.Scheme
+// (GwCache, Hybrid, HostToR) — through the promoted accessor, and nil for
+// the rest.
+func (w *World) CoreStats() *core.Stats {
+	if s, ok := w.Scheme.(interface{ Stats() *core.Stats }); ok {
+		return s.Stats()
+	}
+	return nil
 }
 
 // Run runs the simulation to the horizon and reports what a finished run
@@ -583,19 +596,11 @@ func (w *World) Report() *Report {
 			r.PerPodBytes[sw.Pod] += c.SwitchBytes[sw.Idx]
 		}
 	}
-	switch s := w.Scheme.(type) {
-	case *core.Scheme:
-		stats := s.S
+	if st := w.CoreStats(); st != nil {
+		stats := *st
 		r.CoreStats = &stats
-	case *baselines.Hybrid:
-		stats := s.Scheme.S
-		r.CoreStats = &stats
-	case *baselines.HostCache:
-		hs := *s.HostStats()
-		r.HostStats = &hs
-	case *baselines.HostToR:
-		stats := s.Scheme.S
-		r.CoreStats = &stats
+	}
+	if s, ok := w.Scheme.(interface{ HostStats() *baselines.HostStats }); ok {
 		hs := *s.HostStats()
 		r.HostStats = &hs
 	}

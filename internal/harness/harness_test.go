@@ -25,6 +25,10 @@ func quickConfig(scheme string) Config {
 }
 
 func TestRunAllSchemes(t *testing.T) {
+	// Which schemes cache in the network, and which at the hosts: the
+	// report carries those caches' statistics for exactly these.
+	inNetwork := map[string]bool{SchemeSwitchV2P: true, SchemeGwCache: true, SchemeHybrid: true, SchemeHostToR: true}
+	atHosts := map[string]bool{SchemeHostCache: true, SchemeHostToR: true}
 	for _, scheme := range AllSchemes {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
@@ -43,6 +47,15 @@ func TestRunAllSchemes(t *testing.T) {
 			}
 			if r.HitRate < 0 || r.HitRate > 1 {
 				t.Fatalf("hit rate %v out of range", r.HitRate)
+			}
+			if got := r.CoreStats != nil; got != inNetwork[scheme] {
+				t.Fatalf("CoreStats present: %v, want %v", got, inNetwork[scheme])
+			}
+			if r.CoreStats != nil && r.CoreStats.Lookups == 0 {
+				t.Fatal("CoreStats counted no lookup")
+			}
+			if got := r.HostStats != nil; got != atHosts[scheme] {
+				t.Fatalf("HostStats present: %v, want %v", got, atHosts[scheme])
 			}
 		})
 	}

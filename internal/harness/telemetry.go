@@ -7,14 +7,6 @@ import (
 	"switchv2p/internal/telemetry"
 )
 
-// cacheScheme is satisfied by SwitchV2P and by every baseline that
-// embeds *core.Scheme (GwCache, Hybrid): the telemetry sampler uses it
-// to probe per-switch cache occupancy and hit rates.
-type cacheScheme interface {
-	Cache(sw int32) core.MappingCache
-	Stats() *core.Stats
-}
-
 // attachTelemetry builds the run's collector and wires every probe and
 // counter handle: engine profiling hooks, per-switch queue and cache
 // series, gateway load series, protocol and transport packet rates.
@@ -66,9 +58,10 @@ func (w *World) attachTelemetry(opts telemetry.Options) {
 			telemetry.RateProbe(iv, func() int64 { return c.SwitchDrops[sw] }))
 	}
 
-	// Cache series, when the scheme exposes per-switch caches.
-	if cs, ok := w.Scheme.(cacheScheme); ok {
-		st := cs.Stats()
+	// Cache series, when the scheme caches in the network. A scheme with
+	// core stats embeds *core.Scheme, whose per-switch Cache this reads.
+	if st := w.CoreStats(); st != nil {
+		cs := w.Scheme.(interface{ Cache(int32) core.MappingCache })
 		layers := []struct {
 			name string
 			l    int

@@ -149,7 +149,7 @@ func assemble(spec Spec, w *harness.World, pl *plan, rs *runState) *Report {
 			pr.Offload = off
 		}
 		pr.CacheChurn = -1
-		if coreStatsOf(w) != nil {
+		if w.CoreStats() != nil {
 			if lk := delta(func(s counterSnap) int64 { return s.lookups }); lk > 0 {
 				pr.CacheChurn = float64(delta(func(s counterSnap) int64 { return s.evictions })) / float64(lk)
 			}

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 
-	"switchv2p/internal/core"
 	"switchv2p/internal/harness"
 )
 
@@ -35,24 +34,13 @@ func takeSnap(w *harness.World) counterSnap {
 		faultDrops:   c.FaultDrops,
 		staleLookups: c.GatewayUnknownVIP,
 	}
-	if st := coreStatsOf(w); st != nil {
+	if st := w.CoreStats(); st != nil {
 		s.lookups = st.Lookups
 		for _, e := range st.EvictionsByLayer {
 			s.evictions += e
 		}
 	}
 	return s
-}
-
-// coreStatsOf exposes the live cache stats of every scheme that caches
-// in the network — SwitchV2P and the baselines that embed *core.Scheme
-// (GwCache, Hybrid, HostToR) — through the promoted Stats accessor; nil
-// for the rest, which then skip the cache-churn SLO.
-func coreStatsOf(w *harness.World) *core.Stats {
-	if s, ok := w.Scheme.(interface{ Stats() *core.Stats }); ok {
-		return s.Stats()
-	}
-	return nil
 }
 
 // schedule installs the planned churn operations and the phase-boundary

@@ -88,7 +88,7 @@ func TestCacheChurnCoversEmbeddedCaches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := coreStatsOf(rep.Final.World); st == nil || st.Lookups == 0 {
+		if st := rep.Final.World.CoreStats(); st == nil || st.Lookups == 0 {
 			t.Fatalf("%s: no in-network lookups; the test proves nothing", scheme)
 		}
 		if p := rep.Phases[0]; p.Flows == 0 || p.CacheChurn < 0 {
