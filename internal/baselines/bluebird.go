@@ -155,10 +155,12 @@ func (b *Bluebird) slowPath(e *simnet.Engine, sw int32, p *packet.Packet) {
 		e.InjectFromSwitch(sw, p)
 	})
 	// The cache entry becomes visible after the insertion latency, with
-	// the mapping as known then.
+	// the mapping as known then. By then the packet was re-injected and
+	// delivered long ago, so the closure keeps the VIP, not the packet.
+	vip := p.DstVIP
 	e.Q.After(b.params.CacheInsertDelay, func() {
-		if pip, ok := e.Net.Lookup(p.DstVIP); ok {
-			b.caches[sw].Insert(netaddr.Mapping{VIP: p.DstVIP, PIP: pip})
+		if pip, ok := e.Net.Lookup(vip); ok {
+			b.caches[sw].Insert(netaddr.Mapping{VIP: vip, PIP: pip})
 		}
 	})
 }

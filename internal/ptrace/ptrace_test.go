@@ -13,6 +13,7 @@ import (
 	"switchv2p/internal/simnet"
 	"switchv2p/internal/simtime"
 	"switchv2p/internal/topology"
+	"switchv2p/internal/transport"
 	"switchv2p/internal/vnet"
 )
 
@@ -97,6 +98,34 @@ func TestSnapshotsAreImmutable(t *testing.T) {
 	last := tr.Records[len(tr.Records)-1]
 	if !last.Packet.Resolved {
 		t.Fatal("final observation not resolved")
+	}
+}
+
+// TestRecordsOutliveTheRun: a record's packet is the tracer's own copy, so
+// it still reads what the tap saw after the run has drained and every live
+// packet of the TCP flow has been released — and, on a pooling engine,
+// rewritten as a later segment or ACK.
+func TestRecordsOutliveTheRun(t *testing.T) {
+	w := newWorld(t)
+	tr := New(w.e, Options{})
+	traced := w.e.Tap
+	var seen []packet.Packet
+	w.e.Tap = func(at topology.NodeRef, p *packet.Packet) {
+		seen = append(seen, *p)
+		traced(at, p)
+	}
+	transport.New(w.e, transport.DefaultConfig()).AddFlow(transport.FlowSpec{
+		ID: 1, Src: w.vips[0], Dst: w.vips[9], Proto: transport.TCP, Bytes: 60 * packet.MaxPayload})
+	w.e.Run(simtime.Never)
+	if len(tr.Records) < 120 || len(tr.Records) != len(seen) {
+		t.Fatalf("%d records for %d observed arrivals of a 60-segment flow and its ACKs", len(tr.Records), len(seen))
+	}
+	for i, r := range tr.Records {
+		// Clone on both sides: the copies differ from the live packet only
+		// in not belonging to a pool.
+		if got, want := r.Packet, seen[i].Clone(); *got != *want {
+			t.Fatalf("record %d reads %+v after the run, the tap saw %+v", i, *got, *want)
+		}
 	}
 }
 
