@@ -396,7 +396,7 @@ func (s *Scheme) SwitchArrive(e *simnet.Engine, sw int32, from topology.NodeRef,
 				// destination learning — there is nowhere closer to move it.
 				srcHost, ok := s.topo.HostByPIP(p.SrcPIP)
 				if ok && s.topo.Hosts[srcHost].ToR != sw {
-					lp := packet.NewLearning(m, s.topo.Switches[sw].PIP, p.SrcPIP)
+					lp := e.Packets().NewLearning(m, s.topo.Switches[sw].PIP, p.SrcPIP)
 					lp.VNI = p.VNI
 					st.LearningSent++
 					e.InjectFromSwitch(sw, lp)
@@ -473,7 +473,7 @@ func (s *Scheme) sendInvalidation(e *simnet.Engine, st *Stats, tor, target int32
 		}
 		vec[target] = now
 	}
-	inv := packet.NewInvalidation(vip, stale,
+	inv := e.Packets().NewInvalidation(vip, stale,
 		s.topo.Switches[tor].PIP, s.topo.Switches[target].PIP)
 	inv.VNI = vni
 	st.InvalidationsSent++

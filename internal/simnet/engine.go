@@ -98,11 +98,15 @@ type Engine struct {
 	C      Counters
 
 	// Handler receives tenant packets delivered to their (correct)
-	// destination host. The transport layer registers itself here.
+	// destination host. The transport layer registers itself here. It may
+	// read p until it returns; the engine releases the packet right after,
+	// so what must outlive the call is copied out, never the pointer.
 	Handler func(host int32, p *packet.Packet)
 
 	// Tap, when non-nil, observes every packet arrival at a switch (kind
 	// KindSwitch) or host (KindHost) — a capture point for tracing tools.
+	// Like Handler it may read p during the call only; a tool that keeps
+	// what it saw keeps p.Clone() (internal/ptrace does).
 	Tap func(at topology.NodeRef, p *packet.Packet)
 
 	// TapOwner optionally identifies the party that installed Tap.
@@ -139,6 +143,14 @@ type Engine struct {
 
 	gateways []int32 // host indices senders may load-balance over
 	nextUID  uint64
+
+	// pool is where the simulation's own packets come from (Packets) and
+	// where the engine puts a packet back at the point its books close it:
+	// delivered, dropped, consumed or stray. A packet has one owner (see
+	// Scheme), so nothing reads it after that point. Nil once
+	// EnableSharding ran: a packet released on another domain's worker
+	// would land on a foreign free list, and a nil pool pools nothing.
+	pool *packet.Pool
 
 	// Fault-injection state (see faults.go). swDown/gwDown mark failed
 	// switches and outaged gateway instances; activeFaults counts the
@@ -183,6 +195,7 @@ func New(topo *topology.Topology, net *vnet.Net, scheme Scheme, cfg Config) *Eng
 		Scheme: scheme,
 		Cfg:    cfg,
 		dom:    -1,
+		pool:   &packet.Pool{},
 	}
 	e.C.SwitchPackets = make([]int64, len(topo.Switches))
 	e.C.SwitchBytes = make([]int64, len(topo.Switches))
@@ -294,6 +307,9 @@ func (e *Engine) Run(horizon simtime.Time) {
 		e.runSharded(horizon)
 		return
 	}
+	// The free list lives for one Run: a finished World keeps what it
+	// reports, not the run's high-water mark of dead packets.
+	defer e.pool.Empty()
 	if e.Prof == nil {
 		e.Q.Run(horizon)
 		return
@@ -414,6 +430,15 @@ func (e *Engine) IsGatewayPIP(p netaddr.PIP) bool {
 	return ok && e.Topo.Hosts[h].Gateway
 }
 
+// Packets returns the pool the simulation's own packets are made from:
+// transport segments and ACKs, a scheme's control packets. Whoever takes a
+// packet from it hands it to HostSend or InjectFromSwitch and forgets it;
+// the engine puts it back. Nil — which allocates and never reuses — on a
+// sharded engine.
+//
+//v2plint:hotpath
+func (e *Engine) Packets() *packet.Pool { return e.pool }
+
 // HostSend emits a tenant packet from a host into the network. It stamps
 // the packet, asks the scheme to resolve the outer destination, and
 // enqueues the packet on the host's NIC.
@@ -483,6 +508,7 @@ func (e *Engine) switchArrive(sw int32, from topology.NodeRef, p *packet.Packet)
 	if e.activeFaults > 0 && e.swDown[sw] {
 		e.C.Drops++
 		e.C.FaultDrops++
+		e.pool.Put(p)
 		return
 	}
 	p.Hops++
@@ -492,11 +518,14 @@ func (e *Engine) switchArrive(sw int32, from topology.NodeRef, p *packet.Packet)
 		//v2plint:allow hotpath Tap is an optional observer hook, nil in measured runs; non-nil only in debug/trace captures
 		e.Tap(topology.SwitchRef(sw), p)
 	}
+	kind := p.Kind
 	if !e.Scheme.SwitchArrive(e, sw, from, p) {
-		// The scheme keeps the packet. A control packet ends here; a tenant
-		// packet is the scheme's to re-inject or to count as dropped.
-		if p.Kind == packet.Learning || p.Kind == packet.Invalidation {
+		// A consumed control packet ends here. A tenant packet is now the
+		// scheme's, to re-inject or to count as dropped, and may be gone
+		// already: the engine does not look at it again.
+		if kind == packet.Learning || kind == packet.Invalidation {
 			e.C.ConsumedControl++
+			e.pool.Put(p)
 		}
 		return
 	}
@@ -523,12 +552,14 @@ func (e *Engine) forwardFromSwitch(sw int32, p *packet.Packet) {
 		if dstSw == sw {
 			// Switch-addressed packet that the scheme did not consume.
 			e.C.Drops++
+			e.pool.Put(p)
 			return
 		}
 		e.ecmpForward(sw, dstSw, p)
 		return
 	}
 	e.C.Drops++ // unroutable outer destination
+	e.pool.Put(p)
 }
 
 // ecmpForward picks one of the equal-cost next hops toward dstSw by
@@ -544,6 +575,7 @@ func (e *Engine) ecmpForward(sw, dstSw int32, p *packet.Packet) {
 	links := e.hopLink[lo:hi]
 	if len(links) == 0 {
 		e.C.Drops++
+		e.pool.Put(p)
 		return
 	}
 	var h uint32
@@ -557,6 +589,7 @@ func (e *Engine) ecmpForward(sw, dstSw int32, p *packet.Packet) {
 		if l == nil {
 			e.C.Drops++
 			e.C.FaultDrops++
+			e.pool.Put(p)
 			return
 		}
 		e.C.Rerouted++
@@ -607,6 +640,7 @@ func (e *Engine) hostArrive(host int32, p *packet.Packet) {
 	case packet.Data, packet.Ack:
 	default:
 		e.C.StrayControlPkts++
+		e.pool.Put(p)
 		return
 	}
 	if !e.Net.HostHasVM(host, p.DstVIP) {
@@ -632,6 +666,7 @@ func (e *Engine) hostArrive(host int32, p *packet.Packet) {
 	if e.Handler != nil {
 		e.Handler(host, p)
 	}
+	e.pool.Put(p)
 }
 
 // gatewayProcess applies the translation-gateway model: a fixed
@@ -644,6 +679,7 @@ func (e *Engine) gatewayProcess(host int32, p *packet.Packet) {
 		// here, unprocessed and uncounted.
 		e.C.Drops++
 		e.C.FaultDrops++
+		e.pool.Put(p)
 		return
 	}
 	e.C.GatewayPackets++
@@ -654,6 +690,7 @@ func (e *Engine) gatewayProcess(host int32, p *packet.Packet) {
 	if !ok {
 		e.C.GatewayUnknownVIP++
 		e.C.Drops++
+		e.pool.Put(p)
 		return
 	}
 	ev := e.getHostEvent()

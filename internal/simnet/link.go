@@ -153,6 +153,8 @@ func (l *link) deliverPkt(p *packet.Packet) {
 // enqueue admits p to the ring, dropping it if the link is down (fault
 // injection), lossy (probabilistic loss window), or if the owning
 // switch's shared buffer is exhausted, and starts the serializer if idle.
+// Either way the packet is no longer the caller's: a dropped one has gone
+// back to the pool.
 // The fault-flag read is gated: activeFaults counts every downed link and
 // failed switch, so the gate never changes which packets drop, only
 // spares healthy runs the flag reads.
@@ -162,11 +164,13 @@ func (l *link) enqueue(p *packet.Packet) {
 	if l.e.activeFaults > 0 && (l.faultDown || l.swFaults != 0) {
 		l.e.C.Drops++
 		l.e.C.FaultDrops++
+		l.e.pool.Put(p)
 		return
 	}
 	if l.loss != 0 && l.e.lossRand.Float64() < l.loss {
 		l.e.C.Drops++
 		l.e.C.LossDrops++
+		l.e.pool.Put(p)
 		return
 	}
 	size := p.Size()
@@ -174,6 +178,7 @@ func (l *link) enqueue(p *packet.Packet) {
 		if l.e.bufUsed[l.fromSwitch]+size > l.e.Topo.Cfg.BufferBytes {
 			l.e.C.Drops++
 			l.e.C.SwitchDrops[l.fromSwitch]++
+			l.e.pool.Put(p)
 			return
 		}
 		l.e.bufUsed[l.fromSwitch] += size

@@ -12,6 +12,17 @@ import (
 // switch does with a passing packet, and how a host reacts to a
 // misdelivered packet.
 //
+// A packet has one owner. Whoever is handed a packet may read and rewrite
+// it during the call and must not keep the pointer past handing it on (a
+// true return, HostSend, Resend, InjectFromSwitch): the engine returns the
+// packet to its pool once it is delivered, dropped or consumed, and the
+// same memory is then the next packet. A scheme that parks a packet — a
+// false return from SenderResolve, or from SwitchArrive on a tenant
+// packet — owns it until it re-injects it, and one it never re-injects is
+// garbage. Deferred work that is not the packet's own forwarding (a cache
+// install after a delay) captures the values it needs, not p. New packets
+// a scheme emits come from e.Packets().
+//
 // SwitchV2P (internal/core) and all the paper's baselines
 // (internal/baselines) implement this interface.
 type Scheme interface {
@@ -33,7 +44,9 @@ type Scheme interface {
 	// (a host or switch NodeRef). The scheme may look up and rewrite the
 	// outer destination, learn mappings, attach or strip option TLVs, and
 	// inject new packets via e.InjectFromSwitch. Returning false consumes
-	// the packet (it is not forwarded further).
+	// the packet (it is not forwarded further): a control packet ends
+	// there and the engine releases it, a tenant packet becomes the
+	// scheme's.
 	SwitchArrive(e *Engine, sw int32, from topology.NodeRef, p *packet.Packet) bool
 
 	// HostMisdeliver runs on a host that received a packet whose

@@ -198,6 +198,7 @@ func (e *Engine) EnableSharding(workers int) {
 		sh.aware = sa
 	}
 	e.shard = sh
+	e.pool = nil // views copy it: the sharded engine allocates its packets
 	e.Q.Freeze("simnet: the root event queue is frozen in sharded mode; " +
 		"schedule host events via HostAtTimed and barrier work via " +
 		"AtBarrier, or run this scheme/tool on the serial engine")

@@ -262,7 +262,7 @@ func (f *flow) Fire() {
 			return
 		}
 	}
-	//v2plint:allow hotpath a due event sends, one packet allocation per send; a flow's start also makes its per-segment array, once per flow; a timer that is early or stale has returned above and allocated nothing
+	//v2plint:allow hotpath a due event sends; a flow's start makes its per-segment array, once per flow; a timer that is early or stale has returned above and allocated nothing
 	f.send()
 }
 
@@ -290,7 +290,7 @@ func (f *flow) udpSend() {
 	if !ok {
 		return
 	}
-	p := packet.NewData(spec.ID, i, spec.PacketPayload, spec.Src, spec.Dst, 0)
+	p := f.a.e.Packets().NewData(spec.ID, i, spec.PacketPayload, spec.Src, spec.Dst, 0)
 	p.FirstSent = i == 0
 	p.Fin = i == spec.Packets-1
 	f.rec.PacketsSent++
@@ -337,7 +337,7 @@ func (f *flow) transmit(seq int, retx bool) {
 	if !ok {
 		return
 	}
-	p := packet.NewData(spec.ID, seq, f.payloadOf(seq), spec.Src, spec.Dst, 0)
+	p := f.a.e.Packets().NewData(spec.ID, seq, f.payloadOf(seq), spec.Src, spec.Dst, 0)
 	p.FirstSent = seq == 0 && !retx
 	p.Fin = seq == f.segs-1
 	p.Retx = retx
@@ -478,7 +478,7 @@ func (f *flow) onData(host int32, p *packet.Packet) {
 	if !ok {
 		return
 	}
-	f.a.e.HostSend(host, packet.NewAck(p.FlowID, f.cum, rec.Spec.Dst, rec.Spec.Src, 0))
+	f.a.e.HostSend(host, f.a.e.Packets().NewAck(p.FlowID, f.cum, rec.Spec.Dst, rec.Spec.Src, 0))
 }
 
 // complete records the arrival of the flow's last outstanding packet.

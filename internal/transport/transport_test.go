@@ -384,8 +384,9 @@ func TestDuplicateFlowIDPanics(t *testing.T) {
 // TestFlowStartAndTimerScheduleWithoutAllocating: a flow is its own start,
 // timer and datagram-pacing event, so registering a batch of flows allocates
 // per batch (slab, table, queue growth), not per flow, re-arming the
-// retransmission timer allocates nothing, and a UDP datagram costs its
-// packet and nothing else.
+// retransmission timer allocates nothing, and a UDP flow's datagrams come
+// out of the engine's packet pool: the flow allocates as many packets as it
+// ever has in flight, not one per datagram.
 func TestFlowStartAndTimerScheduleWithoutAllocating(t *testing.T) {
 	w := newWorld(t, noCache)
 	specs := make([]FlowSpec, 1000)
@@ -422,7 +423,10 @@ func TestFlowStartAndTimerScheduleWithoutAllocating(t *testing.T) {
 			Packets: datagrams, PacketPayload: 500, Interval: simtime.Microsecond, Start: w.e.Now()})
 		w.e.Run(simtime.Never)
 	})
-	if perFlow >= 1.5*datagrams {
-		t.Fatalf("a %d-datagram UDP flow allocates %v times, want one per datagram (its packet) and a handful per flow", datagrams, perFlow)
+	// A datagram a microsecond and a ~50 µs path through the gateway: some
+	// fifty datagrams are in flight at the high-water mark, each Run starts
+	// with an empty free list, and rings, flow and record are a handful.
+	if perFlow >= datagrams/2 {
+		t.Fatalf("a %d-datagram UDP flow allocates %v times, want it bounded by the in-flight high-water mark and a handful per flow", datagrams, perFlow)
 	}
 }
