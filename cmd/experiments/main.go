@@ -22,6 +22,8 @@ import (
 	"os"
 	"runtime"
 	"time"
+
+	"switchv2p/internal/prof"
 )
 
 func main() {
@@ -33,7 +35,9 @@ func main() {
 	parallel := flag.Bool("parallel", false, "run sweep points on all CPUs (identical output, less wall clock)")
 	shards := flag.Int("shards", 0, "run schemes that support it on the sharded engine with N workers (0 = serial; others stay serial)")
 	flag.StringVar(&csvDir, "csv", "", "also write plot-ready CSV files into this directory")
+	profiles := prof.Register()
 	flag.Parse()
+	defer profiles.Start()()
 
 	sc, ok := scales[*scaleName]
 	if !ok {

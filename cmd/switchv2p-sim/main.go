@@ -18,6 +18,7 @@ import (
 
 	"switchv2p/internal/faults"
 	"switchv2p/internal/harness"
+	"switchv2p/internal/prof"
 	"switchv2p/internal/simtime"
 	"switchv2p/internal/telemetry"
 	"switchv2p/internal/topology"
@@ -63,8 +64,11 @@ func main() {
 		faultMTBF      = flag.Duration("fault-mtbf", 0, "random switch-failure model: mean time between failures (0 = off)")
 		faultMTTR      = flag.Duration("fault-mttr", 0, "random switch-failure model: mean time to recovery")
 		faultSeed      = flag.Int64("fault-seed", 0, "seed for the random switch-failure model (0 = 1)")
+
+		profiles = prof.Register()
 	)
 	flag.Parse()
+	defer profiles.Start()()
 
 	var workload *trace.Workload
 	if *wlFile != "" {
