@@ -435,8 +435,6 @@ func (e *Engine) IsGatewayPIP(p netaddr.PIP) bool {
 // packet from it hands it to HostSend or InjectFromSwitch and forgets it;
 // the engine puts it back. Nil — which allocates and never reuses — on a
 // sharded engine.
-//
-//v2plint:hotpath
 func (e *Engine) Packets() *packet.Pool { return e.pool }
 
 // HostSend emits a tenant packet from a host into the network. It stamps

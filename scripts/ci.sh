@@ -39,6 +39,13 @@ echo "== tests =="
 go test ./...
 
 echo "== race =="
+# Every package, so also the packet-ownership tests: packet.Pool's unit
+# tests (TestPool*), the recycling-vs-quarantine comparison of every scheme
+# (TestNobodyReadsAReleasedPacket, 44 runs), the steady-state allocation
+# test (TestPacketPathSteadyStateAllocFree) and ptrace's records outliving
+# the run. The sharded engine takes its packets from a nil pool; this step
+# and the TestShard* step below are what would catch a release that
+# reached a free list from another domain's worker.
 go test -race ./...
 
 echo "== fuzz (5 s per target, from the committed seed corpora) =="
