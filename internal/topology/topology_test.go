@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -251,20 +252,34 @@ func TestScaledFT8(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	bad := FT8()
-	bad.Pods = 0
-	if _, err := New(bad); err == nil {
-		t.Fatalf("expected error for 0 pods")
-	}
-	bad = FT8()
-	bad.GatewayPods = []int{99}
-	if _, err := New(bad); err == nil {
-		t.Fatalf("expected error for out-of-range gateway pod")
-	}
-	bad = FT8()
-	bad.HostLinkBps = 0
-	if _, err := New(bad); err == nil {
-		t.Fatalf("expected error for zero link speed")
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+		want string // substring of the error
+	}{
+		{"zero pods", func(c *Config) { c.Pods = 0 }, "non-positive dimension"},
+		{"gateway pod out of range", func(c *Config) { c.GatewayPods = []int{99} }, "gateway pod 99 out of range"},
+		{"zero link speed", func(c *Config) { c.HostLinkBps = 0 }, "non-positive link speed"},
+		{"fewer counts than pods", func(c *Config) {
+			c.GatewayPods, c.GatewayCounts = []int{0, 2}, []int{5}
+		}, "1 gateway counts for 2 gateway pods"},
+		{"more counts than pods", func(c *Config) {
+			c.GatewayPods, c.GatewayCounts = []int{0}, []int{5, 7}
+		}, "2 gateway counts for 1 gateway pods"},
+		{"duplicated gateway pod", func(c *Config) {
+			c.GatewayPods, c.GatewayCounts = []int{0, 0, 2}, []int{5, 7, 1}
+		}, "gateway pod 0 listed twice"},
+		{"negative gateway count", func(c *Config) {
+			c.GatewayPods, c.GatewayCounts = []int{0, 2}, []int{5, -1}
+		}, "negative gateway count -1 for pod 2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := FT8()
+			c.edit(&cfg)
+			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("New: error %v, want one containing %q", err, c.want)
+			}
+		})
 	}
 }
 
