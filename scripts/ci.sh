@@ -59,6 +59,7 @@ done <<'EOF'
 FuzzQueueModel ./internal/eventq
 FuzzLinkModel ./internal/simnet
 FuzzNetModel ./internal/vnet
+FuzzRoutesMatchBFS ./internal/topology
 FuzzReadWorkload ./internal/trace
 FuzzRead ./internal/ptrace
 FuzzUnmarshal ./internal/packet
