@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"switchv2p/internal/netaddr"
 	"switchv2p/internal/simtime"
@@ -82,7 +82,7 @@ func poissonStarts(n int, d simtime.Duration, rng *rand.Rand) []simtime.Time {
 	for i := range out {
 		out[i] = simtime.Time(rng.Int63n(int64(d)))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
