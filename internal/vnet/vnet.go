@@ -133,10 +133,35 @@ func (n *Net) addVM(host int32, tenant TenantID) netaddr.VIP {
 // non-gateway servers, returning their VIPs in creation order.
 func (n *Net) PlaceUniform(count int, rng *rand.Rand) []netaddr.VIP {
 	servers := n.topo.Servers()
+	// Draw every host first, then give each drawn host's VM list its final
+	// capacity, carved from one array, so that placing allocates nothing
+	// per host. The draws, the VIPs and each list's order are those of one
+	// AddVM per draw.
+	hosts := make([]int32, count)
+	grow := make([]int32, len(n.vmsAt))
+	for i := range hosts {
+		hosts[i] = servers[rng.Intn(len(servers))]
+		grow[hosts[i]]++
+	}
+	size := 0
+	for h, k := range grow {
+		if k > 0 {
+			size += len(n.vmsAt[h]) + int(k)
+		}
+	}
+	lists := make([]netaddr.VIP, 0, size)
+	for h, k := range grow {
+		if k > 0 {
+			start := len(lists)
+			lists = append(lists, n.vmsAt[h]...)
+			n.vmsAt[h] = lists[start : len(lists) : len(lists)+int(k)]
+			lists = lists[:len(lists)+int(k)]
+		}
+	}
 	n.hostOf = slices.Grow(n.hostOf, count)
 	vips := make([]netaddr.VIP, count)
-	for i := range vips {
-		vips[i] = n.AddVM(servers[rng.Intn(len(servers))])
+	for i, h := range hosts {
+		vips[i] = n.AddVM(h)
 	}
 	return vips
 }

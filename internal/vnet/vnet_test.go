@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"switchv2p/internal/netaddr"
@@ -85,6 +86,39 @@ func TestPlaceUniform(t *testing.T) {
 	}
 	if total != 10240 {
 		t.Fatalf("VMsAt totals %d", total)
+	}
+}
+
+// TestPlaceUniformIsOneAddVMPerDraw: PlaceUniform carves the VM lists from
+// one array; it must leave what one AddVM per draw leaves — same VIPs,
+// same hosts, same order in every list — also when lists already exist,
+// and later migrations must not write into a neighbouring host's list.
+func TestPlaceUniformIsOneAddVMPerDraw(t *testing.T) {
+	got, want := newNet(t), newNet(t)
+	gotRNG, wantRNG := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
+	servers := want.Topology().Servers()
+	place := func(count int) {
+		vips := got.PlaceUniform(count, gotRNG)
+		for i := range count {
+			if v := want.AddVM(servers[wantRNG.Intn(len(servers))]); v != vips[i] {
+				t.Fatalf("VM %d: PlaceUniform gave %v, AddVM %v", i, vips[i], v)
+			}
+		}
+	}
+	place(300)
+	got.AddVM(servers[3])
+	want.AddVM(servers[3])
+	place(500)
+	for i, vip := range got.AllMappings()[:200] {
+		to := servers[(i*7)%len(servers)]
+		if err, err2 := got.Migrate(vip.VIP, to), want.Migrate(vip.VIP, to); (err == nil) != (err2 == nil) {
+			t.Fatalf("Migrate(%v, %d): %v against %v", vip.VIP, to, err, err2)
+		}
+	}
+	for _, h := range got.Topology().Hosts {
+		if g, w := got.VMsAt(h.Idx), want.VMsAt(h.Idx); !slices.Equal(g, w) {
+			t.Fatalf("host %d holds %v, one AddVM per draw gives %v", h.Idx, g, w)
+		}
 	}
 }
 
