@@ -216,7 +216,7 @@ func validate(ev Event, topo *topology.Topology) error {
 		if badNode(ev.A) || badNode(ev.B) {
 			return fmt.Errorf("faults: %s at %v references unknown node (%v, %v)", ev.Kind, ev.At, ev.A, ev.B)
 		}
-		if ev.Kind == LossStart && (ev.LossRate < 0 || ev.LossRate > 1) {
+		if ev.Kind == LossStart && !(ev.LossRate >= 0 && ev.LossRate <= 1) { // NaN fails both
 			return fmt.Errorf("faults: LossStart at %v rate %v outside [0,1]", ev.At, ev.LossRate)
 		}
 	case SwitchFail, SwitchRecover:

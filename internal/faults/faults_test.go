@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -48,6 +49,8 @@ func TestValidate(t *testing.T) {
 		{"unknown node kind", Event{Kind: LossEnd, A: topology.NodeRef{Kind: 9}, B: sw0}, "unknown node"},
 		{"loss rate above 1", Event{Kind: LossStart, A: sw0, B: sw1, LossRate: 1.5}, "outside [0,1]"},
 		{"loss rate negative", Event{Kind: LossStart, A: sw0, B: sw1, LossRate: -0.1}, "outside [0,1]"},
+		{"loss rate NaN", Event{Kind: LossStart, A: sw0, B: sw1, LossRate: math.NaN()}, "outside [0,1]"},
+		{"loss rate +Inf", Event{Kind: LossStart, A: sw0, B: sw1, LossRate: math.Inf(1)}, "outside [0,1]"},
 		{"switch too large", Event{Kind: SwitchFail, Switch: nSw}, "out of range"},
 		{"switch negative", Event{Kind: SwitchRecover, Switch: -1}, "out of range"},
 		{"gateway host too large", Event{Kind: GatewayOutage, Gateway: nHost}, "out of range"},
