@@ -5,9 +5,9 @@
 // iteration order is randomized, global math/rand is shared process
 // state, and wall-clock reads leak into simulated time — so the
 // contract is machine-checked here rather than left to convention.
-// Later PRs added repo-wide performance and fault-model contracts (an
-// allocation-free forwarding hot path, activeFaults-gated fault state,
-// nil-safe telemetry handles); those are machine-checked here too.
+// Repo-wide performance and telemetry contracts (an allocation-free
+// forwarding hot path, nil-safe telemetry handles) are machine-checked
+// here too.
 //
 // The suite keeps only checks that no compiler rule, tier-1 test or
 // -race run enforces more directly (DESIGN.md §8 has the verdict table):
@@ -37,10 +37,6 @@
 //     reads, global math/rand and dynamic calls through func values;
 //     transitive findings carry the witness call chain
 //     (ecmpForward → helperX → fmt.Sprintf).
-//   - faultgate: requires forwarding-path reads of engine fault state
-//     (swDown, gwDown, faultDown, swFaults, lossRand) to be dominated
-//     by an activeFaults (or loss-window) check; //v2plint:faultpath
-//     marks the reroute slow-path helpers whose callers must gate.
 //   - nilsafemetrics: requires every exported pointer-receiver method
 //     on telemetry types (and //v2plint:nilsafe-annotated types) to
 //     begin with a nil-receiver guard.
@@ -157,7 +153,7 @@ type TextEdit struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetRange, WallClock, GlobalRand, SimTimeUnits,
-		HotPath, FaultGate, NilSafeMetrics, PlanPure,
+		HotPath, NilSafeMetrics, PlanPure,
 		AllowReason,
 	}
 }
@@ -324,7 +320,7 @@ func docAnnotated(doc *ast.CommentGroup, name string) bool {
 
 // funcAnnotated reports whether the function's doc comment carries a
 // `//v2plint:<name>` marker (the annotation grammar for hotpath and
-// faultpath: the marker must be part of the doc comment block directly
+// planpure: the marker must be part of the doc comment block directly
 // above the declaration).
 func funcAnnotated(fn *ast.FuncDecl, name string) bool {
 	return docAnnotated(fn.Doc, name)

@@ -41,7 +41,7 @@ type link struct {
 	// recovery of one endpoint must not revive a link whose other
 	// endpoint is still dark); loss is the probabilistic drop rate of the
 	// current loss window (0 = lossless). A link accepts no packets while
-	// faultDown || swFaults != 0.
+	// it is down().
 	faultDown bool
 	swFaults  uint8
 	loss      float64
@@ -78,6 +78,10 @@ func (l *link) slot(i uint32) *linkSlot { return &l.ring[i&uint32(len(l.ring)-1)
 // inFlight counts the packets the link holds: accepted and not yet handed
 // to the far end.
 func (l *link) inFlight() int { return int(l.tail - l.head) }
+
+// down reports whether the link accepts nothing: it was failed explicitly,
+// or one of its endpoint switches is.
+func (l *link) down() bool { return l.faultDown || l.swFaults != 0 }
 
 // A link is FIFO and both of its scheduled instants are monotone in
 // arrival order — serialization ends are serialized, and a delivery is a
@@ -155,13 +159,10 @@ func (l *link) deliverPkt(p *packet.Packet) {
 // switch's shared buffer is exhausted, and starts the serializer if idle.
 // Either way the packet is no longer the caller's: a dropped one has gone
 // back to the pool.
-// The fault-flag read is gated: activeFaults counts every downed link and
-// failed switch, so the gate never changes which packets drop, only
-// spares healthy runs the flag reads.
 //
 //v2plint:hotpath
 func (l *link) enqueue(p *packet.Packet) {
-	if l.e.activeFaults > 0 && (l.faultDown || l.swFaults != 0) {
+	if l.down() {
 		l.e.C.Drops++
 		l.e.C.FaultDrops++
 		l.e.pool.Put(p)

@@ -491,16 +491,6 @@ func (sh *sharding) mergeViews() {
 	}
 }
 
-// syncFaults republishes the root's fault-gate count to every view
-// after a barrier op mutated fault state. The underlying link flags and
-// swDown/gwDown slices are shared; only the scalar gate is per-view.
-func (sh *sharding) syncFaults() {
-	af := sh.root.activeFaults
-	for _, v := range sh.views {
-		v.activeFaults = af
-	}
-}
-
 // minPeek returns the earliest pending event time across all domains.
 func (sh *sharding) minPeek() (simtime.Time, bool) {
 	var best simtime.Time
@@ -620,7 +610,6 @@ func (e *Engine) runSharded(horizon simtime.Time) {
 				sh.now = op.at
 			}
 			op.fn()
-			sh.syncFaults()
 		}
 		for ok && sh.sampler != nil && sh.nextTick <= t && sh.nextTick <= horizon {
 			sh.now = sh.nextTick
