@@ -58,6 +58,7 @@ while read -r target pkg; do
 done <<'EOF'
 FuzzQueueModel ./internal/eventq
 FuzzLinkModel ./internal/simnet
+FuzzFaultStateModel ./internal/simnet
 FuzzNetModel ./internal/vnet
 FuzzRoutesMatchBFS ./internal/topology
 FuzzReadWorkload ./internal/trace
