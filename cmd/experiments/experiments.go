@@ -446,10 +446,7 @@ func ablation(sc Scale) error {
 		{"no-spillover", func(c *harness.Config) { c.V2PSpillover = &off }},
 		{"no-promotion", func(c *harness.Config) { c.V2PPromotion = &off }},
 		{"lru-caches", func(c *harness.Config) { c.V2PLRU = true }},
-		{"tor-only-memory", func(c *harness.Config) {
-			c.V2PSizeFor = nil // set below per topology
-			c.V2PAlloc = "tor-only"
-		}},
+		{"tor-only-memory", func(c *harness.Config) { c.V2PAlloc = "tor-only" }},
 		{"weighted-memory", func(c *harness.Config) { c.V2PAlloc = "bandwidth" }},
 	}
 	variants = append(variants, variant{"hybrid-host-offload", func(c *harness.Config) {
