@@ -20,6 +20,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"switchv2p/internal/harness"
 	"switchv2p/internal/simtime"
@@ -149,6 +150,12 @@ func (s Spec) Validate() error {
 	if s.ChurnTenant > vnet.MaxTenantID {
 		return fmt.Errorf("scenario %q: churn tenant %d exceeds the VNI space", s.Name, s.ChurnTenant)
 	}
+	if s.FlowBudget < 0 {
+		return fmt.Errorf("scenario %q: negative flow budget %d", s.Name, s.FlowBudget)
+	}
+	if s.DrainGrace < 0 {
+		return fmt.Errorf("scenario %q: negative drain grace %v", s.Name, s.DrainGrace)
+	}
 	departures := 0
 	for i := range s.Phases {
 		p := &s.Phases[i]
@@ -158,8 +165,12 @@ func (s Spec) Validate() error {
 		if p.Duration <= 0 {
 			return fmt.Errorf("scenario %q: phase %q has non-positive duration", s.Name, p.Name)
 		}
-		if p.LoadStart < 0 || p.LoadEnd < 0 {
-			return fmt.Errorf("scenario %q: phase %q has negative load factor", s.Name, p.Name)
+		// Written as a positive range check so that NaN, for which every
+		// comparison is false, fails it too.
+		for _, f := range []float64{p.LoadStart, p.LoadEnd} {
+			if !(f >= 0 && f < math.Inf(1)) {
+				return fmt.Errorf("scenario %q: phase %q has load factor %v outside [0, +Inf)", s.Name, p.Name, f)
+			}
 		}
 		if p.Arrivals < 0 || p.Departures < 0 || p.Migrations < 0 ||
 			p.DrainGateways < 0 || p.RestoreGateways < 0 || p.UpgradeWaves < 0 {

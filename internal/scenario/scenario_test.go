@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -185,6 +186,11 @@ func TestValidateErrors(t *testing.T) {
 		{"zero duration", func(s *Spec) { s.Phases[1].Duration = 0 }, "duration"},
 		{"drain population", func(s *Spec) { s.Phases[1].Departures = s.Base.VMs }, "population"},
 		{"tenant range", func(s *Spec) { s.ChurnTenant = vnet.MaxTenantID + 1 }, "VNI"},
+		{"negative load", func(s *Spec) { s.Phases[0].LoadStart = -0.1 }, "load factor"},
+		{"NaN load", func(s *Spec) { s.Phases[0].LoadStart = math.NaN() }, "load factor"},
+		{"infinite load", func(s *Spec) { s.Phases[1].LoadEnd = math.Inf(1) }, "load factor"},
+		{"negative budget", func(s *Spec) { s.FlowBudget = -5 }, "flow budget"},
+		{"negative drain grace", func(s *Spec) { s.DrainGrace = -simtime.Microsecond }, "drain grace"},
 	}
 	for _, tc := range cases {
 		s := base()
