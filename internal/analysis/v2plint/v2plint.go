@@ -5,9 +5,8 @@
 // iteration order is randomized, global math/rand is shared process
 // state, and wall-clock reads leak into simulated time — so the
 // contract is machine-checked here rather than left to convention.
-// Repo-wide performance and telemetry contracts (an allocation-free
-// forwarding hot path, nil-safe telemetry handles) are machine-checked
-// here too.
+// The repo-wide performance contract (an allocation-free forwarding hot
+// path) is machine-checked here too.
 //
 // The suite keeps only checks that no compiler rule, tier-1 test or
 // -race run enforces more directly (DESIGN.md §8 has the verdict table):
@@ -37,9 +36,6 @@
 //     reads, global math/rand and dynamic calls through func values;
 //     transitive findings carry the witness call chain
 //     (ecmpForward → helperX → fmt.Sprintf).
-//   - nilsafemetrics: requires every exported pointer-receiver method
-//     on telemetry types (and //v2plint:nilsafe-annotated types) to
-//     begin with a nil-receiver guard.
 //   - planpure: functions reachable from the scenario planner entry
 //     points must stay pure functions of (spec, seed): no wall-clock
 //     reads, no global rand, no reads of telemetry state or
@@ -135,7 +131,7 @@ type Diagnostic struct {
 // A SuggestedFix is one machine-applicable repair for a finding: a
 // message plus a set of non-overlapping text edits.
 type SuggestedFix struct {
-	// Message describes the repair in one clause ("insert nil guard").
+	// Message describes the repair in one clause ("delete the bare waiver").
 	Message string
 	Edits   []TextEdit
 }
@@ -153,7 +149,7 @@ type TextEdit struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetRange, WallClock, GlobalRand, SimTimeUnits,
-		HotPath, NilSafeMetrics, PlanPure,
+		HotPath, PlanPure,
 		AllowReason,
 	}
 }

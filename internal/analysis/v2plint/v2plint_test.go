@@ -62,7 +62,7 @@ func d() {}
 func TestSuiteOrder(t *testing.T) {
 	want := []string{
 		"detrange", "wallclock", "globalrand", "simtimeunits",
-		"hotpath", "nilsafemetrics", "planpure",
+		"hotpath", "planpure",
 		"allowreason",
 	}
 	got := Analyzers()

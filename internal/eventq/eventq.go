@@ -92,6 +92,8 @@ type Queue struct {
 	seq    uint64
 	now    simtime.Time
 	frozen string // non-empty: scheduling panics with this message
+	// peakLen is the largest Len() Run has seen before a dispatch.
+	peakLen int
 
 	wheelLen int          // events pending in the wheel
 	wheelAt  simtime.Time // earliest wheel timestamp; meaningful when wheelLen > 0
@@ -128,6 +130,11 @@ func (q *Queue) Now() simtime.Time { return q.now }
 
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.heap) + q.wheelLen }
+
+// PeakLen returns the largest number of pending events Run has seen
+// before dispatching one, over every Run call so far: the queue-depth
+// high-water mark the engine profile reports.
+func (q *Queue) PeakLen() int { return q.peakLen }
 
 // At schedules fn to run at instant t. Scheduling in the past (before the
 // current instant) panics: it would violate causality and always indicates
@@ -329,8 +336,9 @@ func (q *Queue) popHeap() Timed {
 }
 
 // Run dispatches events until the queue is empty or until the next event
-// would be later than horizon. It returns the number of events dispatched.
-// Use horizon = simtime.Never to drain the queue.
+// would be later than horizon. It returns the number of events dispatched
+// and keeps PeakLen up to date. Use horizon = simtime.Never to drain the
+// queue.
 //
 //v2plint:hotpath
 func (q *Queue) Run(horizon simtime.Time) int {
@@ -340,6 +348,7 @@ func (q *Queue) Run(horizon simtime.Time) int {
 		if !ok || t > horizon {
 			return n
 		}
+		q.peakLen = max(q.peakLen, q.Len())
 		q.Step()
 		n++
 	}

@@ -70,6 +70,8 @@ type modelRun struct {
 	nextID  int
 	nextKey uint64
 	fired   int
+	inRun   bool // a Run call is dispatching
+	peakLen int  // the model's PeakLen: pending count before each Run dispatch
 }
 
 type modelFire struct {
@@ -82,6 +84,9 @@ type modelFire struct {
 func (f *modelFire) Fire() {
 	r := f.r
 	r.fired++
+	if r.inRun {
+		r.peakLen = max(r.peakLen, len(r.m.pending))
+	}
 	want, ok := r.m.pop()
 	if !ok || want.id != f.id {
 		r.t.Fatalf("event %d fired; model expected %+v (pending %v)", f.id, want, ok)
@@ -127,6 +132,9 @@ func (r *modelRun) check(op int) {
 	if r.q.Now() != r.m.now {
 		t.Fatalf("op %d: Now = %d, model %d", op, r.q.Now(), r.m.now)
 	}
+	if r.q.PeakLen() != r.peakLen {
+		t.Fatalf("op %d: PeakLen = %d, model %d", op, r.q.PeakLen(), r.peakLen)
+	}
 	want, ok := r.m.peek()
 	if at, got := r.q.PeekTime(); got != ok || at != want.at {
 		t.Fatalf("op %d: PeekTime = %d,%v, model %d,%v", op, at, got, want.at, ok)
@@ -156,7 +164,10 @@ func runModelOps(t *testing.T, ops []byte) {
 			}
 		case 6:
 			h, before := r.after(delay), r.fired
-			if n := r.q.Run(h); n != r.fired-before {
+			r.inRun = true
+			n := r.q.Run(h)
+			r.inRun = false
+			if n != r.fired-before {
 				t.Fatalf("op %d: Run returned %d, fired %d", i/2, n, r.fired-before)
 			}
 			if e, ok := r.m.peek(); ok && e.at <= h {

@@ -97,7 +97,9 @@ func (in *Injector) apply(e *simnet.Engine, ev Event) {
 		return
 	}
 	in.Applied = append(in.Applied, ev)
-	in.col.RecordFault(float64(e.Now())/float64(simtime.Microsecond), ev.Kind.String(), ev.Detail())
+	if in.col != nil {
+		in.col.RecordFault(float64(e.Now())/float64(simtime.Microsecond), ev.Kind.String(), ev.Detail())
+	}
 }
 
 // Err returns every error the injector hit while applying events, or

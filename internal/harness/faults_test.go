@@ -58,8 +58,8 @@ func TestFaultInjectionDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The comparable document: sampled timeline plus registry
-			// contents. The engine profile is wall-clock and so is
+			// The comparable document: sampled timeline plus counter and
+			// gauge readings. The engine profile is wall-clock and so is
 			// legitimately different run to run.
 			var timeline, doc bytes.Buffer
 			if err := r.Telemetry.WriteFaultsCSV(&timeline); err != nil {
@@ -68,7 +68,7 @@ func TestFaultInjectionDeterminism(t *testing.T) {
 			if err := r.Telemetry.WriteCSV(&doc); err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&doc, "%+v\n%+v\n", r.Telemetry.Registry.Counters(), r.Telemetry.Registry.Gauges())
+			fmt.Fprintf(&doc, "%+v\n%+v\n", r.Telemetry.Counters(), r.Telemetry.Gauges())
 			return r, timeline.String(), doc.String()
 		}
 		r1, tl1, doc1 := run()

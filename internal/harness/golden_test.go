@@ -17,7 +17,7 @@ import (
 // TestGoldenDigests pins the simulator's output at fixed seeds to
 // testdata/golden.json: one SHA-256 per run over runDoc's document
 // (report fingerprint, engine counters, core/host stats, and the
-// telemetry CSVs and registry where telemetry is on). It is the oracle
+// telemetry CSVs, counters and gauges where telemetry is on). It is the oracle
 // for behaviour-preserving refactors — a second implementation kept
 // only to be compared against can be deleted once its digests are
 // committed. There is no update flag: on a mismatch the test prints the

@@ -392,8 +392,11 @@ func (w *World) Run(horizon simtime.Time) error {
 			return err
 		}
 	}
+	if w.Telem == nil {
+		return nil
+	}
 	// Streaming telemetry buffers bytes in its writers until flushed; a
-	// buffered (or absent) collector makes this a no-op.
+	// buffered collector makes this a no-op.
 	return w.Telem.FlushStreams()
 }
 

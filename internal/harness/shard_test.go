@@ -17,9 +17,9 @@ import (
 
 // runDoc runs one configuration to completion and flattens every
 // comparable outcome — the report fingerprint, the engine counters, the
-// core/host scheme stats, the sampled timeline, the registry contents
-// and the fault timeline — into one string. The engine profile is wall-clock and so deliberately
-// excluded.
+// core/host scheme stats, the sampled timeline, the counter and gauge
+// readings and the fault timeline — into one string. The engine profile
+// is wall-clock and so deliberately excluded.
 func runDoc(t *testing.T, cfg Config) (*Report, string) {
 	t.Helper()
 	r, err := Run(cfg)
@@ -42,7 +42,7 @@ func runDoc(t *testing.T, cfg Config) (*Report, string) {
 		if err := r.Telemetry.WriteFaultsCSV(&doc); err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&doc, "%+v\n%+v\n", r.Telemetry.Registry.Counters(), r.Telemetry.Registry.Gauges())
+		fmt.Fprintf(&doc, "%+v\n%+v\n", r.Telemetry.Counters(), r.Telemetry.Gauges())
 	}
 	return r, doc.String()
 }

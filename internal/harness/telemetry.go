@@ -8,20 +8,20 @@ import (
 )
 
 // attachTelemetry builds the run's collector and wires every probe and
-// counter handle: engine profiling hooks, per-switch queue and cache
-// series, gateway load series, protocol and transport packet rates.
-// All probes are pure observations — attaching telemetry never changes
-// a simulation result.
+// reader: engine profiling hooks, per-switch queue and cache series,
+// gateway load series, protocol and transport packet rates, and the
+// counters and gauges read at export. All of them are pure observations
+// of state the simulator keeps anyway — attaching telemetry never
+// changes a simulation result.
 func (w *World) attachTelemetry(opts telemetry.Options) {
 	tel := telemetry.New(opts)
 	w.Telem = tel
 	e := w.Engine
 	e.Prof = &tel.Profile
 
-	reg := tel.Registry
-	w.Agent.RetxCounter = reg.Counter("transport.retransmits")
-	w.Agent.RTOCounter = reg.Counter("transport.rtos")
-	e.BufGauge = reg.Gauge("net.switch_buffer_bytes")
+	tel.AddCounter("transport.retransmits", w.Agent.Retransmits)
+	tel.AddCounter("transport.rtos", w.Agent.RTOs)
+	tel.AddGauge("net.switch_buffer_bytes", e.BufferGauge)
 
 	if opts.ProfileOnly {
 		return
@@ -36,8 +36,8 @@ func (w *World) attachTelemetry(opts telemetry.Options) {
 	tel.AddProbe("net.fault_drops_per_sec", telemetry.RateProbe(iv, func() int64 { return c.FaultDrops }))
 	tel.AddProbe("proto.learning_per_sec", telemetry.RateProbe(iv, func() int64 { return c.LearningPkts }))
 	tel.AddProbe("proto.invalidation_per_sec", telemetry.RateProbe(iv, func() int64 { return c.InvalidationPkts }))
-	tel.AddProbe("transport.retx_per_sec", telemetry.RateProbe(iv, w.Agent.RetxCounter.Value))
-	tel.AddProbe("transport.rto_per_sec", telemetry.RateProbe(iv, w.Agent.RTOCounter.Value))
+	tel.AddProbe("transport.retx_per_sec", telemetry.RateProbe(iv, w.Agent.Retransmits))
+	tel.AddProbe("transport.rto_per_sec", telemetry.RateProbe(iv, w.Agent.RTOs))
 
 	// Gateway load: aggregate plus one series per active gateway.
 	tel.AddProbe("gateway.pkts_per_sec", telemetry.RateProbe(iv, func() int64 { return c.GatewayPackets }))
@@ -93,7 +93,7 @@ func (w *World) attachTelemetry(opts telemetry.Options) {
 				func() int64 { _, h := cache.HitStats(); return h },
 				func() int64 { l, _ := cache.HitStats(); return l }))
 		}
-		reg.Gauge("cache.capacity_entries").Set(capacity)
+		tel.AddGauge("cache.capacity_entries", func() (int64, int64) { return capacity, capacity })
 	}
 
 	if e.Sharded() {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"switchv2p/internal/core"
 	"switchv2p/internal/simtime"
 	"switchv2p/internal/telemetry"
 	"switchv2p/internal/topology"
@@ -53,8 +54,8 @@ func TestTelemetryZeroPerturbation(t *testing.T) {
 	}
 }
 
-// TestTelemetryProfileRun checks the engine profiling hooks: the profiled
-// event loop must dispatch the same simulation while recording throughput.
+// TestTelemetryProfileRun checks the engine profiling hooks: a profiled
+// run is the same simulation, and its profile is filled in.
 func TestTelemetryProfileRun(t *testing.T) {
 	plain, err := Run(quickConfig(SchemeSwitchV2P))
 	if err != nil {
@@ -75,6 +76,55 @@ func TestTelemetryProfileRun(t *testing.T) {
 	}
 	if len(r.Telemetry.Timeline.Times) != 0 {
 		t.Fatal("profile-only run recorded timeline samples")
+	}
+}
+
+// TestTelemetryCountersReconcile checks the exported counters and gauges
+// against the run they describe, on the serial engine and at two shards.
+// The fault scenario's loss window and failures force retransmissions, so
+// the transport counter cannot pass by being zero on both sides.
+func TestTelemetryCountersReconcile(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		cfg := faultyConfig(SchemeSwitchV2P, 7)
+		cfg.Shards = shards
+		cfg.Telemetry = &telemetry.Options{Interval: 5 * simtime.Microsecond}
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := r.Telemetry
+		values := map[string]telemetry.GaugeValue{}
+		for _, c := range tel.Counters() {
+			values[c.Name] = telemetry.GaugeValue{Name: c.Name, Value: c.Value}
+		}
+		for _, g := range tel.Gauges() {
+			values[g.Name] = g
+		}
+
+		if r.Summary.Retransmits == 0 {
+			t.Fatalf("shards=%d: the fault scenario forced no retransmissions", shards)
+		}
+		if got := values["transport.retransmits"].Value; got != r.Summary.Retransmits {
+			t.Errorf("shards=%d: transport.retransmits = %d, flow records sum to %d", shards, got, r.Summary.Retransmits)
+		}
+		buf := values["net.switch_buffer_bytes"]
+		if buf.HighWater == 0 || buf.Value != 0 {
+			t.Errorf("shards=%d: net.switch_buffer_bytes = %+v, want a nonzero high water and 0 after drain", shards, buf)
+		}
+		cs := r.World.Scheme.(interface{ Cache(int32) core.MappingCache })
+		var capacity int64
+		for i := range r.World.Topo.Switches {
+			capacity += int64(cs.Cache(int32(i)).Len())
+			for j, v := range tel.Timeline.Find(fmt.Sprintf("sw%d.queue_bytes", i)).Values {
+				if int64(v) > buf.HighWater {
+					t.Fatalf("shards=%d: sw%d.queue_bytes sample %d reads %g, above the gauge's high water %d",
+						shards, i, j, v, buf.HighWater)
+				}
+			}
+		}
+		if got := values["cache.capacity_entries"]; got.Value != capacity || got.HighWater != capacity {
+			t.Errorf("shards=%d: cache.capacity_entries = %+v, per-switch caches hold %d lines", shards, got, capacity)
+		}
 	}
 }
 

@@ -116,18 +116,11 @@ type Engine struct {
 	// tracer then cannot clobber its successor's tap.
 	TapOwner any
 
-	// Prof, when non-nil, enables the engine profiling hooks: Run steps
-	// the queue manually, counting dispatched events, tracking the
-	// pending-event high-water mark and charging wall clock to the
-	// profile. Nil (the default) leaves the fast drain loop untouched.
+	// Prof, when non-nil, enables the engine profiling hooks: Run charges
+	// the events it dispatched, the queue-depth high-water mark, host wall
+	// clock and allocations to the profile. The run loop is the same
+	// either way.
 	Prof *telemetry.EngineProfile
-
-	// BufGauge, when non-nil, tracks switch shared-buffer occupancy on
-	// the enqueue and dequeue hot paths (its high-water mark is the peak
-	// bytes across all switches; its instantaneous value is the occupancy
-	// of the last-touched switch buffer, falling back to zero as a run
-	// drains). A nil gauge costs one inlined nil check per buffer update.
-	BufGauge *telemetry.Gauge
 
 	// Link tables, built once in New so the forwarding hot path is plain
 	// array reads: swNbr[s] holds the egress links from switch s to each
@@ -140,6 +133,10 @@ type Engine struct {
 	hostUp   []*link // host -> its ToR
 	hostDown []*link // ToR -> host, indexed by host
 	bufUsed  []int   // shared-buffer occupancy per switch
+	// bufLast and bufPeak back BufferGauge: the occupancy of the switch
+	// buffer an enqueue or a serialization end touched last, and the
+	// largest occupancy any switch buffer has reached.
+	bufLast, bufPeak int64
 
 	gateways []int32 // host indices senders may load-balance over
 	nextUID  uint64
@@ -294,12 +291,31 @@ func (e *Engine) Now() simtime.Time {
 	return e.Q.Now()
 }
 
-// Run dispatches events until the queue drains or the horizon passes.
-// With a profile attached (Prof non-nil) it steps the queue through the
-// profiling hooks; the dispatch order — and therefore every simulation
-// result — is identical either way. On a sharded engine (EnableSharding)
-// it runs the conservative windowed parallel loop instead.
+// Run dispatches events until the queue drains or the horizon passes. On
+// a sharded engine (EnableSharding) it runs the conservative windowed
+// parallel loop instead. With a profile attached (Prof) it charges the
+// run to the profile; the loop is the same either way.
 func (e *Engine) Run(horizon simtime.Time) {
+	p := e.Prof
+	if p == nil {
+		e.run(horizon)
+		return
+	}
+	// The host readings describe the process; they never feed back into
+	// simulated time or results.
+	start := time.Now() //v2plint:allow wallclock profiling hook: host wall time is telemetry about the run, not simulation state
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	e.run(horizon)
+	runtime.ReadMemStats(&ms)
+	p.Mallocs += ms.Mallocs - mallocs
+	p.Wall += time.Since(start) //v2plint:allow wallclock profiling hook: host wall time is telemetry about the run, not simulation state
+	p.SimEnd = e.Now()
+}
+
+// run is Run without the host readings.
+func (e *Engine) run(horizon simtime.Time) {
 	if e.shard != nil {
 		e.runSharded(horizon)
 		return
@@ -307,38 +323,21 @@ func (e *Engine) Run(horizon simtime.Time) {
 	// The free list lives for one Run: a finished World keeps what it
 	// reports, not the run's high-water mark of dead packets.
 	defer e.pool.Empty()
-	if e.Prof == nil {
-		e.Q.Run(horizon)
-		return
+	n := e.Q.Run(horizon)
+	if p := e.Prof; p != nil {
+		p.Events += int64(n)
+		p.HeapHighWater = max(p.HeapHighWater, e.Q.PeakLen())
 	}
-	p := e.Prof
-	// The profiling hook deliberately measures host wall time; it never
-	// feeds back into simulated time or results.
-	start := time.Now() //v2plint:allow wallclock profiling hook: host wall time is telemetry about the run, not simulation state
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocs := ms.Mallocs
-
-	for {
-		t, ok := e.Q.PeekTime()
-		if !ok || t > horizon {
-			break
-		}
-		if d := e.Q.Len(); d > p.HeapHighWater {
-			p.HeapHighWater = d
-		}
-		e.Q.Step()
-		p.Events++
-	}
-	runtime.ReadMemStats(&ms)
-	p.Mallocs += ms.Mallocs - mallocs
-	p.Wall += time.Since(start) //v2plint:allow wallclock profiling hook: host wall time is telemetry about the run, not simulation state
-	p.SimEnd = e.Q.Now()
 }
 
 // BufferUsed returns switch sw's shared-buffer occupancy in bytes
 // (a telemetry sampling accessor).
 func (e *Engine) BufferUsed(sw int32) int { return e.bufUsed[sw] }
+
+// BufferGauge returns the shared-buffer occupancy, in bytes, of the switch
+// buffer touched last — 0 once a run has drained — and the peak occupancy
+// any switch buffer has reached (a telemetry export accessor).
+func (e *Engine) BufferGauge() (last, peak int64) { return e.bufLast, e.bufPeak }
 
 // InFlightPackets counts the packets currently in the network on every
 // link: queued behind the serializer, being serialized, or in

@@ -13,7 +13,6 @@ import (
 	"switchv2p/internal/eventq"
 	"switchv2p/internal/packet"
 	"switchv2p/internal/simtime"
-	"switchv2p/internal/telemetry"
 	"switchv2p/internal/topology"
 	"switchv2p/internal/vnet"
 )
@@ -56,7 +55,7 @@ func TestLinkSerializerSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestSwitchLinkSteadyStateAllocFree covers the switch-egress variant:
-// shared-buffer accounting and the (nil) buffer gauge must stay on the
+// shared-buffer accounting and the buffer-gauge readings must stay on the
 // allocation-free path too.
 func TestSwitchLinkSteadyStateAllocFree(t *testing.T) {
 	f := newFixture(t, gwScheme{})
@@ -154,13 +153,11 @@ func TestPacketPathSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestBufGaugeDrainsToZero is the dequeue-update regression test: after
-// a run drains, the gauge's instantaneous value must fall back to zero
-// (it used to stay at the last-enqueue occupancy forever) while the
-// high-water mark keeps the peak.
+// a run drains, BufferGauge's last-touched occupancy must fall back to
+// zero (it used to stay at the last-enqueue occupancy forever) while the
+// peak stays.
 func TestBufGaugeDrainsToZero(t *testing.T) {
 	f := newFixture(t, gwScheme{})
-	g := &telemetry.Gauge{}
-	f.e.BufGauge = g
 	src, dst := f.vips[0], f.vips[10]
 	pip, _ := f.net.Lookup(dst)
 	for i := 0; i < 20; i++ {
@@ -170,12 +167,12 @@ func TestBufGaugeDrainsToZero(t *testing.T) {
 		f.e.HostSend(f.hostOf(src), p)
 	}
 	f.e.Run(simtime.Never)
-	if g.HighWater() == 0 {
+	last, peak := f.e.BufferGauge()
+	if peak == 0 {
 		t.Fatal("buffer gauge never observed occupancy")
 	}
-	if g.Value() != 0 {
-		t.Fatalf("buffer gauge reads %d after drain, want 0 (high water %d)",
-			g.Value(), g.HighWater())
+	if last != 0 {
+		t.Fatalf("buffer gauge reads %d after drain, want 0 (peak %d)", last, peak)
 	}
 }
 

@@ -102,7 +102,7 @@ func (l *link) Fire() {
 	s := l.slot(l.tx)
 	if l.fromSwitch >= 0 {
 		l.e.bufUsed[l.fromSwitch] -= s.size
-		l.e.BufGauge.Set(int64(l.e.bufUsed[l.fromSwitch]))
+		l.e.bufLast = int64(l.e.bufUsed[l.fromSwitch])
 	}
 	if l.boundary {
 		// The far end lives in another shard: the packet leaves the ring
@@ -176,14 +176,15 @@ func (l *link) enqueue(p *packet.Packet) {
 	}
 	size := p.Size()
 	if l.fromSwitch >= 0 {
-		if l.e.bufUsed[l.fromSwitch]+size > l.e.Topo.Cfg.BufferBytes {
+		used := l.e.bufUsed[l.fromSwitch] + size
+		if used > l.e.Topo.Cfg.BufferBytes {
 			l.e.C.Drops++
 			l.e.C.SwitchDrops[l.fromSwitch]++
 			l.e.pool.Put(p)
 			return
 		}
-		l.e.bufUsed[l.fromSwitch] += size
-		l.e.BufGauge.Set(int64(l.e.bufUsed[l.fromSwitch]))
+		l.e.bufUsed[l.fromSwitch] = used
+		l.e.bufLast, l.e.bufPeak = int64(used), max(l.e.bufPeak, int64(used))
 	}
 	if l.inFlight() == len(l.ring) {
 		l.grow()

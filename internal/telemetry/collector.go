@@ -20,7 +20,7 @@ const DefaultWindow = 256
 // every tick is emitted incrementally to the configured writer and the
 // in-memory Timeline retains only the most recent Window samples, so a
 // run of any simulated length samples in constant memory. CSV receives
-// the same bytes Timeline.WriteCSV would produce for an unbounded run.
+// the same bytes Collector.WriteCSV would produce for an unbounded run.
 type StreamOptions struct {
 	// CSV, when non-nil, receives the timeline incrementally in the wide
 	// CSV format (header at Attach, one row per tick).
@@ -51,18 +51,14 @@ type Series struct {
 	Name   string    `json:"name"`
 	Values []float64 `json:"values"`
 
-	// Running aggregates maintained by the collector tick. n == 0 means
-	// the series was filled directly (e.g. by tests) rather than through
-	// Collector sampling.
-	n         int64
+	// Running aggregates over every sample the collector took.
 	last, max float64
 }
 
 // Timeline holds every sampled series over a shared time axis.
 type Timeline struct {
-	Interval simtime.Duration
-	Times    []simtime.Time
-	Series   []*Series
+	Times  []simtime.Time
+	Series []*Series
 
 	// Dropped counts samples evicted from the in-memory window by a
 	// streaming collector (always 0 in buffered operation). Evicted
@@ -73,9 +69,6 @@ type Timeline struct {
 
 // Find returns the named series, or nil.
 func (t *Timeline) Find(name string) *Series {
-	if t == nil {
-		return nil
-	}
 	for _, s := range t.Series {
 		if s.Name == name {
 			return s
@@ -95,12 +88,10 @@ type FaultRecord struct {
 	Detail string  `json:"detail"`
 }
 
-// Collector bundles one run's telemetry: the registry its counter and
-// gauge handles live in, the engine profile, the sampled timeline, and
-// the fault timeline.
+// Collector bundles one run's telemetry: the counter and gauge readers,
+// the engine profile, the sampled timeline, and the fault timeline.
 type Collector struct {
 	Interval simtime.Duration
-	Registry *Registry
 	Profile  EngineProfile
 	Timeline *Timeline
 	// Faults is the ordered timeline of fault events applied during the
@@ -109,12 +100,14 @@ type Collector struct {
 
 	profileOnly bool
 	probes      []probe
+	counters    []counterReader
+	gauges      []gaugeReader
 	q           *eventq.Queue
+	ticks       int64 // samples taken, evicted ones included
 
 	// Streaming state (nil/zero in buffered operation).
 	stream    *StreamOptions
 	window    int
-	ticks     int64
 	csvw      *csvEmitter
 	streamErr error
 }
@@ -132,8 +125,7 @@ func New(opts Options) *Collector {
 	}
 	c := &Collector{
 		Interval:    iv,
-		Registry:    NewRegistry(),
-		Timeline:    &Timeline{Interval: iv},
+		Timeline:    &Timeline{},
 		profileOnly: opts.ProfileOnly,
 	}
 	if opts.Stream != nil && !opts.ProfileOnly {
@@ -147,36 +139,20 @@ func New(opts Options) *Collector {
 }
 
 // Ticks returns the total number of sampling ticks taken, including
-// samples already evicted from a streaming window (0 for a nil
-// collector).
-func (c *Collector) Ticks() int64 {
-	if c == nil {
-		return 0
-	}
-	if c.ticks == 0 && c.Timeline != nil {
-		// A timeline filled directly rather than through tick().
-		return int64(len(c.Timeline.Times))
-	}
-	return c.ticks
-}
+// samples already evicted from a streaming window.
+func (c *Collector) Ticks() int64 { return c.ticks }
 
 // RecordFault appends one event to the fault timeline. The injector
 // calls it at the simulation time the fault is applied, so records are
-// naturally in non-decreasing time order. Safe on a nil collector.
+// naturally in non-decreasing time order.
 func (c *Collector) RecordFault(timeUs float64, kind, detail string) {
-	if c == nil {
-		return
-	}
 	c.Faults = append(c.Faults, FaultRecord{TimeUs: timeUs, Kind: kind, Detail: detail})
 }
 
 // AddProbe registers a sampled series: fn is evaluated once per
 // sampling tick and must not mutate simulation state. Probes must be
-// registered before Attach. A nil collector records nothing.
+// registered before Attach.
 func (c *Collector) AddProbe(name string, fn func() float64) {
-	if c == nil {
-		return
-	}
 	s := &Series{Name: name}
 	c.Timeline.Series = append(c.Timeline.Series, s)
 	c.probes = append(c.probes, probe{series: s, fn: fn})
@@ -187,18 +163,13 @@ func (c *Collector) AddProbe(name string, fn func() float64) {
 // never keeps a drained simulation alive, and its ticks are pure
 // observations — an attached collector does not change any result.
 // In streaming operation this also emits the CSV header, so all probes
-// must be registered first. A nil collector attaches nothing.
+// must be registered first.
 func (c *Collector) Attach(q *eventq.Queue) {
-	if c == nil {
-		return
-	}
 	if c.profileOnly {
 		return
 	}
 	c.q = q
-	if c.stream != nil {
-		c.initStream()
-	}
+	c.initStream()
 	q.After(c.Interval, c.tick)
 }
 
@@ -206,16 +177,14 @@ func (c *Collector) Attach(q *eventq.Queue) {
 // — the sharded engine calls TickAt at every multiple of the returned
 // interval instead of the collector self-scheduling queue events (the
 // sharded root queue is frozen). It returns the sampling interval and
-// whether sampling is enabled at all (false for a nil or profile-only
+// whether sampling is enabled at all (false for a profile-only
 // collector). In streaming operation it also emits the CSV header, so
 // all probes must be registered first.
 func (c *Collector) BarrierSampling() (simtime.Duration, bool) {
-	if c == nil || c.profileOnly {
+	if c.profileOnly {
 		return 0, false
 	}
-	if c.stream != nil {
-		c.initStream()
-	}
+	c.initStream()
 	return c.Interval, true
 }
 
@@ -223,22 +192,6 @@ func (c *Collector) BarrierSampling() (simtime.Duration, bool) {
 // externally driven counterpart of the self-scheduled tick; the caller
 // owns the cadence (see BarrierSampling).
 func (c *Collector) TickAt(now simtime.Time) {
-	if c == nil {
-		return
-	}
-	c.sample(now)
-}
-
-func (c *Collector) tick() {
-	c.sample(c.q.Now())
-	// Re-arm only while the simulation has work left: when this tick is
-	// dispatched the queue holds exactly the other pending events.
-	if c.q.Len() > 0 {
-		c.q.After(c.Interval, c.tick)
-	}
-}
-
-func (c *Collector) sample(now simtime.Time) {
 	c.ticks++
 	t := c.Timeline
 	t.Times = append(t.Times, now)
@@ -246,9 +199,8 @@ func (c *Collector) sample(now simtime.Time) {
 		v := p.fn()
 		s := p.series
 		s.Values = append(s.Values, v)
-		s.n++
 		s.last = v
-		if s.n == 1 || v > s.max {
+		if c.ticks == 1 || v > s.max {
 			s.max = v
 		}
 	}
@@ -266,6 +218,15 @@ func (c *Collector) sample(now simtime.Time) {
 			}
 			t.Dropped++
 		}
+	}
+}
+
+func (c *Collector) tick() {
+	c.TickAt(c.q.Now())
+	// Re-arm only while the simulation has work left: when this tick is
+	// dispatched the queue holds exactly the other pending events.
+	if c.q.Len() > 0 {
+		c.q.After(c.Interval, c.tick)
 	}
 }
 

@@ -39,21 +39,18 @@ type jsonExport struct {
 	Profile        jsonProfile `json:"profile"`
 }
 
-// WriteJSON exports the full collector state — timeline, registry and
-// engine profile — as one JSON document. In streaming operation the
-// timeline section covers only the retained window (SamplesDropped
-// reports how many older samples were evicted after being streamed).
-// A nil collector writes nothing and reports success.
+// WriteJSON exports the full collector state — timeline, counters,
+// gauges and engine profile — as one JSON document. In streaming
+// operation the timeline section covers only the retained window
+// (SamplesDropped reports how many older samples were evicted after
+// being streamed).
 func (c *Collector) WriteJSON(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
 	doc := jsonExport{
 		IntervalUs:     c.Interval.Micros(),
 		TimesUs:        make([]float64, 0, len(c.Timeline.Times)),
 		Series:         c.Timeline.Series,
-		Counters:       c.Registry.Counters(),
-		Gauges:         c.Registry.Gauges(),
+		Counters:       c.Counters(),
+		Gauges:         c.Gauges(),
 		Faults:         c.Faults,
 		SamplesDropped: c.Timeline.Dropped,
 		Profile: jsonProfile{
@@ -74,22 +71,11 @@ func (c *Collector) WriteJSON(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// WriteCSV exports the timeline in wide format: one column per series,
-// one row per sampling tick, all floats at fixed precision. A nil
-// collector writes nothing and reports success.
+// WriteCSV exports the timeline in wide format: time_us, then one
+// column per series; one row per sampling tick, all floats at fixed
+// precision.
 func (c *Collector) WriteCSV(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
-	return c.Timeline.WriteCSV(w)
-}
-
-// WriteCSV exports the timeline in wide format (time_us, series...).
-// A nil timeline writes nothing and reports success.
-func (t *Timeline) WriteCSV(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
+	t := c.Timeline
 	e, err := newCSVEmitter(w, t.Series)
 	if err != nil {
 		return err
@@ -144,12 +130,8 @@ func (e *csvEmitter) flush() error {
 }
 
 // WriteFaultsCSV exports the fault timeline as CSV (time_us at fixed
-// precision, kind, detail) — one row per applied fault event. A nil
-// collector writes nothing and reports success.
+// precision, kind, detail) — one row per applied fault event.
 func (c *Collector) WriteFaultsCSV(w io.Writer) error {
-	if c == nil {
-		return nil
-	}
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"time_us", "kind", "detail"}); err != nil {
 		return err
@@ -164,12 +146,9 @@ func (c *Collector) WriteFaultsCSV(w io.Writer) error {
 }
 
 // Summary renders a human-readable digest: the engine profile, the
-// registry contents, the final reading of every sampled series, and the
-// fault timeline. A nil collector renders the empty string.
+// counters and gauges, the final reading of every sampled series, and
+// the fault timeline.
 func (c *Collector) Summary() string {
-	if c == nil {
-		return ""
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "engine    %s\n", c.Profile.String())
 	fmt.Fprintf(&b, "samples   %d ticks every %v (%d series)\n",
@@ -178,31 +157,18 @@ func (c *Collector) Summary() string {
 		fmt.Fprintf(&b, "          streaming: %d retained in window, %d evicted after emission\n",
 			len(c.Timeline.Times), c.Timeline.Dropped)
 	}
-	for _, cv := range c.Registry.Counters() {
+	for _, cv := range c.Counters() {
 		fmt.Fprintf(&b, "counter   %-32s %d\n", cv.Name, cv.Value)
 	}
-	for _, gv := range c.Registry.Gauges() {
+	for _, gv := range c.Gauges() {
 		fmt.Fprintf(&b, "gauge     %-32s %d (high water %d)\n", gv.Name, gv.Value, gv.HighWater)
 	}
-	for _, s := range c.Timeline.Series {
+	if c.ticks > 0 {
 		// The running aggregates cover samples already evicted from a
-		// streaming window; series filled directly (n == 0, e.g. by
-		// tests) fall back to scanning the retained values.
-		last, max, have := s.last, s.max, s.n > 0
-		if !have && len(s.Values) > 0 {
-			have = true
-			last = s.Values[len(s.Values)-1]
-			max = s.Values[0]
-			for _, v := range s.Values {
-				if v > max {
-					max = v
-				}
-			}
+		// streaming window.
+		for _, s := range c.Timeline.Series {
+			fmt.Fprintf(&b, "series    %-32s last=%.4g max=%.4g\n", s.Name, s.last, s.max)
 		}
-		if !have {
-			continue
-		}
-		fmt.Fprintf(&b, "series    %-32s last=%.4g max=%.4g\n", s.Name, last, max)
 	}
 	for _, f := range c.Faults {
 		fmt.Fprintf(&b, "fault     t=%-10s %-16s %s\n", fixed(f.TimeUs)+"us", f.Kind, f.Detail)

@@ -13,10 +13,11 @@ import (
 // simulated second costs. The engine fills it in when a profile is
 // attached (simnet.Engine.Prof); repeated Run calls accumulate.
 type EngineProfile struct {
-	// Events is the number of events dispatched by the profiled run
-	// loop (including telemetry sampler ticks, if a sampler is active).
+	// Events is the number of events the run loop dispatched
+	// (including telemetry sampler ticks, if a sampler is active).
 	Events int64
-	// HeapHighWater is the largest pending-event count observed.
+	// HeapHighWater is the largest pending-event count the run loop saw
+	// before dispatching an event.
 	HeapHighWater int
 	// Mallocs is the number of heap allocations performed inside the run
 	// loop (runtime.MemStats.Mallocs delta across the profiled drain):
@@ -35,7 +36,7 @@ type EngineProfile struct {
 
 // EventsPerSec returns the wall-clock event dispatch rate.
 func (p *EngineProfile) EventsPerSec() float64 {
-	if p == nil || p.Wall <= 0 {
+	if p.Wall <= 0 {
 		return 0
 	}
 	return float64(p.Events) / p.Wall.Seconds()
@@ -43,7 +44,7 @@ func (p *EngineProfile) EventsPerSec() float64 {
 
 // AllocsPerEvent returns the mean heap allocations per dispatched event.
 func (p *EngineProfile) AllocsPerEvent() float64 {
-	if p == nil || p.Events == 0 {
+	if p.Events == 0 {
 		return 0
 	}
 	return float64(p.Mallocs) / float64(p.Events)
@@ -52,18 +53,15 @@ func (p *EngineProfile) AllocsPerEvent() float64 {
 // WallPerSimSecond returns how many wall-clock seconds one simulated
 // second costs (the simulator's slowdown factor).
 func (p *EngineProfile) WallPerSimSecond() float64 {
-	if p == nil || p.SimEnd <= 0 {
+	if p.SimEnd <= 0 {
 		return 0
 	}
 	simSecs := float64(p.SimEnd) / float64(simtime.Second)
 	return p.Wall.Seconds() / simSecs
 }
 
-// String summarizes the profile in one line ("" for a nil profile).
+// String summarizes the profile in one line.
 func (p *EngineProfile) String() string {
-	if p == nil {
-		return ""
-	}
 	return fmt.Sprintf("events=%d heapHW=%d wall=%v events/sec=%.0f wall-per-sim-sec=%.1f allocs/event=%.3f",
 		p.Events, p.HeapHighWater, p.Wall.Round(time.Microsecond),
 		p.EventsPerSec(), p.WallPerSimSecond(), p.AllocsPerEvent())

@@ -4,15 +4,15 @@ import "switchv2p/internal/simtime"
 
 // Incremental CSV emission for windowed/streaming collectors. The
 // invariant: the bytes produced over a run of any length are exactly
-// what the buffered exporter (Timeline.WriteCSV) would produce had
+// what the buffered exporter (Collector.WriteCSV) would produce had
 // every sample been retained — both go through csvEmitter. Short runs
 // with large windows verify this directly (the oracle tests); long runs
 // then stream the same bytes in constant memory.
 
-// initStream emits the CSV header. Called after every probe is
-// registered and before the first tick.
+// initStream emits the CSV header, if the collector streams one. Called
+// after every probe is registered and before the first tick.
 func (c *Collector) initStream() {
-	if c.stream.CSV == nil {
+	if c.stream == nil || c.stream.CSV == nil {
 		return
 	}
 	c.csvw, c.streamErr = newCSVEmitter(c.stream.CSV, c.Timeline.Series)
@@ -30,10 +30,10 @@ func (c *Collector) emit(now simtime.Time) {
 
 // FlushStreams flushes the incremental exporter and reports the first
 // write error encountered during the run. It must be called once the
-// simulation finishes; the harness does so automatically. A nil
-// collector (or one without a stream) reports success.
+// simulation finishes; the harness does so automatically. A collector
+// without a stream reports success.
 func (c *Collector) FlushStreams() error {
-	if c == nil || c.csvw == nil {
+	if c.csvw == nil {
 		return nil
 	}
 	if c.streamErr == nil {

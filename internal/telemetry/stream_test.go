@@ -122,13 +122,3 @@ func TestProfileOnlyIgnoresStream(t *testing.T) {
 		t.Errorf("FlushStreams on profile-only collector: %v", err)
 	}
 }
-
-func TestNilCollectorStreamMethods(t *testing.T) {
-	var c *Collector
-	if err := c.FlushStreams(); err != nil {
-		t.Error(err)
-	}
-	if c.Ticks() != 0 {
-		t.Error("nil collector must report zero ticks")
-	}
-}

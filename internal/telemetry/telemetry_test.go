@@ -12,67 +12,17 @@ import (
 	"switchv2p/internal/simtime"
 )
 
-func TestNilHandlesAreNoOps(t *testing.T) {
-	var c *Counter
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatal("nil counter has a value")
-	}
-	var g *Gauge
-	g.Set(7)
-	if g.Value() != 0 || g.HighWater() != 0 {
-		t.Fatal("nil gauge has a value")
-	}
-	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil {
-		t.Fatal("nil registry handed out live handles")
-	}
-	if r.Counters() != nil || r.Gauges() != nil {
-		t.Fatal("nil registry exported values")
-	}
-	var p *EngineProfile
-	if p.EventsPerSec() != 0 || p.WallPerSimSecond() != 0 {
-		t.Fatal("nil profile reported rates")
-	}
-}
-
-func TestRegistryCreateOrGetAndSortedExport(t *testing.T) {
-	r := NewRegistry()
-	b := r.Counter("b")
-	b.Add(2)
-	if r.Counter("b") != b {
-		t.Fatal("second lookup returned a different counter")
-	}
-	r.Counter("a").Inc()
-	g := r.Gauge("depth")
-	g.Set(9)
-	g.Set(4)
-	if g.Value() != 4 || g.HighWater() != 9 {
-		t.Fatalf("gauge = %d/%d, want 4/9", g.Value(), g.HighWater())
-	}
-	cs := r.Counters()
-	if len(cs) != 2 || cs[0].Name != "a" || cs[1].Name != "b" || cs[1].Value != 2 {
-		t.Fatalf("counters = %+v", cs)
-	}
-	gs := r.Gauges()
-	if len(gs) != 1 || gs[0].HighWater != 9 {
-		t.Fatalf("gauges = %+v", gs)
-	}
-}
-
-// The registry snapshots iterate internal maps; regression for the
-// v2plint detrange finding: output must be name-sorted and identical
-// across calls regardless of insertion order or Go's randomized map
-// iteration.
+// The export is name-sorted and identical across calls whatever the
+// registration order, and each entry carries its own reader's values.
 func TestSnapshotsStableAcrossRuns(t *testing.T) {
-	r := NewRegistry()
+	c := New(Options{})
 	names := []string{"q", "b", "z", "a", "m", "x", "c", "y", "k", "d"}
 	for i, name := range names {
-		r.Counter(name).Add(int64(i))
-		r.Gauge(name).Set(int64(i * 2))
+		v := int64(i)
+		c.AddCounter(name, func() int64 { return v })
+		c.AddGauge(name, func() (int64, int64) { return v, 2 * v })
 	}
-	cs, gs := r.Counters(), r.Gauges()
+	cs, gs := c.Counters(), c.Gauges()
 	if len(cs) != len(names) || len(gs) != len(names) {
 		t.Fatalf("got %d counters, %d gauges, want %d", len(cs), len(gs), len(names))
 	}
@@ -84,11 +34,14 @@ func TestSnapshotsStableAcrossRuns(t *testing.T) {
 			t.Fatalf("gauges not sorted at %d: %q >= %q", i, gs[i-1].Name, gs[i].Name)
 		}
 	}
+	if cs[0] != (CounterValue{Name: "a", Value: 3}) || gs[0] != (GaugeValue{Name: "a", Value: 3, HighWater: 6}) {
+		t.Fatalf("first readings = %+v, %+v; want a's reader values", cs[0], gs[0])
+	}
 	for i := 0; i < 10; i++ {
-		if cs2 := r.Counters(); !reflect.DeepEqual(cs2, cs) {
+		if cs2 := c.Counters(); !reflect.DeepEqual(cs2, cs) {
 			t.Fatalf("Counters changed between calls:\n%v\n%v", cs, cs2)
 		}
-		if gs2 := r.Gauges(); !reflect.DeepEqual(gs2, gs) {
+		if gs2 := c.Gauges(); !reflect.DeepEqual(gs2, gs) {
 			t.Fatalf("Gauges changed between calls:\n%v\n%v", gs, gs2)
 		}
 	}
@@ -176,8 +129,8 @@ func TestWriteJSONAndCSV(t *testing.T) {
 	q := new(eventq.Queue)
 	c := New(Options{Interval: simtime.Microsecond})
 	c.AddProbe("load", func() float64 { return 1.5 })
-	c.Registry.Counter("pkts").Add(12)
-	c.Registry.Gauge("depth").Set(3)
+	c.AddCounter("pkts", func() int64 { return 12 })
+	c.AddGauge("depth", func() (int64, int64) { return 3, 9 })
 	c.Profile.Events = 100
 	q.At(simtime.Time(3*simtime.Microsecond), func() {})
 	c.Attach(q)

@@ -13,12 +13,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"switchv2p/internal/netaddr"
 	"switchv2p/internal/packet"
 	"switchv2p/internal/simnet"
 	"switchv2p/internal/simtime"
-	"switchv2p/internal/telemetry"
 )
 
 // Proto selects the transport protocol of a flow.
@@ -110,13 +110,17 @@ type Agent struct {
 	flows   map[uint64]*flow
 	Records []*FlowRecord
 
-	// Telemetry handles, attached by the harness when telemetry is
-	// enabled. Nil handles are no-ops (see internal/telemetry), so the
-	// hot paths below increment unconditionally at zero cost when
-	// telemetry is off.
-	RetxCounter *telemetry.Counter // retransmitted segments
-	RTOCounter  *telemetry.Counter // retransmission-timer expirations
+	// Running totals over every flow, read through Retransmits and RTOs.
+	// Atomic: on the sharded engine several workers run flows at once.
+	retransmits atomic.Int64 // retransmitted segments
+	rtos        atomic.Int64 // retransmission-timer expirations
 }
+
+// Retransmits returns the number of segments retransmitted so far.
+func (a *Agent) Retransmits() int64 { return a.retransmits.Load() }
+
+// RTOs returns the number of retransmission-timer expirations so far.
+func (a *Agent) RTOs() int64 { return a.rtos.Load() }
 
 // New creates an agent and installs it as the engine's delivery handler.
 func New(e *simnet.Engine, cfg Config) *Agent {
@@ -345,7 +349,7 @@ func (f *flow) transmit(seq int, retx bool) {
 	if retx {
 		f.sent[seq] = 0
 		f.rec.Retransmits++
-		f.a.RetxCounter.Inc()
+		f.a.retransmits.Add(1)
 	} else {
 		f.sent[seq] = f.a.e.HostNow(host)
 	}
@@ -428,7 +432,7 @@ func (f *flow) armRTO() {
 
 // onRTO answers an expired retransmission timer.
 func (f *flow) onRTO() {
-	f.a.RTOCounter.Inc()
+	f.a.rtos.Add(1)
 	f.retries++
 	if f.retries > f.a.cfg.MaxRetries {
 		f.done = true
