@@ -37,15 +37,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.values))
 }
 
-// Sum returns the total.
-func (s *Sample) Sum() float64 {
-	sum := 0.0
-	for _, v := range s.values {
-		sum += v
-	}
-	return sum
-}
-
 func (s *Sample) sort() {
 	if !s.sorted {
 		sort.Float64s(s.values)
@@ -89,21 +80,6 @@ func (s *Sample) Max() float64 {
 	}
 	s.sort()
 	return s.values[len(s.values)-1]
-}
-
-// Stddev returns the population standard deviation (0 when empty).
-func (s *Sample) Stddev() float64 {
-	n := len(s.values)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	acc := 0.0
-	for _, v := range s.values {
-		d := v - mean
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(n))
 }
 
 // String summarizes the sample.
