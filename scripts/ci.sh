@@ -85,6 +85,24 @@ go run ./examples/faults -quick >/dev/null
 go run ./examples/migration >/dev/null
 go run ./examples/multitenant >/dev/null
 
+echo "== switchv2p-sim telemetry smoke =="
+# The CLI's telemetry flags end to end: the JSON document, serial and at
+# two shards, carries counters, gauges and the engine profile, and the
+# CSV timeline starts with its time axis. A few hundred ms each.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/sim" ./cmd/switchv2p-sim
+sim_args=(-vms 1024 -duration 200us -maxflows 500)
+"$tmp/sim" "${sim_args[@]}" -telemetry-out "$tmp/t.json" >/dev/null
+"$tmp/sim" "${sim_args[@]}" -telemetry-out "$tmp/t.csv" >/dev/null
+"$tmp/sim" "${sim_args[@]}" -shards 2 -telemetry-out "$tmp/t2.json" >/dev/null
+for f in t.json t2.json; do
+  for key in counters gauges profile; do
+    grep -q "\"$key\"" "$tmp/$f" || { echo "telemetry smoke: $f has no \"$key\""; exit 1; }
+  done
+done
+head -n 1 "$tmp/t.csv" | grep -q '^time_us,' || { echo "telemetry smoke: CSV header does not start with time_us"; exit 1; }
+
 echo "== benches (one iteration each, smoke) =="
 # Compile-and-run every package-local micro-benchmark once so they
 # cannot bit-rot; the allocation benches (LinkSerializer, EcmpForward)
