@@ -251,8 +251,6 @@ func (s *Stats) add(o *Stats) {
 
 // stats returns the Stats the current event must mutate: the engine's
 // shard slot when sharded, the aggregate otherwise.
-//
-//v2plint:hotpath
 func (s *Scheme) stats(e *simnet.Engine) *Stats {
 	if s.slots == nil {
 		return &s.S
@@ -262,8 +260,6 @@ func (s *Scheme) stats(e *simnet.Engine) *Stats {
 
 // rngFor returns the learning-coin PRNG for the current event's shard
 // (the single scheme PRNG on the serial engine).
-//
-//v2plint:hotpath
 func (s *Scheme) rngFor(e *simnet.Engine) *rand.Rand {
 	if s.rngs == nil {
 		return s.rng
@@ -318,11 +314,13 @@ func (s *Scheme) SwitchArrive(e *simnet.Engine, sw int32, from topology.NodeRef,
 	// --- tenant traffic (Data / Ack) ---
 
 	// (1) Misdelivery tagging (§3.3): a ToR that receives, on a host-facing
-	// port, a packet whose outer source is not the attached server is
-	// seeing hypervisor re-forwarding of a misdelivered packet.
+	// port, a packet the attached server's hypervisor marked as re-forwarded
+	// tags it with that server as the stale target. The mark, not the outer
+	// source, says so: a sender on the stale host re-forwards with its own
+	// outer source.
 	if role.IsToR() && from.Kind == topology.KindHost {
 		fromHost := &s.topo.Hosts[from.Idx]
-		if !fromHost.Gateway && p.SrcPIP != fromHost.PIP && p.StalePIP != fromHost.PIP {
+		if !fromHost.Gateway && p.WasMisdelivered && p.StalePIP != fromHost.PIP {
 			p.Misdelivered = true
 			p.StalePIP = fromHost.PIP
 			st.MisdeliveryTagged++

@@ -161,6 +161,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 			netaddr.VIP(rng.Uint32()|1), netaddr.VIP(rng.Uint32()|1), netaddr.PIP(rng.Uint32()|1))
 		p.DstPIP = netaddr.PIP(rng.Uint32() | 1)
 		p.Resolved = rng.Intn(2) == 0
+		p.WasMisdelivered = rng.Intn(2) == 0
 		p.AckNo = rng.Intn(1 << 16)
 		if rng.Intn(2) == 0 {
 			p.Spill = netaddr.Mapping{VIP: netaddr.VIP(rng.Uint32() | 1), PIP: netaddr.PIP(rng.Uint32() | 1)}

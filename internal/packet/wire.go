@@ -33,6 +33,9 @@ const (
 	flagFin       = 1 << 1
 	flagFirstSent = 1 << 2
 	flagRetx      = 1 << 3
+	// flagWasMisdelivered is the hypervisor's re-forward mark, the fact
+	// the ToR tags on (§3.3 step 1 in PROTOCOL.md).
+	flagWasMisdelivered = 1 << 4
 )
 
 var errShort = errors.New("packet: truncated wire data")
@@ -82,6 +85,9 @@ func (p *Packet) Marshal() []byte {
 	}
 	if p.Retx {
 		flags |= flagRetx
+	}
+	if p.WasMisdelivered {
+		flags |= flagWasMisdelivered
 	}
 	b[9] = flags
 	be.PutUint16(b[10:], uint16(p.Payload))
@@ -136,6 +142,7 @@ func Unmarshal(buf []byte) (*Packet, error) {
 	p.Fin = flags&flagFin != 0
 	p.FirstSent = flags&flagFirstSent != 0
 	p.Retx = flags&flagRetx != 0
+	p.WasMisdelivered = flags&flagWasMisdelivered != 0
 	p.Payload = int(be.Uint16(b[10:]))
 	p.Hops = int(be.Uint32(b[12:]))
 	b = b[OuterIPBytes:]
