@@ -10,8 +10,7 @@
 //	go run ./cmd/v2plint -jsonfile out.json ./... # plain text on stdout, JSON to a file
 //
 // There is one mode: all requested packages are loaded into one
-// call-graph Program, so the interprocedural analyzers (hotpath,
-// planpure) see cross-package edges and interface implementations.
+// Program, so a waiver is judged against the whole run's findings.
 //
 // The exit code is 0 when the packages are clean and nonzero when any
 // analyzer reports a finding; with -fix, findings that were repaired in
@@ -84,9 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	// All loaded packages share one FileSet; load them into a single
-	// Program so cross-package call edges and interface implementations
-	// resolve before the interprocedural analyzers run.
+	// All loaded packages share one FileSet.
 	fs := pkgs[0].Fset
 	prog := v2plint.NewProgram(fs)
 	if showTime {
@@ -185,8 +182,7 @@ func encodeFindings(w io.Writer, findings []v2plint.Finding) error {
 	return enc.Encode(out)
 }
 
-// printTimings reports per-analyzer wall time (plus the shared
-// "callgraph" construction entry), slowest first.
+// printTimings reports per-analyzer wall time, slowest first.
 func printTimings(w io.Writer, timings map[string]time.Duration) {
 	names := make([]string, 0, len(timings))
 	for name := range timings {

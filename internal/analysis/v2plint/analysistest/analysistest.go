@@ -16,13 +16,6 @@
 // simtime or eventq) and then against the standard library, which is
 // type-checked from GOROOT source so the harness needs neither network
 // access nor precompiled export data.
-//
-// All packages named in one Run call are loaded into a single call-graph
-// Program, so the interprocedural analyzers see cross-package edges
-// between them. List packages dependency-first (a helper before the
-// package that imports it): that way the import resolves to the same
-// type-checked instance the Program holds, which interface resolution
-// relies on.
 package analysistest
 
 import (
@@ -63,7 +56,7 @@ func Run(t *testing.T, testdata string, analyzers []*v2plint.Analyzer, pkgPaths 
 	checkWants(t, fset, files, diags)
 }
 
-// analyze loads every named package into one shared Program, runs the
+// analyze loads every named package into one Program, runs the
 // analyzers, and returns the FileSet, the union of parsed files, and the
 // diagnostics.
 func analyze(t *testing.T, testdata string, analyzers []*v2plint.Analyzer, pkgPaths []string) (*token.FileSet, []*ast.File, []v2plint.Diagnostic) {

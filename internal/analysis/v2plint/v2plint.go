@@ -5,16 +5,10 @@
 // iteration order is randomized, global math/rand is shared process
 // state, and wall-clock reads leak into simulated time — so the
 // contract is machine-checked here rather than left to convention.
-// The repo-wide performance contract (an allocation-free forwarding hot
-// path) is machine-checked here too.
 //
 // The suite keeps only checks that no compiler rule, tier-1 test or
-// -race run enforces more directly (DESIGN.md §8 has the verdict table):
-// intraprocedural analyzers, plus two readers (hotpath, planpure) of the
-// per-Program call graph (see callgraph.go) that resolves static calls,
-// concrete method calls, and interface calls via the implements-relation
-// and is the single detector of allocation, fmt, clock, global-rand,
-// dynamic-call and state-read effects:
+// -race run enforces more directly (DESIGN.md §8 has the verdict table);
+// all five are intraprocedural:
 //
 //   - detrange: flags `range` over a map whose body feeds an
 //     ordering-sensitive sink (append, float accumulation, event
@@ -28,21 +22,13 @@
 //   - simtimeunits: flags arithmetic or conversions mixing
 //     time.Duration with simtime types without going through the
 //     explicit simtime.FromStd / .Std() converters.
-//   - hotpath: functions marked //v2plint:hotpath and the known
-//     serializer/ECMP/eventq entry points, and everything they
-//     transitively call, must be free of heap allocation (closures,
-//     map/slice literals, make/new, interface boxing, string
-//     concatenation, appends to function-local slices), fmt, wall-clock
-//     reads, global math/rand and dynamic calls through func values;
-//     transitive findings carry the witness call chain
-//     (ecmpForward → helperX → fmt.Sprintf).
-//   - planpure: functions reachable from the scenario planner entry
-//     points must stay pure functions of (spec, seed): no wall-clock
-//     reads, no global rand, no reads of telemetry state or
-//     simnet.Counters, directly or transitively.
 //   - allowreason: polices the waivers — each //v2plint:allow must carry
 //     a justification, name only registered analyzers, and suppress at
 //     least one finding of each analyzer it names.
+//
+// The allocation-free packet path is not linted:
+// TestPacketPathSteadyStateAllocFree (internal/simnet) measures it over
+// every scheme but controller.
 //
 // A finding can be waived with a `//v2plint:allow <analyzer> <reason>`
 // comment on the offending line or the line directly above it, e.g.
@@ -55,8 +41,8 @@
 // (Analyzer, Pass, Diagnostic, SuggestedFix) but is self-contained on
 // the standard library, so the module needs no external dependencies.
 // It has one mode: cmd/v2plint loads the whole module into one Program
-// and runs every analyzer over it (-json for machine-readable output,
-// -fix to apply suggested fixes).
+// and runs every analyzer over each package (-json for machine-readable
+// output, -fix to apply suggested fixes).
 package v2plint
 
 import (
@@ -82,19 +68,14 @@ type Analyzer struct {
 }
 
 // A Pass provides one analyzer with the parsed and type-checked
-// representation of a single package, plus the whole-Program call
-// graph for the interprocedural analyzers.
+// representation of a single package.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Prog is the Program the pass runs under; its resolved call graph
-	// backs the interprocedural analyzers (hotpath, planpure).
-	Prog *Program
 
-	nodes  []*funcNode // this package's graph nodes, declaration order
 	report func(Diagnostic)
 }
 
@@ -149,7 +130,6 @@ type TextEdit struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetRange, WallClock, GlobalRand, SimTimeUnits,
-		HotPath, PlanPure,
 		AllowReason,
 	}
 }
@@ -294,55 +274,6 @@ func (s allowSet) waives(pos token.Position, analyzer string) bool {
 		}
 	}
 	return false
-}
-
-// --- contract annotations ---
-
-// docAnnotated reports whether the comment group contains a
-// `//v2plint:<name>` marker line (optionally followed by free text).
-func docAnnotated(doc *ast.CommentGroup, name string) bool {
-	if doc == nil {
-		return false
-	}
-	marker := "v2plint:" + name
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == marker || strings.HasPrefix(text, marker+" ") {
-			return true
-		}
-	}
-	return false
-}
-
-// funcAnnotated reports whether the function's doc comment carries a
-// `//v2plint:<name>` marker (the annotation grammar for hotpath and
-// planpure: the marker must be part of the doc comment block directly
-// above the declaration).
-func funcAnnotated(fn *ast.FuncDecl, name string) bool {
-	return docAnnotated(fn.Doc, name)
-}
-
-// funcKey identifies a function as "Name" (plain function) or
-// "Recv.Name" (method, receiver base type with pointers and type
-// parameters stripped) for the known hot-path tables.
-func funcKey(fn *ast.FuncDecl) string {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 {
-		return fn.Name.Name
-	}
-	t := fn.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	switch ix := t.(type) {
-	case *ast.IndexExpr:
-		t = ix.X
-	case *ast.IndexListExpr:
-		t = ix.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name + "." + fn.Name.Name
-	}
-	return fn.Name.Name
 }
 
 // --- shared helpers ---

@@ -62,7 +62,6 @@ func d() {}
 func TestSuiteOrder(t *testing.T) {
 	want := []string{
 		"detrange", "wallclock", "globalrand", "simtimeunits",
-		"hotpath", "planpure",
 		"allowreason",
 	}
 	got := Analyzers()

@@ -58,8 +58,6 @@ func newHostTable(capacity int) hostTable {
 
 // lookup returns the cached translation and its install time, promoting
 // the entry to MRU.
-//
-//v2plint:hotpath
 func (t *hostTable) lookup(vip netaddr.VIP) (netaddr.PIP, simtime.Time, bool) {
 	i, ok := t.index[vip]
 	if !ok {
@@ -70,7 +68,6 @@ func (t *hostTable) lookup(vip netaddr.VIP) (netaddr.PIP, simtime.Time, bool) {
 	return s.pip, s.at, true
 }
 
-//v2plint:hotpath
 func (t *hostTable) moveToFront(i int32) {
 	if t.head == i {
 		return
@@ -79,7 +76,6 @@ func (t *hostTable) moveToFront(i int32) {
 	t.pushFront(i)
 }
 
-//v2plint:hotpath
 func (t *hostTable) unlink(i int32) {
 	s := &t.slots[i]
 	if s.prev >= 0 {
@@ -95,7 +91,6 @@ func (t *hostTable) unlink(i int32) {
 	s.prev, s.next = -1, -1
 }
 
-//v2plint:hotpath
 func (t *hostTable) pushFront(i int32) {
 	s := &t.slots[i]
 	s.prev, s.next = -1, t.head
@@ -231,8 +226,6 @@ func newHostTier(topo *topology.Topology, opt HostTierOptions) hostTier {
 // resolve consults the sender's host table; on a hit the packet is
 // resolved in place. TTL-expired entries are dropped and count as
 // misses.
-//
-//v2plint:hotpath
 func (t *hostTier) resolve(e *simnet.Engine, host int32, p *packet.Packet) bool {
 	t.HS.Lookups++
 	pip, at, ok := t.tables[host].lookup(p.DstVIP)
@@ -284,8 +277,6 @@ func (t *hostTier) scheduleInstall(e *simnet.Engine, host int32, vip netaddr.VIP
 // translation from the outer header and installs it — ONCache learns
 // from incoming traffic, so the reverse direction (responses, ACKs) hits
 // without ever paying a gateway detour. Runs on every switch arrival.
-//
-//v2plint:hotpath
 func (t *hostTier) learnAtToR(e *simnet.Engine, sw int32, p *packet.Packet) {
 	if t.opt.PerHost == 0 || !p.Resolved {
 		return

@@ -38,10 +38,7 @@ type Timed interface {
 type Event func()
 
 // Fire calls the callback.
-//
-//v2plint:hotpath
 func (f Event) Fire() {
-	//v2plint:allow hotpath closure events serve setup and tests; per-packet schedulers pass pooled records to AtTimed/AfterTimed
 	f()
 }
 
@@ -139,21 +136,15 @@ func (q *Queue) PeakLen() int { return q.peakLen }
 // At schedules fn to run at instant t. Scheduling in the past (before the
 // current instant) panics: it would violate causality and always indicates
 // a bug in the caller.
-//
-//v2plint:hotpath
 func (q *Queue) At(t simtime.Time, fn Event) { q.AtTimed(t, fn) }
 
 // After schedules fn to run d after the current instant.
-//
-//v2plint:hotpath
 func (q *Queue) After(d simtime.Duration, fn Event) {
 	q.At(q.now.Add(d), fn)
 }
 
 // AtTimed schedules ev to fire at instant t. The queue holds the record
 // by reference, and ownership passes to the queue until Fire.
-//
-//v2plint:hotpath
 func (q *Queue) AtTimed(t simtime.Time, ev Timed) {
 	if t < q.now {
 		panic("eventq: scheduling event in the past")
@@ -199,8 +190,6 @@ func (q *Queue) AtTimed(t simtime.Time, ev Timed) {
 // derived from (source shard, source emission order), so the dispatch
 // order at the destination is identical whether the record was inserted
 // eagerly (oracle mode) or at a barrier (windowed parallel mode).
-//
-//v2plint:hotpath
 func (q *Queue) AtTimedKeyed(t simtime.Time, ev Timed, key uint64) {
 	if t < q.now {
 		panic("eventq: scheduling event in the past")
@@ -216,16 +205,12 @@ func (q *Queue) AtTimedKeyed(t simtime.Time, ev Timed, key uint64) {
 }
 
 // AfterTimed schedules ev to fire d after the current instant.
-//
-//v2plint:hotpath
 func (q *Queue) AfterTimed(d simtime.Duration, ev Timed) {
 	q.AtTimed(q.now.Add(d), ev)
 }
 
 // Step dispatches the earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event was dispatched.
-//
-//v2plint:hotpath
 func (q *Queue) Step() bool {
 	var ev Timed
 	switch {
@@ -242,8 +227,6 @@ func (q *Queue) Step() bool {
 
 // wheelFirst reports whether the earliest pending event, by (time,
 // tie-break key), is the wheel's head rather than the heap's.
-//
-//v2plint:hotpath
 func (q *Queue) wheelFirst() bool {
 	if q.wheelLen == 0 {
 		return false
@@ -260,16 +243,12 @@ func (q *Queue) wheelFirst() bool {
 
 // wheelSeq returns the tie-break key of the wheel's head event. The wheel
 // must not be empty.
-//
-//v2plint:hotpath
 func (q *Queue) wheelSeq() uint64 {
 	return q.nodes[q.slots[q.wheelAt&wheelMask].head-1].seq
 }
 
 // popWheel unlinks the wheel's head event, advances the clock to it and
 // returns it. The wheel must not be empty.
-//
-//v2plint:hotpath
 func (q *Queue) popWheel() Timed {
 	at := q.wheelAt
 	slot := &q.slots[at&wheelMask]
@@ -297,8 +276,6 @@ func (q *Queue) popWheel() Timed {
 // nextOccupied returns the timestamp of the first occupied slot in
 // circular order from now's own slot — by the wheel invariant, the
 // earliest wheel event. The wheel must not be empty.
-//
-//v2plint:hotpath
 func (q *Queue) nextOccupied(now simtime.Time) simtime.Time {
 	c := uint(now & wheelMask)
 	w := c >> 6
@@ -320,8 +297,6 @@ func (q *Queue) nextOccupied(now simtime.Time) simtime.Time {
 
 // popHeap removes the heap's root, advances the clock to it and returns
 // its event. The heap must not be empty.
-//
-//v2plint:hotpath
 func (q *Queue) popHeap() Timed {
 	it := q.heap[0]
 	n := len(q.heap) - 1
@@ -339,8 +314,6 @@ func (q *Queue) popHeap() Timed {
 // would be later than horizon. It returns the number of events dispatched
 // and keeps PeakLen up to date. Use horizon = simtime.Never to drain the
 // queue.
-//
-//v2plint:hotpath
 func (q *Queue) Run(horizon simtime.Time) int {
 	n := 0
 	for {
@@ -358,8 +331,6 @@ func (q *Queue) Run(horizon simtime.Time) int {
 // number dispatched. It is the sharded engine's window drain: with
 // lookahead W, each shard runs RunBefore(T+W) knowing no cross-shard
 // influence can arrive inside [T, T+W).
-//
-//v2plint:hotpath
 func (q *Queue) RunBefore(t simtime.Time) int {
 	n := 0
 	for {
@@ -388,8 +359,6 @@ func (q *Queue) PeekKey() (simtime.Time, uint64, bool) {
 
 // PeekTime returns the timestamp of the earliest pending event and whether
 // one exists.
-//
-//v2plint:hotpath
 func (q *Queue) PeekTime() (simtime.Time, bool) {
 	if q.wheelFirst() {
 		return q.wheelAt, true
@@ -414,8 +383,6 @@ func (q *Queue) less(i, j int) bool {
 const heapArity = 4
 
 // up sifts the item at i toward the root (heap insert).
-//
-//v2plint:hotpath
 func (q *Queue) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / heapArity
@@ -428,8 +395,6 @@ func (q *Queue) up(i int) {
 }
 
 // down sifts the item at i toward the leaves (heap pop).
-//
-//v2plint:hotpath
 func (q *Queue) down(i int) {
 	n := len(q.heap)
 	for {

@@ -19,8 +19,6 @@ type Pool struct {
 
 // Get returns a blank packet: every field zero except HitSwitch, which is
 // NoSwitch.
-//
-//v2plint:hotpath
 func (pl *Pool) Get() *Packet {
 	if pl != nil {
 		if n := len(pl.free); n > 0 {
@@ -30,14 +28,11 @@ func (pl *Pool) Get() *Packet {
 			return p
 		}
 	}
-	//v2plint:allow hotpath a pool miss: the free list grows to the run's in-flight high-water mark and a packet is then reused, not allocated (the nil pool allocates every packet: New* for tests and tools, and the sharded engine)
 	return &Packet{HitSwitch: NoSwitch, pooled: pl != nil}
 }
 
 // Put returns p to the free list if p is a packet Get handed out and
 // nobody has put back since. The caller must not touch p afterwards.
-//
-//v2plint:hotpath
 func (pl *Pool) Put(p *Packet) {
 	if !p.pooled || pl == nil {
 		return

@@ -373,8 +373,6 @@ func (e *Engine) Gateways() []int32 { return e.gateways }
 // with a descriptive message on a topology built without gateway hosts
 // (rather than a bare divide-by-zero): schemes that resolve through
 // gateways cannot run on such a topology.
-//
-//v2plint:hotpath
 func (e *Engine) GatewayFor(src netaddr.PIP, flowID uint64) netaddr.PIP {
 	if len(e.gateways) == 0 {
 		panic("simnet: GatewayFor on a topology with no gateway hosts " +
@@ -434,8 +432,6 @@ func (e *Engine) Packets() *packet.Pool { return e.pool }
 // HostSend emits a tenant packet from a host into the network. It stamps
 // the packet, asks the scheme to resolve the outer destination, and
 // enqueues the packet on the host's NIC.
-//
-//v2plint:hotpath
 func (e *Engine) HostSend(host int32, p *packet.Packet) {
 	if sh := e.shard; sh != nil && e.dom < 0 {
 		// Sharded root: re-dispatch on the view that owns the host, so
@@ -463,8 +459,6 @@ func (e *Engine) HostSend(host int32, p *packet.Packet) {
 // Resend re-emits a packet from a host without re-stamping SentAt; used
 // by hypervisor misdelivery forwarding. The scheme is not consulted: the
 // caller has already set the outer header.
-//
-//v2plint:hotpath
 func (e *Engine) Resend(host int32, p *packet.Packet) {
 	if sh := e.shard; sh != nil && e.dom < 0 {
 		e.viewOf(host).Resend(host, p)
@@ -474,8 +468,6 @@ func (e *Engine) Resend(host int32, p *packet.Packet) {
 }
 
 // InjectFromSwitch emits a scheme-generated control packet from a switch.
-//
-//v2plint:hotpath
 func (e *Engine) InjectFromSwitch(sw int32, p *packet.Packet) {
 	e.nextUID++
 	p.UID = e.nextUID
@@ -492,8 +484,6 @@ func (e *Engine) InjectFromSwitch(sw int32, p *packet.Packet) {
 // to the scheme, then route it onward unless consumed. A failed switch
 // processes nothing: packets already in flight toward it when it failed
 // die on arrival, before any counter, tap or scheme hook runs.
-//
-//v2plint:hotpath
 func (e *Engine) switchArrive(sw int32, from topology.NodeRef, p *packet.Packet) {
 	if e.swDown[sw] {
 		e.C.Drops++
@@ -505,7 +495,6 @@ func (e *Engine) switchArrive(sw int32, from topology.NodeRef, p *packet.Packet)
 	e.C.SwitchPackets[sw]++
 	e.C.SwitchBytes[sw] += int64(p.Size())
 	if e.Tap != nil {
-		//v2plint:allow hotpath Tap is an optional observer hook, nil in measured runs; non-nil only in debug/trace captures
 		e.Tap(topology.SwitchRef(sw), p)
 	}
 	kind := p.Kind
@@ -526,8 +515,6 @@ func (e *Engine) switchArrive(sw int32, from topology.NodeRef, p *packet.Packet)
 // destination: directly to an attached host, or via ECMP toward the
 // destination's ToR (or toward the destination switch itself for
 // switch-addressed control packets).
-//
-//v2plint:hotpath
 func (e *Engine) forwardFromSwitch(sw int32, p *packet.Packet) {
 	if hostIdx, ok := e.Topo.HostByPIP(p.DstPIP); ok {
 		h := &e.Topo.Hosts[hostIdx]
@@ -558,8 +545,6 @@ func (e *Engine) forwardFromSwitch(sw int32, p *packet.Packet) {
 // is excluded and the flow is re-balanced across the surviving hops
 // (Rerouted); a healthy preferred hop keeps its healthy-run choice, so
 // failures perturb only the flows that actually crossed them.
-//
-//v2plint:hotpath
 func (e *Engine) ecmpForward(sw, dstSw int32, p *packet.Packet) {
 	lo, hi := e.Topo.HopRange(sw, dstSw)
 	links := e.hopLink[lo:hi]
@@ -590,8 +575,6 @@ func (e *Engine) ecmpForward(sw, dstSw int32, p *packet.Packet) {
 // rerouteHop picks the h-th usable link among those toward the equal-cost
 // next hops, or nil when every one of them is downed. Allocation-free: two
 // passes over the (small) link slice.
-//
-//v2plint:hotpath
 func rerouteHop(links []*link, h uint32) *link {
 	usable := 0
 	for _, l := range links {

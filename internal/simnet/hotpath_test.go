@@ -6,7 +6,6 @@ package simnet
 // and in-flight accounting.
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -99,56 +98,6 @@ func TestEcmpForwardSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fabric forward path allocates %v per packet, want 0", allocs)
-	}
-}
-
-// TestPacketPathSteadyStateAllocFree: inside one Run, once the free list
-// holds the exchange's two packets, a Data segment from the pool crossing
-// ToR, spine, core, spine and ToR, its delivery, and the ACK the receiver
-// takes from the pool and sends back allocate nothing — the packets go
-// round through the engine's release points.
-func TestPacketPathSteadyStateAllocFree(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: nobody else allocates meanwhile
-	f := newFixture(t, gwScheme{})
-	e := f.e
-	src, dst := f.vips[0], f.vips[200] // distinct pods
-	srcHost := f.hostOf(src)
-	srcPIP, _ := f.net.Lookup(src)
-	dstPIP, _ := f.net.Lookup(dst)
-	acked := 0
-	e.Handler = func(host int32, p *packet.Packet) {
-		if p.Kind == packet.Ack {
-			acked++
-			return
-		}
-		ack := e.Packets().NewAck(p.FlowID, p.Seq+1, dst, src, 0)
-		ack.DstPIP, ack.Resolved = srcPIP, true
-		e.HostSend(host, ack)
-	}
-	const warm, measured = 50, 500
-	var before, after runtime.MemStats
-	// Every closure is made here, before the run: inside it only the packet
-	// path can allocate.
-	for i := 0; i < warm+measured; i++ {
-		at := simtime.Time(i+1) * simtime.Time(100*simtime.Microsecond) // far apart: one exchange at a time
-		if i == warm {
-			e.Q.At(at-1, func() { runtime.ReadMemStats(&before) })
-		}
-		e.Q.At(at, func() {
-			p := e.Packets().NewData(7, i, 1000, src, dst, 0)
-			p.DstPIP, p.Resolved = dstPIP, true
-			e.HostSend(srcHost, p)
-		})
-	}
-	e.Q.At(simtime.Time(warm+measured+1)*simtime.Time(100*simtime.Microsecond), func() { runtime.ReadMemStats(&after) })
-	e.Run(simtime.Never)
-	if acked != warm+measured || e.C.DataHopsSum != 5*(warm+measured) {
-		t.Fatalf("%d of %d exchanges completed, %d data hops: not the five-switch path the test is about", acked, warm+measured, e.C.DataHopsSum)
-	}
-	// Whole allocations per exchange, as AllocsPerRun counts: the runtime's
-	// own stray allocation (the race detector makes some) rounds away.
-	if allocs := after.Mallocs - before.Mallocs; allocs/measured != 0 {
-		t.Fatalf("%d steady-state Data/ACK exchanges allocated %d times, want none per exchange", measured, allocs)
 	}
 }
 

@@ -96,8 +96,6 @@ type linkEvent link
 // Fire ends the serialization of slot tx: the packet's last bit has left,
 // so its shared-buffer claim is released, it starts its propagation
 // flight, and the serializer moves on to the next waiting packet.
-//
-//v2plint:hotpath
 func (l *link) Fire() {
 	s := l.slot(l.tx)
 	if l.fromSwitch >= 0 {
@@ -127,8 +125,6 @@ func (l *link) Fire() {
 // Fire ends the propagation of slot head and hands its packet to the far
 // end. The slot is released first, so a re-entrant enqueue on the same
 // link may reuse it immediately.
-//
-//v2plint:hotpath
 func (ev *linkEvent) Fire() {
 	l := (*link)(ev)
 	s := l.slot(l.head)
@@ -141,11 +137,8 @@ func (ev *linkEvent) Fire() {
 // deliverPkt hands the packet to the far end of the link: a host NIC or
 // a switch ingress, on the engine that owns the destination (the root
 // engine in legacy mode, the destination shard's view when sharded).
-//
-//v2plint:hotpath
 func (l *link) deliverPkt(p *packet.Packet) {
 	if l.dstHost >= 0 {
-		//v2plint:allow hotpath host arrival runs the Handler/Tap hooks, whose dynamic dispatch is inherent to delivery; the binding is fixed at wiring
 		l.dst.hostArrive(l.dstHost, p)
 	} else if l.dstSw >= 0 {
 		l.dst.switchArrive(l.dstSw, l.fromRef, p)
@@ -159,8 +152,6 @@ func (l *link) deliverPkt(p *packet.Packet) {
 // switch's shared buffer is exhausted, and starts the serializer if idle.
 // Either way the packet is no longer the caller's: a dropped one has gone
 // back to the pool.
-//
-//v2plint:hotpath
 func (l *link) enqueue(p *packet.Packet) {
 	if l.down() {
 		l.e.C.Drops++
@@ -198,11 +189,8 @@ func (l *link) enqueue(p *packet.Packet) {
 
 // grow doubles a full ring (or makes the first one). Every occupied slot
 // keeps its index: the longer mask only places it differently.
-//
-//v2plint:hotpath
 func (l *link) grow() {
 	old := l.ring
-	//v2plint:allow hotpath ring growth: doubles to at most twice this link's in-flight high-water mark, then reused forever
 	l.ring = make([]linkSlot, max(ringMin, 2*len(old)))
 	for i := l.head; i != l.tail; i++ {
 		*l.slot(i) = old[i&uint32(len(old)-1)]
@@ -211,8 +199,6 @@ func (l *link) grow() {
 
 // startNext puts slot tx on the serializer: the link itself is the event
 // that ends its serialization.
-//
-//v2plint:hotpath
 func (l *link) startNext() {
 	l.e.Q.AfterTimed(simtime.TransmitTime(l.slot(l.tx).size, l.bps), l)
 }

@@ -1,0 +1,84 @@
+package simnet_test
+
+import (
+	"runtime"
+	"testing"
+
+	"switchv2p/internal/harness"
+	"switchv2p/internal/packet"
+	"switchv2p/internal/simtime"
+	"switchv2p/internal/topology"
+	"switchv2p/internal/trace"
+)
+
+// TestPacketPathSteadyStateAllocFree runs, for every scheme, repeated
+// exchanges between two VMs in different pods: a Data segment from the
+// engine's pool that the scheme resolves and forwards hop by hop (gateway
+// detour, cache hits, learning and whatever control packets it emits), its
+// delivery, and the ACK the receiver takes from the pool and sends back.
+// Once warm — the free list holds the exchange's packets and the scheme's
+// tables hold the pair — an exchange allocates nothing. The controller
+// scheme is left out: its periodic ILP re-placement allocates by design.
+func TestPacketPathSteadyStateAllocFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun: nobody else allocates meanwhile
+	for _, scheme := range harness.AllSchemes {
+		if scheme == harness.SchemeController {
+			continue
+		}
+		t.Run(scheme, func(t *testing.T) {
+			w, err := harness.Build(harness.Config{
+				Topo:     topology.FT8(),
+				VMs:      512,
+				Scheme:   scheme,
+				Workload: &trace.Workload{}, // no transport flows: the test sends
+				Seed:     3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := w.Engine
+			src := w.VIPs[0]
+			srcHost, _ := w.Net.HostOf(src)
+			dst := w.VIPs[1]
+			for _, v := range w.VIPs {
+				if h, _ := w.Net.HostOf(v); w.Topo.Hosts[h].Pod != w.Topo.Hosts[srcHost].Pod {
+					dst = v
+					break
+				}
+			}
+			acked := 0
+			e.Handler = func(host int32, p *packet.Packet) {
+				if p.Kind == packet.Ack {
+					acked++
+					return
+				}
+				e.HostSend(host, e.Packets().NewAck(p.FlowID, p.Seq+1, dst, src, 0))
+			}
+			const warm, measured = 50, 500
+			gap := simtime.Time(200 * simtime.Microsecond) // far apart: one exchange at a time, two gateway detours included
+			var before, after runtime.MemStats
+			// Every closure is made here, before the run: inside it only the
+			// packet path can allocate.
+			for i := 0; i < warm+measured; i++ {
+				at := simtime.Time(i+1) * gap
+				if i == warm {
+					e.Q.At(at-1, func() { runtime.ReadMemStats(&before) })
+				}
+				e.Q.At(at, func() { e.HostSend(srcHost, e.Packets().NewData(7, i, 1000, src, dst, 0)) })
+			}
+			end := simtime.Time(warm+measured+1) * gap
+			e.Q.At(end, func() { runtime.ReadMemStats(&after) })
+			e.Run(end)
+			if acked != warm+measured {
+				t.Fatalf("%d of %d exchanges completed", acked, warm+measured)
+			}
+			// Whole allocations per exchange, as AllocsPerRun counts: the
+			// runtime's own stray allocation (the race detector makes some)
+			// rounds away.
+			if allocs := after.Mallocs - before.Mallocs; allocs/measured != 0 {
+				t.Fatalf("%d steady-state Data/ACK exchanges allocated %d times (%.1f per exchange), want none",
+					measured, allocs, float64(allocs)/measured)
+			}
+		})
+	}
+}

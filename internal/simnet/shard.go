@@ -239,8 +239,6 @@ func (e *Engine) hostQ(host int32) *eventq.Queue {
 // HostNow returns the current simulated time at the given host: its
 // domain queue's clock when sharded, the global clock otherwise. Use it
 // (instead of Now) for any timestamp taken on a host's behalf.
-//
-//v2plint:hotpath
 func (e *Engine) HostNow(host int32) simtime.Time { return e.hostQ(host).Now() }
 
 // HostAtTimed schedules ev at instant t on the queue that owns the given
@@ -379,8 +377,6 @@ func shardLossSeed(seed int64, d int) int64 {
 // from the per-(src,dst) counter. In windowed mode the record waits in
 // the mailbox until the barrier; the oracle inserts it eagerly — the
 // key makes both orders identical.
-//
-//v2plint:hotpath
 func (sh *sharding) post(l *link, p *packet.Packet) {
 	src := l.e.dom
 	mb := &sh.mail[src][l.dstDom]
@@ -398,8 +394,6 @@ func (sh *sharding) post(l *link, p *packet.Packet) {
 
 // deliverCross schedules one cross-domain arrival on the destination
 // domain's queue, through that view's pooled crossEvent records.
-//
-//v2plint:hotpath
 func (sh *sharding) deliverCross(l *link, p *packet.Packet, at simtime.Time, key uint64) {
 	v := l.dst
 	ev := v.getCrossEvent()
@@ -418,8 +412,6 @@ type crossEvent struct {
 }
 
 // Fire recycles the record and delivers the packet.
-//
-//v2plint:hotpath
 func (ev *crossEvent) Fire() {
 	v, l, p := ev.v, ev.l, ev.p
 	ev.l, ev.p = nil, nil
@@ -428,15 +420,12 @@ func (ev *crossEvent) Fire() {
 }
 
 // getCrossEvent pops a pooled record, allocating only to grow the pool.
-//
-//v2plint:hotpath
 func (e *Engine) getCrossEvent() *crossEvent {
 	if n := len(e.crossFree); n > 0 {
 		ev := e.crossFree[n-1]
 		e.crossFree = e.crossFree[:n-1]
 		return ev
 	}
-	//v2plint:allow hotpath pool growth: one record per concurrent cross-domain arrival high-water mark, then reused forever
 	return &crossEvent{v: e}
 }
 

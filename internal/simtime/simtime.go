@@ -68,9 +68,9 @@ func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
 // of the given bandwidth in bits per second. It rounds up to a whole
 // nanosecond so that back-to-back packets never overlap.
 func TransmitTime(sizeBytes int, bitsPerSecond int64) Duration {
-	// Plain panic message: this runs on the serialization hot path and
-	// must stay free of fmt (v2plint hotpath); bandwidth is validated once
-	// at topology wiring, so the value would add nothing here.
+	// Plain panic message: this runs on the serialization hot path, where
+	// fmt would allocate; bandwidth is validated once at topology wiring,
+	// so the value would add nothing here.
 	if bitsPerSecond <= 0 {
 		panic("simtime: non-positive bandwidth")
 	}

@@ -248,11 +248,6 @@ type flow struct {
 // start, then the retransmission timer (TCP) or the next datagram (UDP) —
 // so the flow is its own event: scheduling it allocates nothing, where a
 // closure or a method value would cost an allocation per call.
-// eventq.Queue.Step dispatches it like any typed event, so the hot-path
-// check follows it in here; Fire is marked as a root of its own, and what
-// it allocates is waived where it is called.
-//
-//v2plint:hotpath
 func (f *flow) Fire() {
 	if f.timerActive {
 		if !f.done && f.a.e.HostNow(f.host) < f.deadline {
@@ -266,7 +261,6 @@ func (f *flow) Fire() {
 			return
 		}
 	}
-	//v2plint:allow hotpath a due event sends; a flow's start makes its per-segment array, once per flow; a timer that is early or stale has returned above and allocated nothing
 	f.send()
 }
 
