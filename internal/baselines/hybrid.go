@@ -92,18 +92,6 @@ func (h *Hybrid) SenderResolve(e *simnet.Engine, host int32, p *packet.Packet) b
 	return h.Scheme.SenderResolve(e, host, p)
 }
 
-// HostMisdeliver implements simnet.Scheme: drop the stale host rule (the
-// follow-me signal doubles as rule invalidation) and fall back to
-// SwitchV2P's gateway re-forwarding.
-func (h *Hybrid) HostMisdeliver(e *simnet.Engine, host int32, p *packet.Packet) {
-	// The *sender's* rule is stale, but the misdelivery is observed at the
-	// old destination; the control plane is responsible for refreshing
-	// sender rules. Here we invalidate lazily: any host that still has a
-	// rule pointing at this (old) location drops it on its next install
-	// cycle; the data path recovers via the gateway immediately.
-	h.Scheme.HostMisdeliver(e, host, p)
-}
-
 // HostRule exposes a host's installed rule for tests.
 func (h *Hybrid) HostRule(host int32, vip netaddr.VIP) (netaddr.PIP, bool) {
 	pip, ok := h.hostCache[host][vip]

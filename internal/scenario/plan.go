@@ -89,11 +89,6 @@ func build(spec Spec) (*harness.World, *plan, error) {
 		cfg.Faults = &faults.Config{Schedule: sched.Schedule}
 	}
 	cfg.Horizon = pl.horizon + simtime.Time(spec.DrainGrace)
-	if cfg.Telemetry != nil && spec.SampleInterval > 0 {
-		topts := *cfg.Telemetry
-		topts.Interval = spec.SampleInterval
-		cfg.Telemetry = &topts
-	}
 	w, err := harness.Build(cfg)
 	if err != nil {
 		return nil, nil, err

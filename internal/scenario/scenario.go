@@ -95,10 +95,6 @@ type Spec struct {
 	// the cap (0 = DefaultFlowBudget).
 	FlowBudget int
 
-	// SampleInterval overrides the telemetry sampling period when
-	// Base.Telemetry is set (0 = keep the collector's own interval).
-	SampleInterval simtime.Duration
-
 	// ChurnTenant is the VNI arrivals belong to (0 = DefaultChurnTenant;
 	// arrivals always land in a non-default VPC so churn exercises the
 	// multitenancy path).
@@ -202,8 +198,6 @@ type DayOptions struct {
 	// DrainGateways is how many gateway instances the autoscale phase
 	// drains (0 = 2); they are restored when the upgrade phase begins.
 	DrainGateways int
-	// SampleInterval overrides the telemetry sampling period.
-	SampleInterval simtime.Duration
 }
 
 // ProductionDay builds the canonical long-horizon scenario: a simulated
@@ -235,10 +229,9 @@ func ProductionDay(base harness.Config, o DayOptions) Spec {
 	}
 	frac := func(sixteenths int64) simtime.Duration { return day / 16 * simtime.Duration(sixteenths) }
 	return Spec{
-		Name:           "production-day",
-		Base:           base,
-		FlowBudget:     o.FlowBudget,
-		SampleInterval: o.SampleInterval,
+		Name:       "production-day",
+		Base:       base,
+		FlowBudget: o.FlowBudget,
 		Phases: []Phase{
 			{
 				Name: "morning-ramp", Duration: frac(3),
