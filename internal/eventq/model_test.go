@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"switchv2p/internal/packet"
 	"switchv2p/internal/simtime"
 	"switchv2p/internal/topology"
 )
@@ -54,10 +55,10 @@ func (m *modelQueue) pop() (modelEvent, bool) {
 	return e, ok
 }
 
-// modelDelays straddle the wheel boundary (1023 in, 1024 out) and cover
-// the simulator's own delays: serialization times, the 1 µs link delay,
-// the 40 µs gateway hop, an RTO-scale timer, and "never".
-var modelDelays = [...]simtime.Duration{0, 1, 30, 120, 1000, 1022, 1023, 1024, 1025, 40000, 5 * simtime.Millisecond, simtime.Duration(simtime.Never)}
+// modelDelays straddle the wheel boundary (wheelSlots-1 in, wheelSlots
+// out) and cover the simulator's own delays: serialization times, the
+// 1 µs link delay, the 40 µs gateway hop, an RTO-scale timer, and "never".
+var modelDelays = [...]simtime.Duration{0, 1, 30, 120, 1000, wheelSlots - 2, wheelSlots - 1, wheelSlots, wheelSlots + 1, 40000, 5 * simtime.Millisecond, simtime.Duration(simtime.Never)}
 
 // modelRun drives a Queue and the model with one op stream, two bytes
 // per op, and checks they agree after every op. Each dispatched event
@@ -243,10 +244,10 @@ func TestTierBoundaryOrder(t *testing.T) {
 			[]step{{500, 0, -1}, {500, CrossKeyBase | 9, -1}, {500, 0, -1}}, []int{0, 2, 1}},
 		{"keyed events order by key, not insertion",
 			[]step{{500, CrossKeyBase | 9, -1}, {500, CrossKeyBase | 3, -1}}, []int{1, 0}},
-		{"cursor wraps past slot 1023", // from slot 500: slots 510 and 600, then 0, 376 and 499 of the next lap
-			[]step{{500, 0, -1}, {510, 0, 0}, {1400, 0, 0}, {600, 0, 0}, {1523, 0, 0}, {1024, 0, 0}}, []int{0, 1, 3, 5, 2, 4}},
-		{"delay 1023 takes the wheel, 1024 the heap, order holds",
-			[]step{{1024, 0, -1}, {1023, 0, -1}, {1024, 0, 3}, {1, 0, -1}}, []int{3, 1, 0, 2}},
+		{"cursor wraps past the last slot", // from slot 500: slots 510 and 600, then 0, 376 and 499 of the next lap
+			[]step{{500, 0, -1}, {510, 0, 0}, {wheelSlots + 376, 0, 0}, {600, 0, 0}, {wheelSlots + 499, 0, 0}, {wheelSlots, 0, 0}}, []int{0, 1, 3, 5, 2, 4}},
+		{"wheelSlots-1 on the wheel, wheelSlots on the heap",
+			[]step{{wheelSlots, 0, -1}, {wheelSlots - 1, 0, -1}, {wheelSlots, 0, 3}, {1, 0, -1}}, []int{3, 1, 0, 2}},
 		{"idle gap longer than the wheel",
 			[]step{{10, 0, -1}, {5000, 0, -1}, {5010, 0, 1}, {9000, 0, 1}, {5000, 0, 1}}, []int{0, 1, 4, 2, 3}},
 	} {
@@ -288,19 +289,23 @@ func TestTierBoundaryOrder(t *testing.T) {
 }
 
 // TestLinkDelayLandsInWheel is the white-box guard on the coupling the
-// optimisation depends on: the default link delay, half of all events,
-// must take the wheel. Shrinking wheelSlots or raising the default delay
-// past it would leave every test green and the simulator 2× slower.
+// optimisation depends on: a link arms its next delivery at most the
+// link delay plus the longest serialization ahead (an MTU on the slower
+// of the two link classes), and nearly every event is such a delivery,
+// so that must take the wheel. Shrinking wheelSlots or raising the
+// default delay past it would leave every test green and the simulator
+// far slower.
 func TestLinkDelayLandsInWheel(t *testing.T) {
 	for _, cfg := range []topology.Config{topology.FT8(), topology.FT16()} {
 		var q Queue
 		ev := &countEvent{n: new(int)}
 		q.AtTimed(12345, ev)
 		q.Step()
-		q.AfterTimed(cfg.LinkDelay, ev)
+		ahead := cfg.LinkDelay + simtime.TransmitTime(packet.MTU, min(cfg.HostLinkBps, cfg.FabricLinkBps))
+		q.AfterTimed(ahead, ev)
 		if q.wheelLen != 1 || len(q.heap) != 0 {
-			t.Fatalf("LinkDelay %v: wheel holds %d events and the heap %d, want 1 and 0 (wheelSlots = %d)",
-				cfg.LinkDelay, q.wheelLen, len(q.heap), wheelSlots)
+			t.Fatalf("LinkDelay %v plus an MTU's serialization, %v: wheel holds %d events and the heap %d, want 1 and 0 (wheelSlots = %d)",
+				cfg.LinkDelay, ahead, q.wheelLen, len(q.heap), wheelSlots)
 		}
 		q.AfterTimed(wheelSlots, ev)
 		if q.wheelLen != 1 || len(q.heap) != 1 || q.Len() != 2 {

@@ -7,29 +7,16 @@ import (
 
 	"switchv2p/internal/baselines"
 	"switchv2p/internal/faults"
-	"switchv2p/internal/simnet"
 	"switchv2p/internal/simtime"
 	"switchv2p/internal/topology"
 	"switchv2p/internal/trace"
 	"switchv2p/internal/transport"
 )
 
-// conservationGap is the exact packet-conservation identity, as entered
-// minus left: every packet that entered the network — tenant packets
-// sent by hosts, control packets injected by switches — is delivered,
-// dropped (and counted), consumed by a switch, stray at a host, or still
-// on a link. It is 0 once the event queue has drained. (Mid-run the gap
-// is the packets held off the links: shard mailboxes, gateway and
-// misdelivery delays, scheme-held packets — ROADMAP 4(a).)
-func conservationGap(e *simnet.Engine) int64 {
-	c := &e.C
-	return c.HostSent + c.LearningPkts + c.InvalidationPkts -
-		(c.Delivered + c.Drops + c.ConsumedControl + c.StrayControlPkts + int64(e.InFlightPackets()))
-}
-
-// TestPacketConservationAtDrain holds every scheme to the exact identity,
-// on the serial engine and (the shard-safe ones) on two shards, healthy
-// and under a fault schedule.
+// TestPacketConservationAtDrain holds every scheme to the exact identity
+// (simnet.Engine.ConservationGap), on the serial engine and (the
+// shard-safe ones) on two shards, healthy and under a fault schedule,
+// with no packet dropped for exhausting its hop budget.
 func TestPacketConservationAtDrain(t *testing.T) {
 	for _, scheme := range AllSchemes {
 		for _, shards := range []int{0, 2} {
@@ -42,9 +29,10 @@ func TestPacketConservationAtDrain(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if gap := conservationGap(r.World.Engine); gap != 0 || r.HostSent == 0 {
-					t.Errorf("%s shards=%d faults=%v: %d packets unaccounted for: %+v",
-						scheme, shards, cfg.Faults != nil, gap, r.World.Engine.C)
+				c := &r.World.Engine.C
+				if gap := r.World.Engine.ConservationGap(); gap != 0 || r.HostSent == 0 || c.LoopDrops != 0 {
+					t.Errorf("%s shards=%d faults=%v: %d packets unaccounted for, %d loop drops: %+v",
+						scheme, shards, cfg.Faults != nil, gap, c.LoopDrops, *c)
 				}
 			}
 		}
@@ -63,7 +51,7 @@ func TestBluebirdOverflowStaysOnTheBooks(t *testing.T) {
 	}
 	c := &r.World.Engine.C
 	cpDrops := r.World.Scheme.(*baselines.Bluebird).CPDrops
-	if gap := conservationGap(r.World.Engine); gap != 0 || cpDrops == 0 || c.Drops < cpDrops || r.Drops != c.Drops || c.ConsumedControl != 0 {
+	if gap := r.World.Engine.ConservationGap(); gap != 0 || cpDrops == 0 || c.Drops < cpDrops || r.Drops != c.Drops || c.ConsumedControl != 0 {
 		t.Fatalf("gap %d, CP drops %d, drops %d (report %d), consumed control %d", gap, cpDrops, c.Drops, r.Drops, c.ConsumedControl)
 	}
 }
@@ -76,7 +64,8 @@ func TestBluebirdOverflowStaysOnTheBooks(t *testing.T) {
 //  1. every TCP flow completes (caches are never needed for correctness),
 //  2. no control packets leak to hosts,
 //  3. the gateway never sees an unknown VIP,
-//  4. packet conservation holds exactly at drain (conservationGap).
+//  4. packet conservation holds exactly at drain (ConservationGap),
+//  5. no packet exhausts its hop budget (LoopDrops).
 //
 // The default run is the same 40 scenarios every time: a fixed generator,
 // and 0.4 of the default -quickchecks of 100. The open-ended search is
@@ -115,7 +104,7 @@ func TestKnownMigrationLoops(t *testing.T) {
 }
 
 // randomScenario builds and runs the scenario that seed determines and
-// reports whether the four invariants hold, logging the first that does
+// reports whether the five invariants hold, logging the first that does
 // not. The world is returned for callers that assert more.
 func randomScenario(t *testing.T, seed int64) (*World, bool) {
 	rng := rand.New(rand.NewSource(seed))
@@ -195,9 +184,13 @@ func randomScenario(t *testing.T, seed int64) (*World, bool) {
 	}
 	// (Misdelivered packets are re-sends of the same packet, so they
 	// do not add to HostSent.)
-	if gap := conservationGap(w.Engine); gap != 0 {
+	if gap := w.Engine.ConservationGap(); gap != 0 {
 		t.Logf("seed %d scheme %s: conservation violated: %d packets unaccounted for: %+v",
 			seed, cfg.Scheme, gap, *c)
+		return w, false
+	}
+	if c.LoopDrops != 0 {
+		t.Errorf("seed %d scheme %s: %d packets exhausted their hop budget", seed, cfg.Scheme, c.LoopDrops)
 		return w, false
 	}
 	return w, true
@@ -214,7 +207,8 @@ func randomScenario(t *testing.T, seed int64) (*World, bool) {
 //  2. no control packets leak to hosts,
 //  3. the gateway never sees an unknown VIP,
 //  4. packet conservation holds exactly (fault drops are still drops),
-//  5. the injector applied its whole schedule without errors.
+//  5. no packet exhausts its hop budget (LoopDrops),
+//  6. the injector applied its whole schedule without errors.
 func TestSystemInvariantsUnderFaultSchedules(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -319,9 +313,14 @@ func TestSystemInvariantsUnderFaultSchedules(t *testing.T) {
 				seed, cfg.Scheme, c.GatewayUnknownVIP)
 			return false
 		}
-		if gap := conservationGap(w.Engine); gap != 0 {
+		if gap := w.Engine.ConservationGap(); gap != 0 {
 			t.Errorf("seed %d scheme %s: conservation violated: %d packets unaccounted for: %+v",
 				seed, cfg.Scheme, gap, *c)
+			return false
+		}
+		if c.LoopDrops != 0 {
+			t.Errorf("seed %d scheme %s: %d packets exhausted their hop budget under faults",
+				seed, cfg.Scheme, c.LoopDrops)
 			return false
 		}
 		if err := w.Injector.Err(); err != nil {

@@ -407,6 +407,52 @@ func TestGatewayOverloadDropsAtGatewayToR(t *testing.T) {
 	}
 }
 
+// loopScheme forwards every packet in a circle: whenever its outer
+// destination is a host under the switch it is at, the switch readdresses
+// it to the other host, a rack away, so it never reaches either.
+type loopScheme struct {
+	gwScheme
+	a, b netaddr.PIP
+}
+
+func (s loopScheme) SwitchArrive(e *Engine, sw int32, _ topology.NodeRef, p *packet.Packet) bool {
+	if h, ok := e.Topo.HostByPIP(p.DstPIP); ok && e.Topo.Hosts[h].ToR == sw {
+		p.DstPIP = s.a
+		if p.DstPIP == e.Topo.Hosts[h].PIP {
+			p.DstPIP = s.b
+		}
+	}
+	return true
+}
+
+// TestHopBudgetEndsAForwardingLoop: a packet a buggy scheme sends in a
+// circle is dropped at the switch it reaches past MaxHops, and counted,
+// so the run drains and conservation holds.
+func TestHopBudgetEndsAForwardingLoop(t *testing.T) {
+	f := newFixture(t, gwScheme{})
+	src, dst := f.vips[0], f.vips[200] // different pods
+	a, b := f.e.Topo.Hosts[f.hostOf(src)].PIP, f.e.Topo.Hosts[f.hostOf(dst)].PIP
+	f.e.Scheme = loopScheme{a: a, b: b}
+	p := packet.NewData(1, 0, 1000, src, dst, 0)
+	p.DstPIP, p.Resolved = b, true
+	f.e.HostSend(f.hostOf(src), p)
+	f.e.Run(simtime.Never)
+	c := &f.e.C
+	if c.LoopDrops != 1 || c.Drops != 1 || c.Delivered != 0 || f.e.Q.Len() != 0 {
+		t.Fatalf("loop drops %d, drops %d, delivered %d, %d events pending; want 1, 1, 0, 0", c.LoopDrops, c.Drops, c.Delivered, f.e.Q.Len())
+	}
+	if gap := f.e.ConservationGap(); gap != 0 {
+		t.Fatalf("conservation gap %d after the loop drop", gap)
+	}
+	var crossed int64
+	for _, n := range c.SwitchPackets {
+		crossed += n
+	}
+	if crossed != MaxHops {
+		t.Fatalf("the looping packet crossed %d switches, want the budget of %d", crossed, MaxHops)
+	}
+}
+
 // TestMergeScalarsCoversEveryField guards the hand-maintained field list
 // in Counters.mergeScalars: a counter added to Counters but not to the
 // merge would be lost at every shard barrier, and only sharded runs

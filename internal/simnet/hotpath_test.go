@@ -127,9 +127,9 @@ func TestBufGaugeDrainsToZero(t *testing.T) {
 
 // TestLinkQueueBoundedUnderSaturation: a link that never drains advances
 // its ring indices forever, and the ring must not grow with them. One
-// arrival per departure (a packet is two events) holds a standing backlog
-// for thousands of packets; the ring stays within twice the backlog's
-// high-water mark.
+// arrival per departure (a packet is one event, its delivery) holds a
+// standing backlog for thousands of packets; the ring stays within twice
+// the backlog's high-water mark.
 func TestLinkQueueBoundedUnderSaturation(t *testing.T) {
 	e, l := bareLink()
 	p := packet.NewData(1, 0, 1000, 1, 2, 3)
@@ -140,7 +140,6 @@ func TestLinkQueueBoundedUnderSaturation(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		l.enqueue(p)
 		high = max(high, l.inFlight())
-		e.Q.Step()
 		e.Q.Step()
 		if l.inFlight() == 0 {
 			t.Fatalf("link drained after %d packets: the test no longer saturates it", i)
@@ -196,14 +195,15 @@ func TestInFlightPacketsCountsPropagation(t *testing.T) {
 	if got := f.e.InFlightPackets(); got != 1 {
 		t.Fatalf("in flight after send = %d, want 1 (serializing)", got)
 	}
-	// One step dispatches the serializer-completion event: the packet is
-	// now purely in propagation flight toward the ToR — the window the
-	// old queue-length accounting missed.
-	if !f.e.Q.Step() {
-		t.Fatal("no event pending")
-	}
-	if got := f.e.InFlightPackets(); got != 1 {
-		t.Fatalf("in flight during propagation = %d, want 1", got)
+	// One nanosecond past its serialization end the packet is purely in
+	// propagation flight toward the ToR — the window the old queue-length
+	// accounting missed.
+	up := f.e.hostUp[f.hostOf(src)]
+	mid, during := up.slot(up.head).end()+1, -1
+	f.e.Q.At(mid, func() { during = f.e.InFlightPackets() })
+	f.e.Q.Run(mid)
+	if during != 1 || up.inFlight() != 1 {
+		t.Fatalf("in flight during propagation = %d, want 1 on the host's link", during)
 	}
 	f.e.Run(simtime.Never)
 	if got := f.e.InFlightPackets(); got != 0 {
