@@ -282,6 +282,22 @@ func TestOnDemandMissPenaltyThenDirect(t *testing.T) {
 	}
 }
 
+// TestOnDemandCountsAMissOnADepartedVM: a packet whose destination VM
+// leaves during the miss penalty is dropped at the host and counted, so
+// conservation holds (FuzzSpecValidate found it uncounted under churn).
+func TestOnDemandCountsAMissOnADepartedVM(t *testing.T) {
+	w := newWorld(t, func(topo *topology.Topology) simnet.Scheme { return NewOnDemand(topo, 40*simtime.Microsecond) })
+	src, dst := w.vips[0], w.vips[9]
+	w.e.HostSend(w.hostOf(src), packet.NewData(1, 0, 1000, src, dst, 0))
+	if err := w.net.RemoveVM(dst); err != nil {
+		t.Fatal(err)
+	}
+	w.e.Run(simtime.Never)
+	if c := &w.e.C; c.Drops != 1 || c.Delivered != 0 || w.e.ConservationGap() != 0 {
+		t.Fatalf("drops %d, delivered %d, conservation gap %d; want 1, 0, 0", c.Drops, c.Delivered, w.e.ConservationGap())
+	}
+}
+
 func TestOnDemandStaysStaleAfterMigration(t *testing.T) {
 	var od *OnDemand
 	w := newWorld(t, func(topo *topology.Topology) simnet.Scheme {

@@ -61,7 +61,10 @@ func (o *OnDemand) SenderResolve(e *simnet.Engine, host int32, p *packet.Packet)
 	e.Q.After(o.MissPenalty, func() {
 		pip, ok := e.Net.Lookup(vip)
 		if !ok {
-			return // unknown VIP: the packet is dropped at the host
+			// Unknown VIP (the VM departed meanwhile): the packet is
+			// dropped at the host, and counted like every drop.
+			e.C.Drops++
+			return
 		}
 		if o.hostCache[host] == nil {
 			o.hostCache[host] = make(map[netaddr.VIP]netaddr.PIP)

@@ -11,7 +11,11 @@ import (
 type Summary struct {
 	Flows     int
 	Completed int
-	TimedOut  int
+	// TimedOut counts the flows whose sender gave up before the receiver
+	// had every byte. A sender whose ACKs are all lost gives up on a
+	// flow that has completed: that flow counts as completed only, so
+	// Completed + TimedOut never exceeds Flows.
+	TimedOut int
 
 	AvgFCT simtime.Duration // mean over completed TCP flows
 	P50FCT simtime.Duration
@@ -42,7 +46,7 @@ func Summarize(records []*FlowRecord) Summary {
 		s.PacketsSent += r.PacketsSent
 		s.PacketsGot += r.PacketsGot
 		s.Retransmits += r.Retransmits
-		if r.TimedOut {
+		if r.TimedOut && !r.Completed {
 			s.TimedOut++
 		}
 		if r.Completed {

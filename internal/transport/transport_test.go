@@ -221,6 +221,20 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
+// TestSummaryCountsACompletedFlowOnce: a flow whose receiver has every
+// byte while its sender gives up on the lost ACKs is completed, not also
+// timed out (FuzzFaultSchedule found one behind a failed ToR).
+func TestSummaryCountsACompletedFlowOnce(t *testing.T) {
+	s := Summarize([]*FlowRecord{
+		{Spec: FlowSpec{Proto: TCP}, Completed: true, TimedOut: true},
+		{Spec: FlowSpec{Proto: TCP}, TimedOut: true},
+		{Spec: FlowSpec{Proto: TCP}, Completed: true},
+	})
+	if s.Flows != 3 || s.Completed != 2 || s.TimedOut != 1 {
+		t.Fatalf("flows %d, completed %d, timed out %d; want 3, 2, 1", s.Flows, s.Completed, s.TimedOut)
+	}
+}
+
 func TestSummaryPercentiles(t *testing.T) {
 	recs := make([]*FlowRecord, 100)
 	for i := range recs {
