@@ -72,6 +72,8 @@ FuzzReadWorkload ./internal/trace
 FuzzRead ./internal/ptrace
 FuzzUnmarshal ./internal/packet
 FuzzHashVIP ./internal/packet
+FuzzFaultSchedule ./internal/faults
+FuzzSpecValidate ./internal/scenario
 EOF
 
 echo "== shard determinism (byte-identical reports at 1/2/4/8 workers, under -race) =="
