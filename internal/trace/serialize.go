@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"switchv2p/internal/transport"
 )
@@ -71,6 +72,8 @@ func ReadWorkload(in io.Reader) (*Workload, error) {
 			return nil, fmt.Errorf("trace: flow %d: negative Start %d", i, f.Start)
 		case f.Bytes < 0 || f.Packets < 0 || f.PacketPayload < 0 || f.Interval < 0:
 			return nil, fmt.Errorf("trace: flow %d: negative Bytes, Packets, PacketPayload or Interval", i)
+		case f.PacketPayload > math.MaxUint16:
+			return nil, fmt.Errorf("trace: flow %d: PacketPayload %d does not fit a packet (at most %d bytes)", i, f.PacketPayload, math.MaxUint16)
 		case dup:
 			return nil, fmt.Errorf("trace: flow %d: duplicate ID %d", i, f.ID)
 		}

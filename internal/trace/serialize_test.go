@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,6 +67,7 @@ func TestReadWorkloadRejectsGarbage(t *testing.T) {
 		{hdr + ok + `{"ID":2,"Proto":1,"Packets":-1}`, "flow 1: negative Bytes"},
 		{hdr + ok + `{"ID":2,"Proto":1,"Packets":3,"PacketPayload":-5}`, "flow 1: negative Bytes"},
 		{hdr + ok + `{"ID":2,"Proto":1,"Packets":3,"Interval":-1}`, "flow 1: negative Bytes"},
+		{hdr + ok + `{"ID":2,"Proto":1,"Packets":3,"PacketPayload":65536}`, "flow 1: PacketPayload 65536 does not fit"},
 		{hdr + ok + ok, "flow 1: duplicate ID 1"},
 	} {
 		_, err := ReadWorkload(strings.NewReader(tc.in))
@@ -92,7 +94,7 @@ func FuzzReadWorkload(f *testing.F) {
 		}
 		ids := map[uint64]bool{}
 		for i, fl := range w.Flows {
-			if fl.Proto > 1 || fl.Start < 0 || fl.Bytes < 0 || fl.Packets < 0 || fl.PacketPayload < 0 || fl.Interval < 0 || ids[fl.ID] {
+			if fl.Proto > 1 || fl.Start < 0 || fl.Bytes < 0 || fl.Packets < 0 || fl.PacketPayload < 0 || fl.PacketPayload > math.MaxUint16 || fl.Interval < 0 || ids[fl.ID] {
 				t.Fatalf("accepted flow %d: %+v", i, fl)
 			}
 			ids[fl.ID] = true
