@@ -16,7 +16,7 @@ import (
 // JSON report, final engine counters and core stats at seed 1, pinned
 // for GOARCH=amd64 (see harness.TestGoldenDigests for the contract: no
 // update flag, a mismatch prints the new value).
-const goldenProductionDayQuick = "cf5de5773061b8f61bcd1d6473ea111537afddf89fdfb9b768d8f0d9cbbf59b6"
+const goldenProductionDayQuick = "f00a3fa247eb743832e705b80d84eaad30a43c6cd99e75e5cf263440a1d5e7d1"
 
 // TestGoldenProductionDay runs the CI smoke's production day (the
 // cmd/experiments quick scale: six phases with churn, a migration
