@@ -4,13 +4,19 @@
 // enqueued for the same nanosecond must always dequeue in the order they
 // were scheduled.
 //
-// The queue has two tiers. Events due less than wheelSlots nanoseconds
+// The queue has three tiers. Events due less than wheelSlots nanoseconds
 // after the current instant — link deliveries, nearly everything a
 // simulation schedules — go on a timing wheel with one slot per
-// nanosecond: O(1) to schedule, O(1) to dispatch, no comparisons. Everything else (gateway delays, retransmission timers,
-// flow starts, cross-shard handoffs) goes in a 4-ary min-heap. Dispatch
-// takes whichever tier's head is smaller by (time, tie-break key), so
-// the order is exactly the order one heap would produce.
+// nanosecond: O(1) to schedule, O(1) to dispatch, no comparisons. An
+// event scheduled through AfterFixed a constant d >= wheelSlots ahead
+// (the gateway and hypervisor delays) joins the FIFO lane for d: the
+// clock only advances and sequence numbers only grow, so a lane fills
+// in (time, seq) order and its head is its earliest event, O(1) both
+// ways. Everything else (retransmission timers, flow starts,
+// cross-shard handoffs) goes in a 4-ary min-heap. The queue caches the
+// earliest of the heap root and the lane heads, and dispatch takes
+// whichever of that and the wheel's head is smaller by (time, tie-break
+// key), so the order is exactly the order one heap would produce.
 package eventq
 
 import (
@@ -74,6 +80,39 @@ type wheelNode struct {
 // indices + 1 (zero: empty).
 type wheelSlot struct{ head, tail uint32 }
 
+// lane is the FIFO of the events scheduled through AfterFixed with one
+// delay d: a ring of items, oldest at head. Each was scheduled d after
+// a clock that only advances, with a sequence number that only grows,
+// so ring order is (at, seq) order.
+type lane struct {
+	d    simtime.Duration
+	ring []item // length a power of two, or zero before the first push
+	head int    // index of the oldest item
+	n    int    // items pending
+}
+
+// push appends it, doubling the ring when full.
+func (l *lane) push(it item) {
+	if l.n == len(l.ring) {
+		ring := make([]item, max(16, 2*len(l.ring)))
+		for i := 0; i < l.n; i++ {
+			ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+		}
+		l.ring, l.head = ring, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = it
+	l.n++
+}
+
+// pop removes and returns the oldest item. The lane must not be empty.
+func (l *lane) pop() item {
+	it := l.ring[l.head]
+	l.ring[l.head] = item{} // release the record for GC
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return it
+}
+
 // Queue dispatches events in (time, insertion order) order. The zero
 // value is an empty queue ready for use.
 //
@@ -84,13 +123,23 @@ type wheelSlot struct{ head, tail uint32 }
 // timestamp at a time, events join it in increasing seq, and slot FIFO
 // order is (at, seq) order; circular slot order starting at
 // now&wheelMask is time order.
+//
+// Far invariant: the heap and the lanes hold farLen events, and when
+// farLen > 0, (farAt, farSeq) is the smallest (at, seq) among them:
+// the heap root if farLane is 0, else the head of lanes[farLane-1].
 type Queue struct {
 	heap   []item
+	lanes  []lane
 	seq    uint64
 	now    simtime.Time
 	frozen string // non-empty: scheduling panics with this message
 	// peakLen is the largest Len() Run has seen before a dispatch.
 	peakLen int
+
+	farLen  int // events pending in the heap and the lanes
+	farAt   simtime.Time
+	farSeq  uint64
+	farLane int // where the earliest far event is: 0 the heap root, i the head of lanes[i-1]
 
 	wheelLen int          // events pending in the wheel
 	wheelAt  simtime.Time // earliest wheel timestamp; meaningful when wheelLen > 0
@@ -112,10 +161,10 @@ type Queue struct {
 const CrossKeyBase = uint64(1) << 63
 
 // Freeze makes every subsequent scheduling call (At, After, AtTimed,
-// AfterTimed, AtTimedKeyed) panic with the given message. The sharded
-// engine freezes the root queue so stray schedulers — a scheme or tool
-// that was not audited for shard ownership — fail loudly instead of
-// silently scheduling events no worker will ever dispatch.
+// AfterTimed, AfterFixed, AtTimedKeyed) panic with the given message.
+// The sharded engine freezes the root queue so stray schedulers — a
+// scheme or tool that was not audited for shard ownership — fail loudly
+// instead of silently scheduling events no worker will ever dispatch.
 func (q *Queue) Freeze(msg string) { q.frozen = msg }
 
 // Frozen reports whether the queue rejects new events.
@@ -126,7 +175,7 @@ func (q *Queue) Frozen() bool { return q.frozen != "" }
 func (q *Queue) Now() simtime.Time { return q.now }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.heap) + q.wheelLen }
+func (q *Queue) Len() int { return q.wheelLen + q.farLen }
 
 // PeakLen returns the largest number of pending events Run has seen
 // before dispatching one, over every Run call so far: the queue-depth
@@ -154,8 +203,7 @@ func (q *Queue) AtTimed(t simtime.Time, ev Timed) {
 	}
 	q.seq++
 	if t-q.now >= wheelSlots {
-		q.heap = append(q.heap, item{at: t, seq: q.seq, ev: ev})
-		q.up(len(q.heap) - 1)
+		q.pushHeap(item{at: t, seq: q.seq, ev: ev})
 		return
 	}
 	ref := q.free // slab index + 1 of the node to use
@@ -200,13 +248,58 @@ func (q *Queue) AtTimedKeyed(t simtime.Time, ev Timed, key uint64) {
 	if q.frozen != "" {
 		panic(q.frozen)
 	}
-	q.heap = append(q.heap, item{at: t, seq: key, ev: ev})
-	q.up(len(q.heap) - 1)
+	q.pushHeap(item{at: t, seq: key, ev: ev})
 }
 
 // AfterTimed schedules ev to fire d after the current instant.
 func (q *Queue) AfterTimed(d simtime.Duration, ev Timed) {
 	q.AtTimed(q.now.Add(d), ev)
+}
+
+// AfterFixed is AfterTimed for a caller whose delay d is one constant it
+// schedules with over and over, such as a fixed processing latency. A d
+// of at least wheelSlots puts ev on the FIFO lane for d instead of the
+// heap: O(1) both ways, in the same dispatch order. A shorter d takes
+// the wheel, as with AfterTimed.
+func (q *Queue) AfterFixed(d simtime.Duration, ev Timed) {
+	if d < wheelSlots {
+		q.AfterTimed(d, ev)
+		return
+	}
+	t := q.now.Add(d)
+	if t < q.now {
+		panic("eventq: scheduling event in the past")
+	}
+	if q.frozen != "" {
+		panic(q.frozen)
+	}
+	q.seq++
+	i := 0
+	for i < len(q.lanes) && q.lanes[i].d != d {
+		i++
+	}
+	if i == len(q.lanes) {
+		q.lanes = append(q.lanes, lane{d: d})
+	}
+	q.lanes[i].push(item{at: t, seq: q.seq, ev: ev})
+	q.farPushed(t, q.seq, i+1)
+}
+
+// pushHeap inserts it into the heap.
+func (q *Queue) pushHeap(it item) {
+	q.heap = append(q.heap, it)
+	q.up(len(q.heap) - 1)
+	q.farPushed(it.at, it.seq, 0)
+}
+
+// farPushed counts a far event just added at (at, seq) to the heap
+// (where 0) or to lanes[where-1], and makes it the cached earliest far
+// event if it is one.
+func (q *Queue) farPushed(at simtime.Time, seq uint64, where int) {
+	if q.farLen == 0 || at < q.farAt || at == q.farAt && seq < q.farSeq {
+		q.farAt, q.farSeq, q.farLane = at, seq, where
+	}
+	q.farLen++
 }
 
 // Step dispatches the earliest pending event, advancing the clock to its
@@ -216,8 +309,8 @@ func (q *Queue) Step() bool {
 	switch {
 	case q.wheelFirst():
 		ev = q.popWheel()
-	case len(q.heap) > 0:
-		ev = q.popHeap()
+	case q.farLen > 0:
+		ev = q.popFar()
 	default:
 		return false
 	}
@@ -226,19 +319,18 @@ func (q *Queue) Step() bool {
 }
 
 // wheelFirst reports whether the earliest pending event, by (time,
-// tie-break key), is the wheel's head rather than the heap's.
+// tie-break key), is the wheel's head rather than the earliest far one.
 func (q *Queue) wheelFirst() bool {
 	if q.wheelLen == 0 {
 		return false
 	}
-	if len(q.heap) == 0 {
+	if q.farLen == 0 {
 		return true
 	}
-	h := &q.heap[0]
-	if q.wheelAt != h.at {
-		return q.wheelAt < h.at
+	if q.wheelAt != q.farAt {
+		return q.wheelAt < q.farAt
 	}
-	return q.wheelSeq() < h.seq
+	return q.wheelSeq() < q.farSeq
 }
 
 // wheelSeq returns the tie-break key of the wheel's head event. The wheel
@@ -295,19 +387,48 @@ func (q *Queue) nextOccupied(now simtime.Time) simtime.Time {
 	return now + simtime.Time((slot-c)&wheelMask)
 }
 
-// popHeap removes the heap's root, advances the clock to it and returns
-// its event. The heap must not be empty.
-func (q *Queue) popHeap() Timed {
-	it := q.heap[0]
-	n := len(q.heap) - 1
-	q.heap[0] = q.heap[n]
-	q.heap[n] = item{} // release the record for GC
-	q.heap = q.heap[:n]
-	if n > 0 {
-		q.down(0)
+// popFar removes the earliest far event, advances the clock to it,
+// finds the next earliest far event and returns the removed one's
+// event. There must be a far event.
+func (q *Queue) popFar() Timed {
+	var it item
+	if q.farLane == 0 {
+		it = q.heap[0]
+		n := len(q.heap) - 1
+		q.heap[0] = q.heap[n]
+		q.heap[n] = item{} // release the record for GC
+		q.heap = q.heap[:n]
+		if n > 0 {
+			q.down(0)
+		}
+	} else {
+		it = q.lanes[q.farLane-1].pop()
 	}
 	q.now = it.at
+	q.farLen--
+	if q.farLen > 0 {
+		q.findFar()
+	}
 	return it.ev
+}
+
+// findFar recomputes the cached earliest far event from the heap root
+// and the lane heads. There must be a far event.
+func (q *Queue) findFar() {
+	q.farLane = -1
+	if len(q.heap) > 0 {
+		q.farAt, q.farSeq, q.farLane = q.heap[0].at, q.heap[0].seq, 0
+	}
+	for i := range q.lanes {
+		l := &q.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		h := &l.ring[l.head]
+		if q.farLane < 0 || h.at < q.farAt || h.at == q.farAt && h.seq < q.farSeq {
+			q.farAt, q.farSeq, q.farLane = h.at, h.seq, i+1
+		}
+	}
 }
 
 // Run dispatches events until the queue is empty or until the next event
@@ -317,12 +438,24 @@ func (q *Queue) popHeap() Timed {
 func (q *Queue) Run(horizon simtime.Time) int {
 	n := 0
 	for {
-		t, ok := q.PeekTime()
-		if !ok || t > horizon {
+		var ev Timed
+		switch {
+		case q.wheelFirst():
+			if q.wheelAt > horizon {
+				return n
+			}
+			q.peakLen = max(q.peakLen, q.Len())
+			ev = q.popWheel()
+		case q.farLen > 0:
+			if q.farAt > horizon {
+				return n
+			}
+			q.peakLen = max(q.peakLen, q.Len())
+			ev = q.popFar()
+		default:
 			return n
 		}
-		q.peakLen = max(q.peakLen, q.Len())
-		q.Step()
+		ev.Fire()
 		n++
 	}
 }
@@ -351,10 +484,10 @@ func (q *Queue) PeekKey() (simtime.Time, uint64, bool) {
 	if q.wheelFirst() {
 		return q.wheelAt, q.wheelSeq(), true
 	}
-	if len(q.heap) == 0 {
+	if q.farLen == 0 {
 		return 0, 0, false
 	}
-	return q.heap[0].at, q.heap[0].seq, true
+	return q.farAt, q.farSeq, true
 }
 
 // PeekTime returns the timestamp of the earliest pending event and whether
@@ -363,10 +496,10 @@ func (q *Queue) PeekTime() (simtime.Time, bool) {
 	if q.wheelFirst() {
 		return q.wheelAt, true
 	}
-	if len(q.heap) == 0 {
+	if q.farLen == 0 {
 		return 0, false
 	}
-	return q.heap[0].at, true
+	return q.farAt, true
 }
 
 func (q *Queue) less(i, j int) bool {

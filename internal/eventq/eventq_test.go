@@ -309,6 +309,16 @@ func TestTypedScheduleAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("typed schedule+dispatch allocates %v per op, want 0", allocs)
 	}
+	// A lane's ring, once warm, is reused the same way.
+	q.AfterFixed(40000, ev)
+	q.Step()
+	allocs = testing.AllocsPerRun(100, func() {
+		q.AfterFixed(40000, ev)
+		q.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("AfterFixed schedule+dispatch allocates %v per op, want 0", allocs)
+	}
 }
 
 // countEvent increments a counter on Fire (no per-fire append, so the
@@ -345,35 +355,44 @@ func BenchmarkQueue(b *testing.B) {
 	})
 }
 
-// holdMixes are BenchmarkHold's delay distributions. simmix is the
-// histogram of schedule-ahead delays measured on the bench workloads
-// (PERF.md): serialization times, the 1 µs link delay, the 40 µs gateway
-// hop and a rare 200 µs timer. uniform100us is what bench's
-// eventq.hold_ns kernel draws — 1 % of it lands within the wheel.
-var holdMixes = []struct {
-	name string
-	draw func(rng *rand.Rand) simtime.Duration
-}{
-	{"simmix", func(rng *rand.Rand) simtime.Duration {
-		x := rng.Intn(1000) // per mille
-		for _, b := range []struct {
-			upTo  int
-			delay simtime.Duration
-		}{{485, 1000}, {640, 2}, {795, 30}, {870, 118}, {930, 6}, {965, 8}, {999, 40000}} {
-			if x < b.upTo {
-				return b.delay
-			}
+// simmix draws from the histogram of schedule-ahead delays measured on
+// the hadoop-nocache bench workload with one event per link crossing
+// (PERF.md §1.1): a link's next delivery one serialization time or a few
+// ahead (6, 118, 236, 354 ns), a delivery to an idle link 1 002 ns
+// ahead, the 40 µs gateway hop and a rare 200 µs retransmission timer.
+func simmix(rng *rand.Rand) simtime.Duration {
+	x := rng.Intn(1000) // per mille
+	for _, b := range []struct {
+		upTo  int
+		delay simtime.Duration
+	}{{146, 6}, {633, 118}, {805, 236}, {901, 354}, {918, 1002}, {999, 40000}} {
+		if x < b.upTo {
+			return b.delay
 		}
-		return 200000
-	}},
+	}
+	return 200000
+}
+
+// holdMixes are BenchmarkHold's delay distributions. simmix-lanes is
+// simmix with the gateway hop scheduled through AfterFixed, the way the
+// engine schedules it. uniform100us is what bench's eventq.hold_ns
+// kernel draws — 2 % of it lands within the wheel.
+var holdMixes = []struct {
+	name  string
+	draw  func(rng *rand.Rand) simtime.Duration
+	lanes bool // schedule the 40 µs draws through AfterFixed
+}{
+	{"simmix", simmix, false},
+	{"simmix-lanes", simmix, true},
 	{"uniform100us", func(rng *rand.Rand) simtime.Duration {
 		return simtime.Duration(rng.Int63n(int64(100 * simtime.Microsecond)))
-	}},
+	}, false},
 }
 
 // BenchmarkHold is the classic hold model at the pending-event counts the
 // bench workloads peak at: pop the earliest event, schedule one pooled
-// record a drawn delay ahead. One op is one Step plus one AtTimed.
+// record a drawn delay ahead. One op is one Step plus one AfterTimed (or
+// AfterFixed, for a lane mix's 40 µs draws).
 func BenchmarkHold(b *testing.B) {
 	for _, mix := range holdMixes {
 		for _, pending := range []int{500, 12000, 41000} {
@@ -386,13 +405,20 @@ func BenchmarkHold(b *testing.B) {
 				var q Queue
 				sink := 0
 				ev := &countEvent{n: &sink}
+				schedule := func(d simtime.Duration) {
+					if mix.lanes && d == 40000 {
+						q.AfterFixed(d, ev)
+					} else {
+						q.AfterTimed(d, ev)
+					}
+				}
 				for i := 0; i < pending; i++ {
-					q.AtTimed(simtime.Time(delays[i%len(delays)]), ev)
+					schedule(delays[i%len(delays)])
 				}
 				hold := func(n int) {
 					for i := 0; i < n; i++ {
 						q.Step()
-						q.AtTimed(q.Now().Add(delays[i%len(delays)]), ev)
+						schedule(delays[i%len(delays)])
 					}
 				}
 				hold(4 * pending) // reach the steady-state spread of pending events

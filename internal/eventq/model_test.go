@@ -10,7 +10,7 @@ import (
 	"switchv2p/internal/topology"
 )
 
-// modelQueue is the independent reference the two-tier queue is checked
+// modelQueue is the independent reference the three-tier queue is checked
 // against: every pending event in one slice, stably sorted by (at, key)
 // before each read. Local events take keys from the model's own
 // insertion counter; keyed events bring theirs.
@@ -60,10 +60,22 @@ func (m *modelQueue) pop() (modelEvent, bool) {
 // 1 µs link delay, the 40 µs gateway hop, an RTO-scale timer, and "never".
 var modelDelays = [...]simtime.Duration{0, 1, 30, 120, 1000, wheelSlots - 2, wheelSlots - 1, wheelSlots, wheelSlots + 1, 40000, 5 * simtime.Millisecond, simtime.Duration(simtime.Never)}
 
+// fixedDelays are the delays scheduled through AfterFixed: one short
+// enough for the wheel, the 10 µs misdelivery delay and the 40 µs
+// gateway hop. The model treats AfterFixed as a plain push.
+var fixedDelays = [...]simtime.Duration{1000, 10000, 40000}
+
 // modelRun drives a Queue and the model with one op stream, two bytes
 // per op, and checks they agree after every op. Each dispatched event
 // pops the model from inside Fire, so Run and RunBefore are checked
 // event by event, and may schedule a child on both.
+//
+// A schedule op's first byte: bits 0–2 the op (0–2 local, 3 keyed),
+// bits 3–4 the child its Fire schedules (0 none, 1–2 local, 3 keyed),
+// bits 5–6 both set: schedule through AfterFixed, bit 7: a local child
+// through AfterFixed. Its second byte: the delay index in the low four
+// bits (modelDelays, or fixedDelays through AfterFixed), the child's in
+// the high four.
 type modelRun struct {
 	t       *testing.T
 	q       Queue
@@ -78,8 +90,9 @@ type modelRun struct {
 type modelFire struct {
 	r          *modelRun
 	id         int
-	child      int // index into modelDelays, or -1
+	child      int // index into modelDelays (fixedDelays if childFixed), or -1
 	childKeyed bool
+	childFixed bool
 }
 
 func (f *modelFire) Fire() {
@@ -96,7 +109,7 @@ func (f *modelFire) Fire() {
 		r.t.Fatalf("Now = %d inside Fire of event %d, model %d", r.q.Now(), f.id, r.m.now)
 	}
 	if f.child >= 0 {
-		r.schedule(f.child, f.childKeyed, -1, false)
+		r.schedule(f.child, f.childKeyed, f.childFixed, -1, false, false)
 	}
 }
 
@@ -109,9 +122,18 @@ func (r *modelRun) after(i int) simtime.Time {
 	return at
 }
 
-func (r *modelRun) schedule(delay int, keyed bool, child int, childKeyed bool) {
+func (r *modelRun) schedule(delay int, keyed, fixed bool, child int, childKeyed, childFixed bool) {
 	r.nextID++
-	ev := &modelFire{r: r, id: r.nextID, child: child, childKeyed: childKeyed}
+	ev := &modelFire{r: r, id: r.nextID, child: child, childKeyed: childKeyed, childFixed: childFixed}
+	if fixed {
+		d := fixedDelays[delay%len(fixedDelays)]
+		if at := r.q.Now().Add(d); at >= r.q.Now() {
+			r.q.AfterFixed(d, ev)
+			r.m.push(at, ev.id)
+			return
+		}
+		delay = len(modelDelays) - 1 // the clock is near Never: schedule at Never
+	}
 	at := r.after(delay)
 	if !keyed {
 		r.q.AtTimed(at, ev)
@@ -151,12 +173,13 @@ func runModelOps(t *testing.T, ops []byte) {
 		op, arg := ops[i], int(ops[i+1])
 		delay := arg & 15 % len(modelDelays)
 		switch op & 7 {
-		case 0, 1, 2, 3: // schedule; op bits 3–4 choose the child a Fire schedules
-			child, childKeyed := -1, false
+		case 0, 1, 2, 3: // schedule
+			child, childKeyed, childFixed := -1, false, false
 			if kind := op >> 3 & 3; kind != 0 {
-				child, childKeyed = arg>>4%len(modelDelays), kind == 3
+				child, childKeyed, childFixed = arg>>4%len(modelDelays), kind == 3, kind != 3 && op&128 != 0
 			}
-			r.schedule(delay, op&7 == 3, child, childKeyed)
+			keyed := op&7 == 3
+			r.schedule(delay, keyed, !keyed && op>>5&3 == 3, child, childKeyed, childFixed)
 		case 4, 5:
 			before := r.fired
 			_, pending := r.m.peek()
@@ -222,11 +245,14 @@ func FuzzQueueModel(f *testing.F) {
 	})
 }
 
-// TestTierBoundaryOrder pins (at, key) order where the two tiers meet.
+// viaLane in a TestTierBoundaryOrder step schedules through AfterFixed.
+const viaLane = 1
+
+// TestTierBoundaryOrder pins (at, key) order where the three tiers meet.
 func TestTierBoundaryOrder(t *testing.T) {
 	type step struct {
 		at    simtime.Time // schedule at this instant …
-		keyed uint64       // … with this key when non-zero …
+		keyed uint64       // … with this key when >= CrossKeyBase, through AfterFixed when viaLane …
 		by    int          // … from inside the Fire of this event (-1: before the run)
 	}
 	for _, tc := range []struct {
@@ -250,6 +276,20 @@ func TestTierBoundaryOrder(t *testing.T) {
 			[]step{{wheelSlots, 0, -1}, {wheelSlots - 1, 0, -1}, {wheelSlots, 0, 3}, {1, 0, -1}}, []int{3, 1, 0, 2}},
 		{"idle gap longer than the wheel",
 			[]step{{10, 0, -1}, {5000, 0, -1}, {5010, 0, 1}, {9000, 0, 1}, {5000, 0, 1}}, []int{0, 1, 4, 2, 3}},
+		{"heap item, lane heads and a keyed item at one instant",
+			[]step{{40000, 0, -1}, {40000, viaLane, -1}, {40000, CrossKeyBase | 1, -1}, {40000, viaLane, -1}, {40000, 0, -1}}, []int{0, 1, 3, 4, 2}},
+		{"keyed item, then a same-instant lane item",
+			[]step{{40000, CrossKeyBase | 1, -1}, {40000, viaLane, -1}}, []int{1, 0}},
+		{"lane head scheduled before a same-instant heap item",
+			[]step{{40000, viaLane, -1}, {40000, 0, -1}}, []int{0, 1}},
+		{"wheel event after a same-instant lane head scheduled earlier", // 2 is 1000 ns ahead of 1
+			[]step{{40000, viaLane, -1}, {39000, 0, -1}, {40000, 0, 1}}, []int{1, 0, 2}},
+		{"lane empties and refills around a heap item",
+			[]step{{10000, viaLane, -1}, {20000, viaLane, 0}, {50000, 0, -1}, {30000, viaLane, 1}}, []int{0, 1, 3, 2}},
+		{"two lanes interleave by time",
+			[]step{{40000, viaLane, -1}, {10000, viaLane, -1}, {50000, viaLane, 1}, {20000, viaLane, 1}}, []int{1, 3, 0, 2}},
+		{"fixed delay shorter than the wheel takes the wheel",
+			[]step{{wheelSlots - 1, viaLane, -1}, {wheelSlots - 1, 0, -1}, {wheelSlots, viaLane, -1}}, []int{0, 1, 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var q Queue
@@ -268,10 +308,13 @@ func TestTierBoundaryOrder(t *testing.T) {
 						}
 						scheduleBy(i)
 					})
-					if s.keyed != 0 {
-						q.AtTimedKeyed(s.at, fire, s.keyed)
-					} else {
+					switch s.keyed {
+					case 0:
 						q.AtTimed(s.at, fire)
+					case viaLane:
+						q.AfterFixed(s.at.Sub(q.Now()), fire)
+					default:
+						q.AtTimedKeyed(s.at, fire, s.keyed)
 					}
 				}
 			}
@@ -314,7 +357,22 @@ func TestLinkDelayLandsInWheel(t *testing.T) {
 	}
 }
 
-// TestScheduleRejections covers the panics both tiers share: a frozen
+// TestFixedDelayLandsInLane is the white-box guard on where AfterFixed
+// puts an event: a delay the wheel covers takes the wheel, a longer one
+// the lane for that delay, one lane per distinct delay, never the heap.
+func TestFixedDelayLandsInLane(t *testing.T) {
+	var q Queue
+	ev := &countEvent{n: new(int)}
+	q.AfterFixed(wheelSlots-1, ev)
+	q.AfterFixed(wheelSlots, ev)
+	q.AfterFixed(40000, ev)
+	q.AfterFixed(40000, ev)
+	if q.wheelLen != 1 || len(q.heap) != 0 || len(q.lanes) != 2 || q.lanes[0].n != 1 || q.lanes[1].n != 2 || q.Len() != 4 {
+		t.Fatalf("wheel %d, heap %d, %d lanes %+v, Len %d; want 1 on the wheel, lanes of 1 and 2", q.wheelLen, len(q.heap), len(q.lanes), q.lanes, q.Len())
+	}
+}
+
+// TestScheduleRejections covers the panics every tier shares: a frozen
 // queue rejects every scheduling call with its message (and still
 // dispatches what it holds), and AtTimedKeyed rejects local-range keys
 // and the past.
@@ -346,6 +404,7 @@ func TestScheduleRejections(t *testing.T) {
 	panics("AtTimed, wheel range", "frozen for the test", func() { q.AtTimed(q.Now().Add(5), ev) })
 	panics("AtTimed, heap range", "frozen for the test", func() { q.AtTimed(q.Now().Add(5000), ev) })
 	panics("AfterTimed", "frozen for the test", func() { q.AfterTimed(5, ev) })
+	panics("AfterFixed, lane range", "frozen for the test", func() { q.AfterFixed(40000, ev) })
 	panics("At", "frozen for the test", func() { q.At(q.Now(), func() {}) })
 	panics("After", "frozen for the test", func() { q.After(5, func() {}) })
 	panics("AtTimedKeyed", "frozen for the test", func() { q.AtTimedKeyed(q.Now(), ev, CrossKeyBase) })
