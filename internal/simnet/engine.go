@@ -158,6 +158,9 @@ type Engine struct {
 
 	gateways []int32 // host indices senders may load-balance over
 	nextUID  uint64
+	// held counts the packets inside a gateway or misdelivery delay, off
+	// the links in a pending hostEvent (ConservationGap).
+	held int64
 
 	// pool is where the simulation's own packets come from (Packets) and
 	// where the engine puts a packet back at the point its books close it:
@@ -400,14 +403,17 @@ func (e *Engine) InFlightPackets() int {
 // ConservationGap is the exact packet-conservation identity, as entered
 // minus left: every packet that entered the network — tenant packets
 // sent by hosts, control packets injected by switches — is delivered,
-// dropped (and counted), consumed by a switch, stray at a host, or still
-// on a link. It is 0 once the event queue has drained. (Mid-run the gap
-// is the packets held off the links: shard mailboxes, gateway and
-// misdelivery delays, scheme-held packets.)
+// dropped (and counted), consumed by a switch, stray at a host, still
+// on a link, or inside this engine's gateway or misdelivery delay. It is
+// 0 once the event queue has drained. Mid-run on a serial engine the gap
+// is the packets a scheme holds off the links (a control-plane queue, a
+// cache miss being resolved). On a sharded engine it also leaves out
+// packets in shard mailboxes and in the domain views' delays, so there
+// it is exact only at drain.
 func (e *Engine) ConservationGap() int64 {
 	c := &e.C
 	return c.HostSent + c.LearningPkts + c.InvalidationPkts -
-		(c.Delivered + c.Drops + c.ConsumedControl + c.StrayControlPkts + int64(e.InFlightPackets()))
+		(c.Delivered + c.Drops + c.ConsumedControl + c.StrayControlPkts + int64(e.InFlightPackets()) + e.held)
 }
 
 // Gateways returns the gateway host indices senders load-balance over
@@ -676,7 +682,8 @@ func (e *Engine) hostArrive(host int32, p *packet.Packet, size int) {
 		ev.p = p
 		ev.host = host
 		ev.kind = hostEvMisdeliver
-		e.Q.AfterTimed(e.Cfg.MisdeliveryDelay, ev)
+		e.held++
+		e.Q.AfterFixed(e.Cfg.MisdeliveryDelay, ev)
 		return
 	}
 	e.C.Delivered++
@@ -725,7 +732,8 @@ func (e *Engine) gatewayProcess(host int32, p *packet.Packet, size int) {
 	ev.host = host
 	ev.kind = hostEvGatewayTx
 	ev.pip = pip
-	e.Q.AfterTimed(e.Cfg.GatewayDelay, ev)
+	e.held++
+	e.Q.AfterFixed(e.Cfg.GatewayDelay, ev)
 }
 
 // hostEvent is a pooled event record (eventq.Timed) for the two host-side
@@ -752,6 +760,7 @@ func (ev *hostEvent) Fire() {
 	e, p, host, kind, pip := ev.e, ev.p, ev.host, ev.kind, ev.pip
 	ev.p = nil
 	e.hostEvFree = append(e.hostEvFree, ev)
+	e.held--
 	switch kind {
 	case hostEvMisdeliver:
 		e.Scheme.HostMisdeliver(e, host, p)
