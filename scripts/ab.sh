@@ -20,6 +20,10 @@
 # parent's own q1–q3 (its run-to-run spread) and the pairs the change won.
 # A gain is claimed only when the change wins at least nine pairs in ten
 # and the medians are further apart than the parent's q1–q3 distance.
+# Below the table, one line per workload says whether the simulation
+# moved: both sides run the same seed, so every run's sim_digest should
+# be the same unless the change alters what is simulated; when they
+# differ, each side's distinct digests are listed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,7 +94,13 @@ FILENAME == "BENCHMARK.json" {
   next
 }
 FNR == 1 { n = split(FILENAME, q, /[-.\/]/); side = q[n-2]; pair = q[n-1] }
-$1 == "==" { w = $2; if (!(w in seen)) { seen[w] = 1; order[++nw] = w } }
+$1 == "==" {
+  w = $2; if (!(w in seen)) { seen[w] = 1; order[++nw] = w }
+  for (i = 3; i <= NF; i++) if ($i ~ /^sim_digest=/) {
+    d = substr($i, 12)
+    if (!((side, w, d) in dseen)) { dseen[side, w, d] = 1; digests[side, w] = digests[side, w] " " d; ndig[side, w]++ }
+  }
+}
 $1 == "e2e" && ($2 in better) { val[side, w, $2, pair] = $3; if (!($2 in mseen)) { mseen[$2] = 1; morder[++nm] = $2 } }
 /^\{"correct"/ { if ($0 !~ /"correct":true/ || $0 !~ /"failed":0,/) bad[side]++ }
 END {
@@ -104,6 +114,13 @@ END {
     sorted(p, ps); sorted(c, cs)
     pm = quantile(ps, 0.5); cm = quantile(cs, 0.5)
     printf "%-15s %-15s %14.6g %14.6g %6.3fx   %-12.6g – %-12.6g   %d/%d\n", w, m, pm, cm, (pm ? cm / pm : 0), quantile(ps, 0.25), quantile(ps, 0.75), won, pairs
+  }
+  for (a = 1; a <= nw; a++) {
+    w = order[a]
+    if (ndig["parent", w] == 1 && digests["parent", w] == digests["change", w])
+      printf "sim_digest %-15s identical in all %d runs of each side:%s\n", w, pairs, digests["parent", w]
+    else
+      printf "sim_digest %-15s DIFFERS: parent%s; change%s\n", w, digests["parent", w], digests["change", w]
   }
   if (bad["parent"] + bad["change"] > 0) printf "result lines not correct or with failed flows: parent %d, change %d\n", bad["parent"], bad["change"]
   print "every run is kept in " out
