@@ -29,10 +29,6 @@ type Scale struct {
 	// Workers > 1 runs sweep points through the harness worker pool
 	// (-parallel); output is identical at any worker count.
 	Workers int
-	// Shards > 0 runs each simulation on the sharded deterministic
-	// engine with that many workers (-shards). Best-effort: schemes
-	// outside the sharding whitelist stay on the serial engine.
-	Shards int
 
 	MigrationPackets int
 	MigrationSenders int
@@ -69,15 +65,7 @@ func (sc Scale) baseConfig(traceName string) harness.Config {
 		CacheFraction: 0.5,
 		Seed:          sc.Seed,
 		SweepWorkers:  sc.Workers,
-		Shards:        sc.Shards,
 	}
-}
-
-// runPoint executes one experiment point, dropping the sharded-engine
-// request for schemes outside its whitelist — -shards is best-effort
-// across experiments that mix schemes.
-func runPoint(cfg harness.Config) (*harness.Report, error) {
-	return harness.Run(cfg.ForScheme(cfg.Scheme))
 }
 
 func newTable(headers ...string) (*tabwriter.Writer, func()) {
@@ -204,7 +192,7 @@ func fig7(sc Scale) error {
 	for _, s := range schemes {
 		cfg := sc.baseConfig("hadoop")
 		cfg.Scheme = s
-		r, err := runPoint(cfg)
+		r, err := harness.Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -240,7 +228,7 @@ func fig8(sc Scale) error {
 	for _, s := range schemes {
 		cfg := sc.baseConfig("hadoop")
 		cfg.Scheme = s
-		r, err := runPoint(cfg)
+		r, err := harness.Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -366,7 +354,7 @@ func table5(sc Scale) error {
 	for _, tr := range []string{"hadoop", "websearch", "alibaba", "microbursts", "video"} {
 		cfg := sc.baseConfig(tr)
 		cfg.Scheme = harness.SchemeSwitchV2P
-		r, err := runPoint(cfg)
+		r, err := harness.Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -410,7 +398,7 @@ func controller(sc Scale) error {
 			cfg.Scheme = harness.SchemeController
 			cfg.ControllerInterval = interval
 			cfg.CacheFraction = frac
-			r, err := runPoint(cfg)
+			r, err := harness.Run(cfg)
 			if err != nil {
 				return err
 			}
@@ -422,7 +410,7 @@ func controller(sc Scale) error {
 		cfg := sc.baseConfig("websearch")
 		cfg.Scheme = harness.SchemeSwitchV2P
 		cfg.CacheFraction = frac
-		r, err := runPoint(cfg)
+		r, err := harness.Run(cfg)
 		if err != nil {
 			return err
 		}
@@ -458,7 +446,7 @@ func ablation(sc Scale) error {
 		cfg := sc.baseConfig("hadoop")
 		cfg.Scheme = harness.SchemeSwitchV2P
 		v.mod(&cfg)
-		r, err := runPoint(cfg)
+		r, err := harness.Run(cfg)
 		if err != nil {
 			return err
 		}

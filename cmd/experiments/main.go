@@ -33,7 +33,6 @@ func main() {
 	scaleName := flag.String("scale", "standard", "quick | standard | full")
 	seed := flag.Int64("seed", 1, "random seed")
 	parallel := flag.Bool("parallel", false, "run sweep points on all CPUs (identical output, less wall clock)")
-	shards := flag.Int("shards", 0, "run schemes that support it on the sharded engine with N workers (0 = serial; others stay serial)")
 	flag.StringVar(&csvDir, "csv", "", "also write plot-ready CSV files into this directory")
 	profiles := prof.Register()
 	flag.Parse()
@@ -48,7 +47,6 @@ func main() {
 	if *parallel {
 		sc.Workers = runtime.NumCPU()
 	}
-	sc.Shards = *shards
 
 	// The container crossover is the headline extension experiment: the
 	// paper never ran it, so it is separate from -exp and not in "all".

@@ -40,7 +40,6 @@ func main() {
 		wlFile   = flag.String("workload", "", "replay a workload file (from tracegen -o) instead of generating")
 
 		shards = flag.Int("shards", 0, "run on the sharded deterministic engine with N workers (0 = serial; errors if the scheme does not support it)")
-		oracle = flag.Bool("shard-oracle", false, "sharded engine, serial oracle dispatch (debugging aid: same output, no parallelism)")
 
 		telem         = flag.Bool("telemetry", false, "collect time-series telemetry and engine profile")
 		telemOut      = flag.String("telemetry-out", "", "write telemetry to this file (.json or .csv); implies -telemetry")
@@ -97,7 +96,6 @@ func main() {
 		ActiveGateways: *gateways,
 		Seed:           *seed,
 		Shards:         *shards,
-		ShardOracle:    *oracle,
 	}
 	if *telem || *telemOut != "" {
 		cfg.Telemetry = &telemetry.Options{Interval: simtime.FromStd(*telemInterval)}

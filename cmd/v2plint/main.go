@@ -4,23 +4,21 @@
 // Usage:
 //
 //	go run ./cmd/v2plint ./...
-//	go run ./cmd/v2plint -json ./...            # machine-readable findings
-//	go run ./cmd/v2plint -fix ./...             # apply suggested fixes in place
-//	go run ./cmd/v2plint -time ./...            # per-analyzer wall time on stderr
-//	go run ./cmd/v2plint -jsonfile out.json ./... # plain text on stdout, JSON to a file
+//	go run ./cmd/v2plint -time ./...              # per-analyzer wall time on stderr
+//	go run ./cmd/v2plint -jsonfile out.json ./... # also write the findings as JSON
 //
 // There is one mode: all requested packages are loaded into one
 // Program, so a waiver is judged against the whole run's findings.
+// Findings print on stdout as `file:line:col: analyzer: message`, the
+// form .github/v2plint-problem-matcher.json turns into CI annotations.
 //
 // The exit code is 0 when the packages are clean and nonzero when any
-// analyzer reports a finding; with -fix, findings that were repaired in
-// place do not count against the exit code. A finding can be waived
-// with a `//v2plint:allow <analyzer> <reason>` comment on or directly
-// above the offending line — the reason is mandatory (allowreason).
+// analyzer reports a finding. A finding can be waived with a
+// `//v2plint:allow <analyzer> <reason>` comment on or directly above
+// the offending line — the reason is mandatory (allowreason).
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -38,16 +36,12 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	var jsonOut, applyFixes, showTime bool
+	var showTime bool
 	var jsonFile string
 	var patterns []string
 	for i := 0; i < len(args); i++ {
 		a := args[i]
 		switch {
-		case a == "-json" || a == "--json":
-			jsonOut = true
-		case a == "-fix" || a == "--fix":
-			applyFixes = true
 		case a == "-time" || a == "--time":
 			showTime = true
 		case a == "-jsonfile" || a == "--jsonfile":
@@ -78,10 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if len(pkgs) == 0 {
-		if jsonOut {
-			fmt.Fprintln(stdout, "[]")
-		}
-		return 0
+		return emit(nil, jsonFile, stdout, stderr)
 	}
 	// All loaded packages share one FileSet.
 	fs := pkgs[0].Fset
@@ -97,69 +88,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printTimings(stderr, prog.Timings())
 	}
 
-	if applyFixes {
-		fixed, err := v2plint.ApplyFixes(fs, diags)
-		if err != nil {
-			fmt.Fprintf(stderr, "v2plint: %v\n", err)
-			return 1
-		}
-		files := make([]string, 0, len(fixed))
-		for file := range fixed {
-			files = append(files, file)
-		}
-		sort.Strings(files)
-		for _, file := range files {
-			content := fixed[file]
-			mode := os.FileMode(0o644)
-			if st, err := os.Stat(file); err == nil {
-				mode = st.Mode().Perm()
-			}
-			if err := os.WriteFile(file, content, mode); err != nil {
-				fmt.Fprintf(stderr, "v2plint: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "v2plint: fixed %s\n", relPath(file))
-		}
-		// Only findings without a fix remain actionable.
-		var rest []v2plint.Diagnostic
-		for _, d := range diags {
-			if len(d.Fixes) == 0 {
-				rest = append(rest, d)
-			}
-		}
-		diags = rest
-	}
-
-	return emit(v2plint.FindingsFromDiagnostics(fs, diags), jsonOut, jsonFile, stdout, stderr)
+	return emit(v2plint.FindingsFromDiagnostics(fs, diags), jsonFile, stdout, stderr)
 }
 
-// emit renders the findings sorted by (file, line, column, analyzer) —
-// text or JSON, optionally mirrored to -jsonfile — and returns the
+// emit prints the findings sorted by (file, line, column, analyzer),
+// writes them to jsonFile as well when one is named, and returns the
 // process exit code.
-func emit(findings []v2plint.Finding, jsonOut bool, jsonFile string, stdout, stderr io.Writer) int {
+func emit(findings []v2plint.Finding, jsonFile string, stdout, stderr io.Writer) int {
 	v2plint.SortFindings(findings)
 	if jsonFile != "" {
-		var buf bytes.Buffer
-		if err := encodeFindings(&buf, findings); err != nil {
-			fmt.Fprintf(stderr, "v2plint: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(jsonFile, buf.Bytes(), 0o644); err != nil {
+		if err := writeFindings(jsonFile, findings); err != nil {
 			fmt.Fprintf(stderr, "v2plint: %v\n", err)
 			return 1
 		}
 	}
-	if jsonOut {
-		if err := encodeFindings(stdout, findings); err != nil {
-			fmt.Fprintf(stderr, "v2plint: %v\n", err)
-			return 1
-		}
-	} else {
-		// file:line:col relative to the working directory — the format
-		// .github/v2plint-problem-matcher.json turns into annotations.
-		for _, f := range findings {
-			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", relPath(f.File), f.Line, f.Col, f.Analyzer, f.Message)
-		}
+	// file:line:col relative to the working directory — the format
+	// .github/v2plint-problem-matcher.json turns into annotations.
+	for _, f := range findings {
+		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", relPath(f.File), f.Line, f.Col, f.Analyzer, f.Message)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "v2plint: %d finding(s)\n", len(findings))
@@ -168,18 +114,20 @@ func emit(findings []v2plint.Finding, jsonOut bool, jsonFile string, stdout, std
 	return 0
 }
 
-// encodeFindings writes the findings as the indented JSON array that
-// -json prints and -jsonfile persists for CI artifacts, with paths
-// shortened relative to the working directory.
-func encodeFindings(w io.Writer, findings []v2plint.Finding) error {
+// writeFindings writes the findings to path as the indented JSON array
+// CI uploads as an artifact, with paths shortened relative to the
+// working directory.
+func writeFindings(path string, findings []v2plint.Finding) error {
 	out := make([]v2plint.Finding, 0, len(findings))
 	for _, f := range findings {
 		f.File = relPath(f.File)
 		out = append(out, f)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	data, err := json.MarshalIndent(out, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // printTimings reports per-analyzer wall time, slowest first.
@@ -214,10 +162,8 @@ func relPath(file string) string {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, "usage: v2plint [-json] [-jsonfile path] [-fix] [-time] [packages]")
-	fmt.Fprintln(w, "  -json           emit findings as a JSON array (file/line/col/analyzer/message/fix)")
-	fmt.Fprintln(w, "  -jsonfile path  write the JSON array to path while keeping plain text on stdout")
-	fmt.Fprintln(w, "  -fix            apply suggested fixes in place; unfixable findings still fail")
+	fmt.Fprintln(w, "usage: v2plint [-jsonfile path] [-time] [packages]")
+	fmt.Fprintln(w, "  -jsonfile path  also write the findings to path as a JSON array (file/line/col/analyzer/message)")
 	fmt.Fprintln(w, "  -time           report per-analyzer wall time on stderr")
 	fmt.Fprintln(w, "\nAnalyzers:")
 	for _, a := range v2plint.Analyzers() {

@@ -22,24 +22,10 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestJSONCleanOutput pins the machine-readable contract ci.sh relies
-// on: a clean run with -json prints an empty JSON array (never empty
-// output) and exits 0.
+// TestJSONCleanOutput pins the clean-run contract CI relies on: a clean
+// package exits 0, prints nothing on stdout, and the -jsonfile document
+// is an empty JSON array (never an empty file).
 func TestJSONCleanOutput(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-json", "switchv2p/internal/simtime"}, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("-json on clean package: exit %d\n%s%s", code, stdout.String(), stderr.String())
-	}
-	if got := strings.TrimSpace(stdout.String()); got != "[]" {
-		t.Fatalf("-json clean output = %q, want []", got)
-	}
-}
-
-// TestJSONFileOutput pins the -jsonfile contract CI's artifact upload
-// relies on: the JSON array goes to the file while stdout stays in
-// plain-text (problem-matcher) format.
-func TestJSONFileOutput(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "findings.json")
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-jsonfile", path, "switchv2p/internal/simtime"}, &stdout, &stderr)
@@ -58,10 +44,44 @@ func TestJSONFileOutput(t *testing.T) {
 	}
 }
 
+// TestJSONFileOutput pins the -jsonfile contract CI's artifact upload
+// relies on: with findings, stdout carries the problem-matcher lines and
+// the file carries the same findings as JSON, both with paths relative
+// to the working directory.
+func TestJSONFileOutput(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "findings.json")
+	findings := []v2plint.Finding{
+		{File: filepath.Join(wd, "x.go"), Line: 7, Col: 3, Analyzer: "globalrand", Message: "m"},
+	}
+	var stdout, stderr bytes.Buffer
+	if code := emit(findings, path, &stdout, &stderr); code != 2 {
+		t.Fatalf("emit with findings: exit %d, want 2", code)
+	}
+	if got, want := stdout.String(), "x.go:7:3: globalrand: m\n"; got != want {
+		t.Fatalf("stdout = %q, want %q", got, want)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("findings file not written: %v", err)
+	}
+	var decoded []v2plint.Finding
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatalf("findings file: %v", err)
+	}
+	want := v2plint.Finding{File: "x.go", Line: 7, Col: 3, Analyzer: "globalrand", Message: "m"}
+	if len(decoded) != 1 || decoded[0] != want {
+		t.Fatalf("findings file = %+v, want [%+v]", decoded, want)
+	}
+}
+
 // TestEmitGloballySorted pins the output-ordering contract: findings
 // are rendered sorted by (file, line, column, analyzer) across
-// packages, in both the plain-text and JSON formats, whatever order
-// the analysis produced them in.
+// packages, in both the plain-text output and the -jsonfile document,
+// whatever order the analysis produced them in.
 func TestEmitGloballySorted(t *testing.T) {
 	unsorted := []v2plint.Finding{
 		{File: "/b/late.go", Line: 3, Col: 1, Analyzer: "wallclock", Message: "m4"},
@@ -69,8 +89,9 @@ func TestEmitGloballySorted(t *testing.T) {
 		{File: "/a/early.go", Line: 10, Col: 2, Analyzer: "allowreason", Message: "m1"},
 		{File: "/a/early.go", Line: 10, Col: 9, Analyzer: "globalrand", Message: "m3"},
 	}
+	path := filepath.Join(t.TempDir(), "findings.json")
 	var stdout, stderr bytes.Buffer
-	if code := emit(append([]v2plint.Finding(nil), unsorted...), false, "", &stdout, &stderr); code != 2 {
+	if code := emit(unsorted, path, &stdout, &stderr); code != 2 {
 		t.Fatalf("emit with findings: exit %d, want 2", code)
 	}
 	var got []string
@@ -82,26 +103,29 @@ func TestEmitGloballySorted(t *testing.T) {
 		t.Fatalf("text output order = %v, want %v", got, want)
 	}
 
-	stdout.Reset()
-	if code := emit(append([]v2plint.Finding(nil), unsorted...), true, "", &stdout, &stderr); code != 2 {
-		t.Fatalf("emit -json with findings: exit %d, want 2", code)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("findings file not written: %v", err)
 	}
 	var decoded []v2plint.Finding
-	if err := json.Unmarshal(stdout.Bytes(), &decoded); err != nil {
-		t.Fatalf("-json output: %v", err)
+	if err := json.Unmarshal(data, &decoded); err != nil {
+		t.Fatalf("findings file: %v", err)
+	}
+	if len(decoded) != len(want) {
+		t.Fatalf("findings file holds %d findings, want %d", len(decoded), len(want))
 	}
 	for i, f := range decoded {
 		if f.Message != want[i] {
-			t.Fatalf("json output order: got %s at %d, want %s", f.Message, i, want[i])
+			t.Fatalf("findings file order: got %s at %d, want %s", f.Message, i, want[i])
 		}
 	}
 }
 
-// TestUnknownFlag pins the driver's flag surface: only -json,
-// -jsonfile, -fix and -time exist. The retired cache flags and vet
-// unit-checker probes are rejected like any other unknown flag.
+// TestUnknownFlag pins the driver's flag surface: only -jsonfile and
+// -time exist. The retired -fix and -json flags, the cache flags and
+// vet unit-checker probes are rejected like any other unknown flag.
 func TestUnknownFlag(t *testing.T) {
-	for _, flag := range []string{"-bogus", "-cache", "-cachedir=x", "-V=full", "-flags"} {
+	for _, flag := range []string{"-bogus", "-fix", "-json", "-cache", "-cachedir=x", "-V=full", "-flags"} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{flag}, &stdout, &stderr); code != 1 {
 			t.Errorf("%s: exit %d, want 1", flag, code)

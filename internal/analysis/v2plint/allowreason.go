@@ -10,9 +10,7 @@ import "fmt"
 //
 // A waiver without a reason is a finding; a reviewer six months later
 // should never have to reverse-engineer why a contract was suspended.
-// The suggested fix deletes the bare annotation, which re-surfaces
-// whatever finding it was hiding so it can be fixed or re-waived with a
-// reason. A justified waiver must also still waive something: one that
+// A justified waiver must also still waive something: one that
 // names an analyzer the suite does not have (a typo, a removed
 // analyzer) or that suppressed no finding in this run (the finding was
 // fixed) is reported by Program.Run through idleWaivers, so suspended
@@ -66,11 +64,7 @@ func runAllowReason(pass *Pass) {
 				if len(fields) == 0 {
 					msg = "//v2plint:allow waiver names no analyzer and no reason; write `//v2plint:allow <analyzer> <reason>`"
 				}
-				fix := SuggestedFix{
-					Message: "delete the bare waiver",
-					Edits:   []TextEdit{{Pos: c.Pos(), End: c.End(), NewText: nil}},
-				}
-				pass.ReportfFix(c.Pos(), fix, "%s", msg)
+				pass.Reportf(c.Pos(), "%s", msg)
 			}
 		}
 	}

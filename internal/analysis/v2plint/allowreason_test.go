@@ -10,6 +10,6 @@ import (
 func TestAllowReason(t *testing.T) {
 	// globalrand runs alongside so the testdata can hold a waiver that is
 	// in use and one whose finding is gone.
-	analysistest.RunWithSuggestedFixes(t, analysistest.TestData(t),
+	analysistest.Run(t, analysistest.TestData(t),
 		[]*v2plint.Analyzer{v2plint.GlobalRand, v2plint.AllowReason}, "allowreason")
 }

@@ -1,4 +1,4 @@
-// Package analysistest is a golden-file test harness for the v2plint
+// Package analysistest is the test harness for the v2plint
 // analyzers, mirroring golang.org/x/tools/go/analysis/analysistest:
 // each package under testdata/src is parsed, type-checked, and
 // analyzed, and the diagnostics are matched against `// want "regex"`
@@ -6,10 +6,6 @@
 // matches a diagnostic on the line directly above it instead — needed
 // when the offending line already carries another machine-read comment
 // (e.g. a //v2plint:allow annotation under test by allowreason).
-//
-// RunWithSuggestedFixes additionally applies every suggested fix and
-// compares each rewritten file against a sibling `<file>.golden` file,
-// so the fixes cmd/v2plint -fix would make are pinned byte-for-byte.
 //
 // Imports inside testdata packages resolve first against other
 // testdata/src packages (letting tests stub simulation packages like
@@ -48,18 +44,10 @@ func TestData(t *testing.T) string {
 
 // Run analyzes each named package under testdata/src with the
 // analyzers and checks the diagnostics against the package's want
-// comments. Most tests pass one analyzer; allowreason's judges waivers
-// against the findings of a second one.
+// comments. Every named package is loaded into one Program, so waivers
+// are judged against the whole run. Most tests pass one analyzer;
+// allowreason's judges waivers against the findings of a second one.
 func Run(t *testing.T, testdata string, analyzers []*v2plint.Analyzer, pkgPaths ...string) {
-	t.Helper()
-	fset, files, diags := analyze(t, testdata, analyzers, pkgPaths)
-	checkWants(t, fset, files, diags)
-}
-
-// analyze loads every named package into one Program, runs the
-// analyzers, and returns the FileSet, the union of parsed files, and the
-// diagnostics.
-func analyze(t *testing.T, testdata string, analyzers []*v2plint.Analyzer, pkgPaths []string) (*token.FileSet, []*ast.File, []v2plint.Diagnostic) {
 	t.Helper()
 	fset := token.NewFileSet()
 	imp := &testImporter{
@@ -81,63 +69,7 @@ func analyze(t *testing.T, testdata string, analyzers []*v2plint.Analyzer, pkgPa
 		prog.Add(files, pkg, info)
 		allFiles = append(allFiles, files...)
 	}
-	return fset, allFiles, prog.Run(analyzers)
-}
-
-// RunWithSuggestedFixes is Run plus golden-file fix assertions: every
-// suggested fix in the package's diagnostics is applied, and each
-// rewritten file must match its `<file>.golden` sibling byte-for-byte.
-// A missing golden file for a fixed file, or a stray golden file whose
-// source produced no fixes, is an error — goldens cannot silently go
-// stale.
-func RunWithSuggestedFixes(t *testing.T, testdata string, analyzers []*v2plint.Analyzer, pkgPaths ...string) {
-	t.Helper()
-	fset, files, diags := analyze(t, testdata, analyzers, pkgPaths)
-	checkWants(t, fset, files, diags)
-
-	fixed, err := v2plint.ApplyFixes(fset, diags)
-	if err != nil {
-		t.Errorf("analysistest: applying fixes: %v", err)
-		return
-	}
-	for file, got := range fixed {
-		golden := file + ".golden"
-		want, err := os.ReadFile(golden)
-		if err == nil && string(got) == string(want) {
-			continue
-		}
-		// V2PLINT_UPDATE_GOLDENS=1 regenerates goldens from the
-		// current fix output instead of failing (review the diff).
-		if os.Getenv("V2PLINT_UPDATE_GOLDENS") != "" {
-			if werr := os.WriteFile(golden, got, 0o644); werr != nil {
-				t.Errorf("analysistest: updating %s: %v", golden, werr)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("analysistest: fixes rewrote %s but reading its golden failed: %v\n-- fixed output --\n%s", file, err, got)
-			continue
-		}
-		t.Errorf("analysistest: fixed %s does not match %s\n-- got --\n%s-- want --\n%s", file, golden, got, want)
-	}
-	// Stray goldens: every golden in the analyzed package dirs must
-	// belong to a file the fixes actually rewrote.
-	for _, path := range pkgPaths {
-		dir := filepath.Join(testdata, "src", path)
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatalf("analysistest: %v", err)
-		}
-		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), ".golden") {
-				continue
-			}
-			src := filepath.Join(dir, strings.TrimSuffix(e.Name(), ".golden"))
-			if _, ok := fixed[src]; !ok {
-				t.Errorf("analysistest: stale golden %s: %s produced no fixes", filepath.Join(dir, e.Name()), src)
-			}
-		}
-	}
+	checkWants(t, fset, allFiles, prog.Run(analyzers))
 }
 
 // testImporter resolves testdata/src packages locally and everything

@@ -38,11 +38,10 @@
 // waived.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
-// (Analyzer, Pass, Diagnostic, SuggestedFix) but is self-contained on
-// the standard library, so the module needs no external dependencies.
-// It has one mode: cmd/v2plint loads the whole module into one Program
-// and runs every analyzer over each package (-json for machine-readable
-// output, -fix to apply suggested fixes).
+// (Analyzer, Pass, Diagnostic) but is self-contained on the standard
+// library, so the module needs no external dependencies. It has one
+// mode: cmd/v2plint loads the whole module into one Program and runs
+// every analyzer over each package.
 package v2plint
 
 import (
@@ -88,41 +87,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportfFix records a finding at pos carrying one suggested fix.
-func (p *Pass) ReportfFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	p.report(Diagnostic{
-		Pos:      pos,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Fixes:    []SuggestedFix{fix},
-	})
-}
-
-// A Diagnostic is one lint finding, optionally carrying machine-
-// applicable fixes.
+// A Diagnostic is one lint finding.
 type Diagnostic struct {
 	Pos      token.Pos
 	Analyzer string
 	Message  string
-	// Fixes holds suggested fixes, applied by `v2plint -fix` and
-	// asserted against .golden files by the analysistest harness.
-	Fixes []SuggestedFix
-}
-
-// A SuggestedFix is one machine-applicable repair for a finding: a
-// message plus a set of non-overlapping text edits.
-type SuggestedFix struct {
-	// Message describes the repair in one clause ("delete the bare waiver").
-	Message string
-	Edits   []TextEdit
-}
-
-// A TextEdit replaces the source range [Pos, End) with NewText.
-// End == token.NoPos (or End == Pos) denotes a pure insertion at Pos.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
 }
 
 // Analyzers returns the full v2plint suite in stable order;
@@ -152,7 +121,6 @@ type Finding struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	Fix      string `json:"fix,omitempty"`
 }
 
 // FindingsFromDiagnostics resolves diagnostics against their FileSet,
@@ -161,24 +129,20 @@ func FindingsFromDiagnostics(fset *token.FileSet, diags []Diagnostic) []Finding 
 	out := make([]Finding, 0, len(diags))
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
-		f := Finding{
+		out = append(out, Finding{
 			File:     pos.Filename,
 			Line:     pos.Line,
 			Col:      pos.Column,
 			Analyzer: d.Analyzer,
 			Message:  d.Message,
-		}
-		if len(d.Fixes) > 0 {
-			f.Fix = d.Fixes[0].Message
-		}
-		out = append(out, f)
+		})
 	}
 	return out
 }
 
 // SortFindings orders findings by (file, line, column, analyzer,
-// message) — the ordering contract of cmd/v2plint's text and JSON
-// output.
+// message) — the ordering contract of cmd/v2plint's text output and
+// its -jsonfile document.
 func SortFindings(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]

@@ -18,8 +18,9 @@ import (
 //     host during rule installation) the first packet detours via a
 //     translation gateway while the mapping is installed asynchronously,
 //     and the cache has finite capacity with LRU replacement and an
-//     optional TTL — the knobs the container-crossover experiment
-//     sweeps.
+//     optional TTL. The container-crossover experiment sweeps the
+//     capacity (the cache fraction); the TTL is off unless
+//     harness.Config.HostTTL sets it.
 //   - HostToR: the hybrid tier — the same host cache layered in front of
 //     a ToR-only SwitchV2P deployment, with the paper's invalidation
 //     protocol extended to the host layer (see PROTOCOL.md "Host-layer

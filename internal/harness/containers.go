@@ -29,9 +29,8 @@ type CrossoverPoint struct {
 //
 // Points run through the bounded parallel sweep runner when
 // base.SweepWorkers > 1. Every point is an independent simulation seeded
-// only from its own Config (sharding requests degrade per scheme via
-// ForScheme), so the returned series is byte-identical — values and
-// order — at any worker count.
+// only from its own Config, so the returned series is byte-identical —
+// values and order — at any worker count.
 func ContainerCrossover(base Config, densities []int, reuses, fractions []float64, schemes []string) ([]CrossoverPoint, error) {
 	spec := containers.Spec{}
 	if base.Containers != nil {
@@ -56,7 +55,8 @@ func ContainerCrossover(base Config, densities []int, reuses, fractions []float6
 	out := make([]CrossoverPoint, len(jobs))
 	err := RunIndexed(base.sweepWorkers(), len(jobs), func(i int) error {
 		j := jobs[i]
-		cfg := base.ForScheme(j.scheme)
+		cfg := base
+		cfg.Scheme = j.scheme
 		cellSpec := spec
 		cellSpec.PerHost = j.perHost
 		cellSpec.Reuse = j.reuse

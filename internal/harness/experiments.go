@@ -129,7 +129,8 @@ func CacheSizeSweep(base Config, fractions []float64, schemes []string) ([]Sweep
 			reports[i] = nc
 			return nil
 		}
-		cfg := base.ForScheme(jobs[i].scheme)
+		cfg := base
+		cfg.Scheme = jobs[i].scheme
 		if jobs[i].setFrac {
 			cfg.CacheFraction = jobs[i].frac
 		}
@@ -189,7 +190,8 @@ func GatewaySweep(base Config, gatewayCounts []int, schemes []string) ([]Gateway
 	}
 	out := make([]GatewayPoint, len(jobs))
 	err := RunIndexed(base.sweepWorkers(), len(jobs), func(i int) error {
-		cfg := base.ForScheme(jobs[i].scheme)
+		cfg := base
+		cfg.Scheme = jobs[i].scheme
 		cfg.ActiveGateways = jobs[i].gateways
 		r, err := Run(cfg)
 		if err != nil {
@@ -238,7 +240,7 @@ func TopologySweep(base Config, pods []int, schemes []string, scaled func(pods i
 		if err != nil {
 			return err
 		}
-		cfg = cfg.ForScheme(jobs[i].scheme)
+		cfg.Scheme = jobs[i].scheme
 		r, err := Run(cfg)
 		if err != nil {
 			return err
@@ -296,7 +298,7 @@ type MigrationResult struct {
 // Migration runs the §5.2 incast + mid-trace migration experiment for
 // the scheme in cfg.Base.Scheme.
 func Migration(cfg MigrationConfig) (*MigrationResult, error) {
-	base := cfg.Base.withDefaults().ForScheme(cfg.Base.Scheme)
+	base := cfg.Base.withDefaults()
 	w, err := Build(withoutWorkload(base))
 	if err != nil {
 		return nil, err

@@ -250,20 +250,6 @@ func ShardSupported(scheme string) bool {
 	return false
 }
 
-// ForScheme returns the config with Scheme set to the given name,
-// dropping any sharded-engine request the scheme cannot honor. The
-// sweep helpers and cmd/experiments use it because their scheme lists
-// mix whitelisted and serial-only schemes: a Shards setting on the base
-// config is best-effort across the sweep, strict on a direct Build/Run.
-func (c Config) ForScheme(scheme string) Config {
-	c.Scheme = scheme
-	if !ShardSupported(scheme) {
-		c.Shards = 0
-		c.ShardOracle = false
-	}
-	return c
-}
-
 // WithDefaults returns the config with every zero value filled in the
 // way Build would fill it. Exported for drivers (internal/scenario)
 // that must know the effective topology/trace/seed before building.

@@ -2,17 +2,21 @@ package harness
 
 // Determinism guards for the sharded engine (internal/simnet/shard.go):
 // byte-identical results at every shard count, oracle-vs-windowed
-// protocol validation, fault schedules at >1 shard, and the scheme
-// whitelist.
+// protocol validation, fault schedules at >1 shard, the scheme
+// whitelist, and the order of a barrier round.
 
 import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"switchv2p/internal/eventq"
+	"switchv2p/internal/netaddr"
 	"switchv2p/internal/simtime"
 	"switchv2p/internal/telemetry"
+	"switchv2p/internal/trace"
 )
 
 // runDoc runs one configuration to completion and flattens every
@@ -156,41 +160,77 @@ func TestShardRejectsUnsupportedScheme(t *testing.T) {
 	}
 }
 
-// TestForSchemeDegradesShards pins the sweep helpers' best-effort
-// contract: ForScheme keeps a base config's Shards request for
-// whitelisted schemes and silently drops it (falling back to the serial
-// engine) for serial-only schemes — including the host-cache family —
-// so mixed-scheme sweeps build instead of erroring.
-func TestForSchemeDegradesShards(t *testing.T) {
-	base := quickConfig(SchemeSwitchV2P)
-	base.Shards = 4
-	base.ShardOracle = true
-	for _, tc := range []struct {
-		scheme  string
-		sharded bool
-	}{
-		{SchemeSwitchV2P, true},
-		{SchemeNoCache, true},
-		{SchemeDirect, true},
-		{SchemeGwCache, true},
-		{SchemeHybrid, false},
-		{SchemeHostCache, false},
-		{SchemeHostToR, false},
-	} {
-		got := base.ForScheme(tc.scheme)
-		if got.Scheme != tc.scheme {
-			t.Errorf("ForScheme(%s).Scheme = %s", tc.scheme, got.Scheme)
+// barrierWorld builds a world with no transport flows and the given
+// shard setting (0 = the serial engine), for tests that drive the engine
+// by hand. It returns a sending host and two VIPs in different pods: one
+// on that host and one elsewhere.
+func barrierWorld(t *testing.T, shards int) (w *World, srcHost int32, src, dst netaddr.VIP) {
+	t.Helper()
+	cfg := quickConfig(SchemeSwitchV2P)
+	cfg.Workload = &trace.Workload{}
+	cfg.Shards = shards
+	w, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src = w.VIPs[0]
+	srcHost, _ = w.Net.HostOf(src)
+	for _, v := range w.VIPs {
+		if h, _ := w.Net.HostOf(v); w.Topo.Hosts[h].Pod != w.Topo.Hosts[srcHost].Pod {
+			return w, srcHost, src, v
 		}
-		if tc.sharded && (got.Shards != 4 || !got.ShardOracle) {
-			t.Errorf("%s: ForScheme dropped shards for a whitelisted scheme", tc.scheme)
+	}
+	t.Fatal("no VIP outside the sender's pod")
+	return
+}
+
+// TestShardBarrierRoundInTimeOrder pins SetBarrierSampler's contract
+// against AtBarrier ops: a barrier round runs due ops and sample ticks
+// one at a time in time order, an op before a tick at the same instant,
+// and the engine clock never goes back.
+func TestShardBarrierRoundInTimeOrder(t *testing.T) {
+	w, srcHost, _, _ := barrierWorld(t, 1)
+	e := w.Engine
+	var got []string
+	var last simtime.Time
+	record := func(what string) {
+		if now := e.Now(); now < last {
+			t.Errorf("%s: Now() went back from %v to %v", what, last, now)
+		} else {
+			last = now
 		}
-		if !tc.sharded && (got.Shards != 0 || got.ShardOracle) {
-			t.Errorf("%s: ForScheme kept Shards=%d ShardOracle=%v for a serial-only scheme",
-				tc.scheme, got.Shards, got.ShardOracle)
+		got = append(got, what)
+	}
+	e.SetBarrierSampler(5*simtime.Microsecond, func(at simtime.Time) {
+		record(fmt.Sprintf("sample@%v", at))
+	})
+	e.AtBarrier(simtime.Time(20*simtime.Microsecond), func() { record("op@20µs") })
+	e.HostAtTimed(srcHost, simtime.Time(30*simtime.Microsecond), eventq.Event(func() { record("event@30µs") }))
+	e.Run(simtime.Time(30 * simtime.Microsecond))
+	want := []string{"sample@5µs", "sample@10µs", "sample@15µs", "op@20µs",
+		"sample@20µs", "sample@25µs", "sample@30µs", "event@30µs"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("barrier round order:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestShardBarrierOpSchedulesOnIdleEngine pins that the events an
+// AtBarrier op schedules run even when every domain queue was empty
+// before it: the packet the op sends is delivered and conserved on both
+// engines.
+func TestShardBarrierOpSchedulesOnIdleEngine(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		w, srcHost, src, dst := barrierWorld(t, shards)
+		e := w.Engine
+		e.AtBarrier(simtime.Time(10*simtime.Microsecond), func() {
+			e.HostSend(srcHost, e.Packets().NewData(7, 0, 1000, src, dst, 0))
+		})
+		e.Run(simtime.Never)
+		if e.C.HostSent != 1 || e.C.Delivered != 1 {
+			t.Errorf("shards=%d: sent %d, delivered %d, want 1 and 1", shards, e.C.HostSent, e.C.Delivered)
 		}
-		// The degraded config must actually build.
-		if _, err := Build(got); err != nil {
-			t.Errorf("%s: degraded build failed: %v", tc.scheme, err)
+		if gap := e.ConservationGap(); gap != 0 {
+			t.Errorf("shards=%d: conservation gap %d after drain, want 0", shards, gap)
 		}
 	}
 }

@@ -545,11 +545,12 @@ func (sh *sharding) stepOracle(end simtime.Time) {
 }
 
 // runSharded is the sharded engine's Run loop: barrier rounds of
-// (drain mailboxes, merge views, apply due barrier ops, take due
-// telemetry samples, run one lookahead window in parallel). Windows are
-// capped at the next barrier op and the next sampling instant so both
-// happen at exactly their scheduled position in the event stream. The
-// loop is single-threaded except inside runWindow.
+// (drain mailboxes, merge views, apply due barrier ops and take due
+// telemetry samples in time order, run one lookahead window in
+// parallel). Windows are capped at the next barrier op and the next
+// sampling instant so both happen at exactly their scheduled position
+// in the event stream. The loop is single-threaded except inside
+// runWindow.
 func (e *Engine) runSharded(horizon simtime.Time) {
 	sh := e.shard
 	sh.build()
@@ -566,19 +567,28 @@ func (e *Engine) runSharded(horizon simtime.Time) {
 		sh.drainMail()
 		sh.mergeViews()
 		t, ok := sh.minPeek()
-		for len(sh.barrier) > 0 && sh.barrier[0].at <= horizon && (!ok || sh.barrier[0].at <= t) {
-			op := sh.barrier[0]
-			copy(sh.barrier, sh.barrier[1:])
-			sh.barrier = sh.barrier[:len(sh.barrier)-1]
-			if op.at > sh.now {
-				sh.now = op.at
+		// Due ops and ticks run one at a time in time order, an op
+		// before a tick at the same instant. An op may schedule events,
+		// so the queues are peeked again after each one.
+		for {
+			opDue := len(sh.barrier) > 0 && sh.barrier[0].at <= horizon && (!ok || sh.barrier[0].at <= t)
+			tickDue := ok && sh.sampler != nil && sh.nextTick <= t && sh.nextTick <= horizon
+			if opDue && (!tickDue || sh.barrier[0].at <= sh.nextTick) {
+				op := sh.barrier[0]
+				copy(sh.barrier, sh.barrier[1:])
+				sh.barrier = sh.barrier[:len(sh.barrier)-1]
+				if op.at > sh.now {
+					sh.now = op.at
+				}
+				op.fn()
+				t, ok = sh.minPeek()
+			} else if tickDue {
+				sh.now = sh.nextTick
+				sh.sampler(sh.nextTick)
+				sh.nextTick = sh.nextTick.Add(sh.sampleIv)
+			} else {
+				break
 			}
-			op.fn()
-		}
-		for ok && sh.sampler != nil && sh.nextTick <= t && sh.nextTick <= horizon {
-			sh.now = sh.nextTick
-			sh.sampler(sh.nextTick)
-			sh.nextTick = sh.nextTick.Add(sh.sampleIv)
 		}
 		if !ok || t > horizon {
 			break

@@ -13,13 +13,14 @@ echo "== vet =="
 go vet ./...
 
 echo "== v2plint (determinism + contract lint) =="
-# -json keeps the findings machine-readable for CI annotation tooling;
-# a clean run prints [] and exits 0, any unwaived finding fails the
-# build. -time lists every analyzer that ran with its wall clock on
-# stderr, so the suite and its cost are visible in logs. The whole-module
-# lint takes under a second; the timeout fails the step if an analyzer
-# blows up.
-timeout 60 go run ./cmd/v2plint -json -time ./...
+# Findings print on stdout as file:line:col: analyzer: message, the text
+# form the CI problem matcher (.github/v2plint-problem-matcher.json)
+# turns into annotations; a clean run prints nothing and exits 0, any
+# unwaived finding fails the build. -time lists every analyzer that ran
+# with its wall clock on stderr, so the suite and its cost are visible in
+# logs. The whole-module lint takes under a second; the timeout fails
+# the step if an analyzer blows up.
+timeout 60 go run ./cmd/v2plint -time ./...
 
 echo "== staticcheck =="
 if command -v staticcheck >/dev/null 2>&1; then
