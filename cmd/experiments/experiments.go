@@ -437,9 +437,6 @@ func ablation(sc Scale) error {
 		{"tor-only-memory", func(c *harness.Config) { c.V2PAlloc = "tor-only" }},
 		{"weighted-memory", func(c *harness.Config) { c.V2PAlloc = "bandwidth" }},
 	}
-	variants = append(variants, variant{"hybrid-host-offload", func(c *harness.Config) {
-		c.Scheme = harness.SchemeHybrid
-	}})
 	tw, done := newTable("variant", "hit-rate", "FCT(µs)", "first(µs)", "learnPkts", "spills", "promos")
 	defer done()
 	for _, v := range variants {

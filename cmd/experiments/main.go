@@ -28,7 +28,6 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id (table3, fig5a..fig5d, fig6..fig10, table4..table6, controller, ablation, all)")
-	crossover := flag.Bool("container-crossover", false, "run the container-overlay host-vs-switch caching crossover instead of -exp")
 	scen := flag.String("scenario", "", "run a long-horizon operational scenario instead of -exp (production-day)")
 	scaleName := flag.String("scale", "standard", "quick | standard | full")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -46,19 +45,6 @@ func main() {
 	sc.Seed = *seed
 	if *parallel {
 		sc.Workers = runtime.NumCPU()
-	}
-
-	// The container crossover is the headline extension experiment: the
-	// paper never ran it, so it is separate from -exp and not in "all".
-	if *crossover {
-		fmt.Printf("\n=== container-crossover: host vs ToR caching (scale=%s) ===\n", *scaleName)
-		t0 := time.Now()
-		if err := containerCrossover(sc); err != nil {
-			fmt.Fprintf(os.Stderr, "container-crossover: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("--- container-crossover done in %v\n", time.Since(t0).Round(time.Millisecond))
-		return
 	}
 
 	// Scenarios are long-horizon multi-phase runs (internal/scenario);

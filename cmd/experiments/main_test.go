@@ -35,41 +35,6 @@ func TestScalesOrdering(t *testing.T) {
 	}
 }
 
-func TestCrossoverGridsWellFormed(t *testing.T) {
-	for name := range scales {
-		grid, ok := crossoverGrids[name]
-		if !ok {
-			t.Fatalf("scale %q has no container-crossover grid", name)
-		}
-		if len(grid.Densities) == 0 || len(grid.Reuses) == 0 || len(grid.Fractions) == 0 {
-			t.Fatalf("grid %q has an empty axis: %+v", name, grid)
-		}
-		for _, d := range grid.Densities {
-			if d <= 0 {
-				t.Fatalf("grid %q density %d", name, d)
-			}
-		}
-		for _, r := range grid.Reuses {
-			if r < 0 || r > 1 {
-				t.Fatalf("grid %q reuse %v outside [0,1]", name, r)
-			}
-		}
-		for _, f := range grid.Fractions {
-			if f <= 0 || f > 1 {
-				t.Fatalf("grid %q cache fraction %v outside (0,1]", name, f)
-			}
-		}
-	}
-	for name := range crossoverGrids {
-		if _, ok := scales[name]; !ok {
-			t.Fatalf("crossover grid %q has no matching scale", name)
-		}
-	}
-	if len(crossoverSchemes) < 5 {
-		t.Fatalf("crossover scheme set too small: %v", crossoverSchemes)
-	}
-}
-
 func TestUsFormatting(t *testing.T) {
 	if got := us(1500 * simtime.Nanosecond); got != "1.5" {
 		t.Fatalf("us(1.5µs) = %q", got)

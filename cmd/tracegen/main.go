@@ -6,10 +6,6 @@
 // Example:
 //
 //	tracegen -trace hadoop -vms 10240 -duration 15ms
-//
-// The container-overlay workload is parameterized directly:
-//
-//	tracegen -density 64 -fanout 3 -reuse 0.7 -o containers.trace
 package main
 
 import (
@@ -18,7 +14,6 @@ import (
 	"os"
 	"time"
 
-	"switchv2p/internal/containers"
 	"switchv2p/internal/netaddr"
 	"switchv2p/internal/simtime"
 	"switchv2p/internal/trace"
@@ -27,7 +22,7 @@ import (
 
 func main() {
 	var (
-		name     = flag.String("trace", "hadoop", "trace: hadoop, websearch, alibaba, microbursts, video, containers, all")
+		name     = flag.String("trace", "hadoop", "trace: hadoop, websearch, alibaba, microbursts, video, all")
 		vms      = flag.Int("vms", 10240, "VM population")
 		servers  = flag.Int("servers", 128, "physical servers (load calibration)")
 		load     = flag.Float64("load", 0.30, "offered load fraction")
@@ -35,32 +30,8 @@ func main() {
 		maxFlows = flag.Int("maxflows", 0, "cap on generated flows")
 		seed     = flag.Int64("seed", 1, "random seed")
 		out      = flag.String("o", "", "also write the workload to this file (JSON lines)")
-
-		// Container-overlay knobs (imply -trace containers).
-		density = flag.Int("density", 0, "containers per host; population = density × servers (implies -trace containers)")
-		fanOut  = flag.Int("fanout", 0, "downstream services called per request (implies -trace containers)")
-		reuse   = flag.Float64("reuse", -1, "endpoint reuse probability in [0,1] (implies -trace containers)")
 	)
 	flag.Parse()
-
-	// Any container knob switches to the container-overlay generator;
-	// zero/unset knobs take the Spec defaults inside the generator.
-	containerSpec := containers.Spec{FanOut: *fanOut}
-	if *reuse > 0 {
-		containerSpec.Reuse = *reuse
-	} else if *reuse == 0 {
-		// Spec treats 0 as "default"; nudge to an effective zero so
-		// -reuse 0 genuinely disables endpoint reuse.
-		containerSpec.Reuse = 1e-12
-	}
-	if *density > 0 {
-		containerSpec.PerHost = *density
-		*vms = *density * *servers
-	}
-	if *density > 0 || *fanOut > 0 || *reuse >= 0 {
-		*name = "containers"
-		trace.Generators["containers"] = containers.Generator(containerSpec)
-	}
 
 	var alloc netaddr.VIPAllocator
 	vips := make([]netaddr.VIP, *vms)
@@ -79,7 +50,7 @@ func main() {
 
 	names := []string{*name}
 	if *name == "all" {
-		names = []string{"hadoop", "websearch", "alibaba", "microbursts", "video", "containers"}
+		names = []string{"hadoop", "websearch", "alibaba", "microbursts", "video"}
 	}
 	for _, n := range names {
 		gen := trace.Generators[n]

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	"switchv2p/internal/baselines"
 	"switchv2p/internal/core"
@@ -50,7 +51,7 @@ func run(label string, scheme func(*topology.Topology) simnet.Scheme, warm bool)
 	fmt.Println()
 
 	// Save the binary capture and prove it round-trips.
-	path := "/tmp/switchv2p-" + label + ".trace"
+	path := filepath.Join(os.TempDir(), "switchv2p-"+label+".trace")
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)

@@ -170,8 +170,8 @@ func New(topo *topology.Topology, opts Options) *Scheme {
 func (s *Scheme) Name() string { return "SwitchV2P" }
 
 // Stats returns the live protocol stats; the telemetry sampler reads
-// them as windowed rates while the simulation runs. (Promoted into the
-// baselines that embed *Scheme, e.g. GwCache and Hybrid.)
+// them as windowed rates while the simulation runs. (Promoted into
+// GwCache, which embeds *Scheme.)
 func (s *Scheme) Stats() *Stats { return &s.S }
 
 // Cache exposes a switch's (single-tenant) cache for tests and

@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,9 +12,9 @@ import (
 )
 
 // modelQueue is the independent reference the three-tier queue is checked
-// against: every pending event in one slice, stably sorted by (at, key)
-// before each read. Local events take keys from the model's own
-// insertion counter; keyed events bring theirs.
+// against: every pending event in one slice, kept sorted by (at, key),
+// equal pairs in insertion order. Local events take keys from the model's
+// own insertion counter; keyed events bring theirs.
 type modelQueue struct {
 	pending []modelEvent
 	seq     uint64
@@ -28,21 +29,23 @@ type modelEvent struct {
 
 func (m *modelQueue) push(at simtime.Time, id int) {
 	m.seq++
-	m.pending = append(m.pending, modelEvent{at, m.seq, id})
+	m.pushKeyed(at, m.seq, id)
 }
 
+// pushKeyed inserts after every pending event with the same (at, key):
+// the order a stable sort of the appended slice would give.
 func (m *modelQueue) pushKeyed(at simtime.Time, key uint64, id int) {
-	m.pending = append(m.pending, modelEvent{at, key, id})
+	i := sort.Search(len(m.pending), func(i int) bool {
+		p := m.pending[i]
+		return p.at > at || (p.at == at && p.key > key)
+	})
+	m.pending = slices.Insert(m.pending, i, modelEvent{at, key, id})
 }
 
 func (m *modelQueue) peek() (modelEvent, bool) {
 	if len(m.pending) == 0 {
 		return modelEvent{}, false
 	}
-	sort.SliceStable(m.pending, func(i, j int) bool {
-		a, b := m.pending[i], m.pending[j]
-		return a.at < b.at || (a.at == b.at && a.key < b.key)
-	})
 	return m.pending[0], true
 }
 

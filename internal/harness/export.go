@@ -68,23 +68,6 @@ func WriteTopologyCSV(out io.Writer, pts []TopologyPoint) error {
 	return writeAll(w, rows)
 }
 
-// WriteCrossoverCSV exports container crossover sweep points.
-func WriteCrossoverCSV(out io.Writer, pts []CrossoverPoint) error {
-	w := csv.NewWriter(out)
-	rows := [][]string{{
-		"per_host", "reuse", "cache_fraction", "scheme", "gateway_offload",
-		"p99_first_packet_us", "p99_fct_us", "gateway_packets", "host_sent",
-	}}
-	for _, p := range pts {
-		rows = append(rows, []string{
-			strconv.Itoa(p.PerHost), f(p.Reuse), f(p.CacheFraction), p.Scheme,
-			f(p.HitRate), us(p.P99FirstPacket), us(p.P99FCT),
-			strconv.FormatInt(p.GatewayPackets, 10), strconv.FormatInt(p.HostSent, 10),
-		})
-	}
-	return writeAll(w, rows)
-}
-
 // WritePodBytesCSV exports a Fig. 7-style per-pod byte heatmap row for
 // one report.
 func WritePodBytesCSV(out io.Writer, reports []*Report) error {

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"switchv2p/internal/baselines"
-	"switchv2p/internal/containers"
 	"switchv2p/internal/core"
 	"switchv2p/internal/faults"
 	"switchv2p/internal/netaddr"
@@ -34,9 +33,6 @@ const (
 	SchemeOnDemand      = "ondemand"
 	SchemeDirect        = "direct"
 	SchemeController    = "controller"
-	SchemeHybrid        = "hybrid"
-	SchemeHostCache     = "hostcache"
-	SchemeHostToR       = "hosttor"
 )
 
 // schemeArgs is what a scheme constructor sizes itself from: the run
@@ -52,21 +48,11 @@ type schemeArgs struct {
 	spread           func(sw topology.Switch) int
 }
 
-// coreOptions returns SwitchV2P's default options sized by the budget.
-func (a schemeArgs) coreOptions() core.Options {
-	opts := core.DefaultOptions(a.perSwitch)
-	opts.SizeFor = a.spread
-	opts.Seed = a.cfg.Seed
-	return opts
-}
-
 // schemes is the scheme table, in AllSchemes order: the one place a
 // scheme's name, shard safety and constructor are stated. shardSafe is
 // audited by hand: a scheme qualifies only if every per-event mutation
 // it performs is confined to the event's own shard domain or routed
-// through per-shard slots (simnet.ShardAware). The host-cache family's
-// pending-install maps and LRU lists are global per-event state, so it
-// stays serial until it grows per-shard slots.
+// through per-shard slots (simnet.ShardAware).
 var schemes = []struct {
 	name      string
 	shardSafe bool
@@ -89,35 +75,6 @@ var schemes = []struct {
 	{SchemeDirect, true, func(schemeArgs) (simnet.Scheme, error) { return baselines.NewDirect(), nil }},
 	{SchemeController, false, func(a schemeArgs) (simnet.Scheme, error) {
 		return baselines.NewController(a.topo, a.perSwitch, a.cfg.ControllerInterval), nil
-	}},
-	{SchemeHybrid, false, func(a schemeArgs) (simnet.Scheme, error) {
-		// Hoverboard-style offload after 20 packets; millisecond-scale
-		// rule installation as in Zeta/Achelous.
-		return baselines.NewHybrid(a.topo, a.coreOptions(), 20, simtime.Millisecond), nil
-	}},
-	{SchemeHostCache, false, func(a schemeArgs) (simnet.Scheme, error) {
-		// The whole budget goes to the hosts, divided evenly: per-host
-		// hardware capacity is uniform, so small aggregate budgets can
-		// floor to zero entries per host — exactly the regime where
-		// in-switch aggregation wins the crossover.
-		opt := baselines.DefaultHostTierOptions(a.total / len(a.topo.Servers()))
-		opt.TTL = a.cfg.HostTTL
-		return baselines.NewHostCache(a.topo, opt), nil
-	}},
-	{SchemeHostToR, false, func(a schemeArgs) (simnet.Scheme, error) {
-		// Split the budget between the host tier and a ToR-only
-		// SwitchV2P tier.
-		split := a.cfg.HostSplit
-		if split <= 0 || split >= 1 {
-			split = 0.5
-		}
-		hostBudget := int(float64(a.total) * split)
-		opts := core.DefaultOptions(0)
-		opts.SizeFor = core.AllocToROnly(a.topo, a.total-hostBudget)
-		opts.Seed = a.cfg.Seed
-		opt := baselines.DefaultHostTierOptions(hostBudget / len(a.topo.Servers()))
-		opt.TTL = a.cfg.HostTTL
-		return baselines.NewHostToR(a.topo, opts, opt), nil
 	}},
 }
 
@@ -175,22 +132,6 @@ type Config struct {
 
 	// ControllerInterval is the Controller baseline's refresh period.
 	ControllerInterval simtime.Duration
-
-	// Containers, when non-nil, replaces uniform VM placement with a
-	// container deployment (internal/containers): Spec.PerHost containers
-	// on every server, placed through the vnet churn APIs with services
-	// striped across tenants, and the workload generated from the
-	// deployment's service mesh instead of TraceName. VMs is derived from
-	// the deployment size.
-	Containers *containers.Spec
-
-	// HostTTL sets the host-cache schemes' entry TTL (hostcache,
-	// hosttor); 0 = entries never expire.
-	HostTTL simtime.Duration
-	// HostSplit is the fraction of the aggregate cache budget given to
-	// the host tier in the hosttor hybrid (default 0.5; hostcache always
-	// gets the whole budget).
-	HostSplit float64
 
 	// ActiveGateways restricts the gateway pool (Fig. 9); 0 = all.
 	ActiveGateways int
@@ -320,14 +261,9 @@ type Report struct {
 	FaultEvents int   // fault events applied during the run
 
 	// CoreStats is present for every scheme that caches in the network:
-	// SwitchV2P and the baselines that embed it (gwcache, hybrid, hosttor).
+	// SwitchV2P and the baseline that embeds it (gwcache).
 	// Table 5 attribution.
 	CoreStats *core.Stats
-
-	// HostStats is present for the host-cache scheme family (hostcache,
-	// hosttor): host-tier hits, installs, evictions, TTL expiries and
-	// host-layer invalidations.
-	HostStats *baselines.HostStats
 
 	// Telemetry holds the run's collected observability data when
 	// Config.Telemetry was set; nil otherwise.
@@ -358,9 +294,8 @@ type World struct {
 }
 
 // CoreStats returns the live cache statistics of a scheme that caches in
-// the network — SwitchV2P and every baseline that embeds *core.Scheme
-// (GwCache, Hybrid, HostToR) — through the promoted accessor, and nil for
-// the rest.
+// the network — SwitchV2P and GwCache, which embeds *core.Scheme —
+// through the promoted accessor, and nil for the rest.
 func (w *World) CoreStats() *core.Stats {
 	if s, ok := w.Scheme.(interface{ Stats() *core.Stats }); ok {
 		return s.Stats()
@@ -412,9 +347,11 @@ func BuildScheme(cfg Config, topo *topology.Topology) (simnet.Scheme, error) {
 }
 
 // buildSwitchV2P applies the Config's V2P toggles on top of the default
-// options.
+// options sized by the budget.
 func buildSwitchV2P(a schemeArgs) (simnet.Scheme, error) {
-	cfg, opts := a.cfg, a.coreOptions()
+	cfg, opts := a.cfg, core.DefaultOptions(a.perSwitch)
+	opts.SizeFor = a.spread
+	opts.Seed = cfg.Seed
 	if cfg.V2PLearningPackets != nil {
 		opts.LearningPackets = *cfg.V2PLearningPackets
 	}
@@ -457,22 +394,8 @@ func Build(cfg Config) (*World, error) {
 		return nil, err
 	}
 	net := vnet.New(topo)
-	var vips []netaddr.VIP
-	var dep *containers.Deployment
-	if cfg.Containers != nil {
-		// Container deployment: density-driven placement through the vnet
-		// churn APIs replaces uniform placement, and VMs is derived from
-		// the deployment before BuildScheme sizes the caches against it.
-		dep, err = containers.Place(net, *cfg.Containers, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		vips = dep.VIPs
-		cfg.VMs = len(vips)
-	} else {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		vips = net.PlaceUniform(cfg.VMs, rng)
-	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	vips := net.PlaceUniform(cfg.VMs, rng)
 
 	scheme, err := BuildScheme(cfg, topo)
 	if err != nil {
@@ -522,15 +445,11 @@ func Build(cfg Config) (*World, error) {
 			MaxFlows:    cfg.MaxFlows,
 			Seed:        cfg.Seed,
 		}
-		if dep != nil {
-			workload, err = dep.Workload(traceCfg)
-		} else {
-			gen := trace.Generators[cfg.TraceName]
-			if gen == nil {
-				return nil, fmt.Errorf("harness: unknown trace %q", cfg.TraceName)
-			}
-			workload, err = gen(traceCfg)
+		gen := trace.Generators[cfg.TraceName]
+		if gen == nil {
+			return nil, fmt.Errorf("harness: unknown trace %q", cfg.TraceName)
 		}
+		workload, err = gen(traceCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -588,10 +507,6 @@ func (w *World) Report() *Report {
 	if st := w.CoreStats(); st != nil {
 		stats := *st
 		r.CoreStats = &stats
-	}
-	if s, ok := w.Scheme.(interface{ HostStats() *baselines.HostStats }); ok {
-		hs := *s.HostStats()
-		r.HostStats = &hs
 	}
 	r.Telemetry = w.Telem
 	return r

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -117,7 +118,7 @@ func TestBluebirdOverflowStaysOnTheBooks(t *testing.T) {
 // scripts/ci.sh runs it at 10000.
 func TestSystemInvariantsUnderRandomScenarios(t *testing.T) {
 	f := func(seed int64) bool {
-		_, ok := randomScenario(t, seed)
+		_, ok := randomScenario(t, seed, "")
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCountScale: 0.4, Rand: rand.New(rand.NewSource(1))}); err != nil {
@@ -132,21 +133,36 @@ func TestSystemInvariantsUnderRandomScenarios(t *testing.T) {
 // sender VM runs on the host the stale line points to, so its re-forward
 // carries the same outer source as a fresh send; the ToR now tags on the
 // hypervisor's re-forward mark instead (PROTOCOL.md step 1), and every
-// seed drains with the invariants holding.
+// seed drains with the invariants holding. Each case names its scheme
+// rather than taking the one the seed draws from AllSchemes, so adding or
+// removing a scheme cannot move a seed onto one that never caches.
 func TestKnownMigrationLoops(t *testing.T) {
-	for _, seed := range []int64{368, 883, -5589833942529002226, 1972696972182598941} {
-		w, ok := randomScenario(t, seed)
+	for _, c := range []struct {
+		seed   int64
+		scheme string
+	}{
+		{368, SchemeGwCache},
+		{883, SchemeGwCache},
+		{-5589833942529002226, SchemeSwitchV2P},
+		{1972696972182598941, SchemeGwCache},
+	} {
+		w, ok := randomScenario(t, c.seed, c.scheme)
+		if ran := w.Scheme.Name(); !strings.EqualFold(ran, c.scheme) {
+			t.Fatalf("seed %d ran %s, want %s", c.seed, ran, c.scheme)
+		}
 		if !ok || w.Engine.C.Misdeliveries > 1_000 {
-			t.Errorf("seed %d: invariants hold=%v, %d misdeliveries: the migration loop is back",
-				seed, ok, w.Engine.C.Misdeliveries)
+			t.Errorf("seed %d on %s: invariants hold=%v, %d misdeliveries: the migration loop is back",
+				c.seed, w.Scheme.Name(), ok, w.Engine.C.Misdeliveries)
 		}
 	}
 }
 
 // randomScenario builds and runs the scenario that seed determines and
 // reports whether the five invariants hold, logging the first that does
-// not. The world is returned for callers that assert more.
-func randomScenario(t *testing.T, seed int64) (*World, bool) {
+// not. A non-empty scheme replaces the one the seed draws; the draw still
+// happens, so the rest of the scenario is unchanged. The world is
+// returned for callers that assert more.
+func randomScenario(t *testing.T, seed int64, scheme string) (*World, bool) {
 	rng := rand.New(rand.NewSource(seed))
 
 	topoCfg := topology.FT8()
@@ -165,6 +181,9 @@ func randomScenario(t *testing.T, seed int64) (*World, bool) {
 		CacheFraction: []float64{0.05, 0.5, 2}[rng.Intn(3)],
 		Seed:          seed,
 		Workload:      &trace.Workload{Name: "custom"},
+	}
+	if scheme != "" {
+		cfg.Scheme = scheme
 	}
 	w, err := Build(cfg)
 	if err != nil {

@@ -36,9 +36,6 @@ func runDoc(t *testing.T, cfg Config) (*Report, string) {
 	if r.CoreStats != nil {
 		fmt.Fprintf(&doc, "%+v\n", *r.CoreStats)
 	}
-	if r.HostStats != nil {
-		fmt.Fprintf(&doc, "%+v\n", *r.HostStats)
-	}
 	if r.Telemetry != nil {
 		if err := r.Telemetry.WriteCSV(&doc); err != nil {
 			t.Fatal(err)
@@ -144,13 +141,8 @@ func TestShardFaultScheduleDeterministic(t *testing.T) {
 // with a descriptive error at build time, not a corrupt result at run
 // time.
 func TestShardRejectsUnsupportedScheme(t *testing.T) {
-	// The host-cache family (hostcache, hosttor) runs unsharded for now:
-	// the host tier's pending-install maps and LRU lists are global
-	// per-event mutable state, so the schemes are deliberately absent
-	// from the ShardSupported whitelist until they grow per-shard slots.
 	for _, scheme := range []string{
-		SchemeLocalLearning, SchemeOnDemand, SchemeBluebird,
-		SchemeController, SchemeHybrid, SchemeHostCache, SchemeHostToR,
+		SchemeLocalLearning, SchemeOnDemand, SchemeBluebird, SchemeController,
 	} {
 		cfg := quickConfig(scheme)
 		cfg.Shards = 2

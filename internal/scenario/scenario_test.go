@@ -77,25 +77,23 @@ func TestProductionDayRuns(t *testing.T) {
 	}
 }
 
-// TestCacheChurnCoversEmbeddedCaches: GwCache and HostToR cache in the
-// network through an embedded *core.Scheme, so a phase in which their
-// switches looked anything up reports a churn measurement, not the −1
-// "no in-network cache" sentinel that skips the churn SLO.
+// TestCacheChurnCoversEmbeddedCaches: GwCache caches in the network
+// through an embedded *core.Scheme, so a phase in which its switches
+// looked anything up reports a churn measurement, not the −1 "no
+// in-network cache" sentinel that skips the churn SLO.
 func TestCacheChurnCoversEmbeddedCaches(t *testing.T) {
-	for _, scheme := range []string{harness.SchemeGwCache, harness.SchemeHostToR} {
-		spec := miniDay(7)
-		spec.Base.Scheme = scheme
-		rep, err := Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := rep.Final.World.CoreStats(); st == nil || st.Lookups == 0 {
-			t.Fatalf("%s: no in-network lookups; the test proves nothing", scheme)
-		}
-		if p := rep.Phases[0]; p.Flows == 0 || p.CacheChurn < 0 {
-			t.Errorf("%s: phase %s carried %d flows, cache churn %v, want a measurement >= 0",
-				scheme, p.Name, p.Flows, p.CacheChurn)
-		}
+	spec := miniDay(7)
+	spec.Base.Scheme = harness.SchemeGwCache
+	rep, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rep.Final.World.CoreStats(); st == nil || st.Lookups == 0 {
+		t.Fatal("no in-network lookups; the test proves nothing")
+	}
+	if p := rep.Phases[0]; p.Flows == 0 || p.CacheChurn < 0 {
+		t.Errorf("phase %s carried %d flows, cache churn %v, want a measurement >= 0",
+			p.Name, p.Flows, p.CacheChurn)
 	}
 }
 

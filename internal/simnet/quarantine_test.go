@@ -80,9 +80,6 @@ func fingerprint(w *harness.World) string {
 	if r.CoreStats != nil {
 		fmt.Fprintf(&b, "%+v\n", *r.CoreStats)
 	}
-	if r.HostStats != nil {
-		fmt.Fprintf(&b, "%+v\n", *r.HostStats)
-	}
 	for _, rec := range w.Agent.Records {
 		fmt.Fprintf(&b, "%+v\n", *rec)
 	}

@@ -42,7 +42,7 @@ go test ./...
 echo "== race =="
 # Every package, so also the packet-ownership tests: packet.Pool's unit
 # tests (TestPool*), the recycling-vs-quarantine comparison of every scheme
-# (TestNobodyReadsAReleasedPacket, 44 runs), the steady-state allocation
+# (TestNobodyReadsAReleasedPacket, 32 runs), the steady-state allocation
 # test over every scheme but controller (TestPacketPathSteadyStateAllocFree)
 # and ptrace's records outliving the run. The sharded engine takes its packets from a nil pool; this step
 # and the TestShard* step below are what would catch a release that
@@ -84,23 +84,25 @@ echo "== shard determinism (byte-identical reports at 1/2/4/8 workers, under -ra
 # barrier protocol fails CI even if it happens not to corrupt output.
 go test -race -count=1 -run 'TestShard' ./internal/harness
 
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== examples smoke =="
-# Run the two examples a newcomer meets first: the README quickstart and
-# the fault-injection experiment (-quick keeps it to a small config);
-# then the only end-to-end runs, outside `go test`, of the UDP incast
-# through the facade (migration) and of AddFlow on an already-built
-# world (multitenant). Under a second each.
-go run ./examples/quickstart >/dev/null
-go run ./examples/faults -quick >/dev/null
-go run ./examples/migration >/dev/null
-go run ./examples/multitenant >/dev/null
+# Every example, built and run from $tmp: telemetry writes telemetry.csv
+# into its working directory and packettrace its captures into TMPDIR.
+# faults takes -quick for a small config; the rest run as a reader would
+# run them. The slowest, gatewayreduction, takes about 2 s.
+for ex in customtopology faults gatewayreduction migration multitenant packettrace productionday quickstart telemetry; do
+  go build -o "$tmp/ex-$ex" "./examples/$ex"
+  args=()
+  if [ "$ex" = faults ]; then args=(-quick); fi
+  (cd "$tmp" && TMPDIR="$tmp" "./ex-$ex" "${args[@]}" >/dev/null) || { echo "examples smoke: $ex failed"; exit 1; }
+done
 
 echo "== switchv2p-sim telemetry smoke =="
 # The CLI's telemetry flags end to end: the JSON document, serial and at
 # two shards, carries counters, gauges and the engine profile, and the
 # CSV timeline starts with its time axis. A few hundred ms each.
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/sim" ./cmd/switchv2p-sim
 sim_args=(-vms 1024 -duration 200us -maxflows 500)
 "$tmp/sim" "${sim_args[@]}" -telemetry-out "$tmp/t.json" >/dev/null
@@ -130,17 +132,6 @@ for phase in morning-ramp midday-churn migration-storm gateway-autoscale rolling
   echo "$scenario_out" | grep -q "$phase" || { echo "scenario smoke: phase $phase missing from output"; exit 1; }
 done
 echo "$scenario_out" | grep -Eq 'pass|FAIL' || { echo "scenario smoke: no SLO verdicts in output"; exit 1; }
-
-echo "== container crossover smoke =="
-# Quick-scale host/ToR crossover: the container-overlay workload swept
-# over density × reuse × cache size for the full comparison set. Assert
-# every scheme produced its SLO row — a missing row means a scheme
-# errored or fell out of the sweep.
-crossover_out="$(go run ./cmd/experiments -container-crossover -scale quick -parallel)"
-for scheme in switchv2p hostcache hosttor nocache gwcache; do
-  echo "$crossover_out" | grep -Eq "^${scheme}[[:space:]]+SLO=" \
-    || { echo "crossover smoke: no SLO row for scheme $scheme"; exit 1; }
-done
 
 echo "== benchmark digest gate (go run ./bench, seed 1, one short repetition per workload) =="
 # Every bench workload hashes its simulation output and compares it with

@@ -170,9 +170,6 @@ const (
 	SchemeOnDemand      = harness.SchemeOnDemand
 	SchemeDirect        = harness.SchemeDirect
 	SchemeController    = harness.SchemeController
-	SchemeHybrid        = harness.SchemeHybrid
-	SchemeHostCache     = harness.SchemeHostCache
-	SchemeHostToR       = harness.SchemeHostToR
 )
 
 // AllSchemes lists every supported scheme name.

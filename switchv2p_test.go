@@ -37,7 +37,7 @@ func TestPublicRun(t *testing.T) {
 
 func TestPublicAllSchemes(t *testing.T) {
 	names := switchv2p.AllSchemes()
-	if len(names) != 11 {
+	if len(names) != 8 {
 		t.Fatalf("AllSchemes = %v", names)
 	}
 	// The returned slice is a copy: mutating it must not corrupt state.
