@@ -11,7 +11,9 @@
 //   - OnDemand: host-driven with a first lookup at the gateway (VL2 /
 //     Hoverboard with immediate offload / Achelous ALM).
 //   - Direct: pure host-driven, hosts preprogrammed with all mappings.
-//   - Controller: centralized ILP-optimized cache placement (Appendix A).
+//   - Controller: centralized placement from the exact traffic matrix
+//     (Appendix A): exact at the ToRs for small rounds, lazy greedy over
+//     every uplink for large ones.
 package baselines
 
 import (

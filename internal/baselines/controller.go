@@ -3,7 +3,6 @@ package baselines
 import (
 	"sort"
 
-	"switchv2p/internal/ilp"
 	"switchv2p/internal/netaddr"
 	"switchv2p/internal/packet"
 	"switchv2p/internal/simnet"
@@ -16,20 +15,15 @@ import (
 // solves the cache-placement optimization, and installs mappings into
 // the switches. Switches perform lookups but never learn: placement is
 // entirely controller-driven. The paper uses Z3 on the full ILP and
-// notes it is impractical; this implementation solves the ToR-restricted
-// subproblem exactly with the internal branch-and-bound ILP solver when
-// small enough and otherwise uses the equivalent lazy-greedy
-// maximum-coverage placement over all uplink candidates (documented
-// substitution in DESIGN.md).
+// notes it is impractical. Here a round of at most exactVarLimit demands
+// is placed exactly at the source ToRs (topPerToR), a larger one by lazy
+// greedy over ToR, spine and core (substitution in DESIGN.md §1).
 type Controller struct {
 	topo *topology.Topology
 	// Interval between controller invocations (150/300 µs in §A.2).
 	Interval simtime.Duration
 	// LinesPerSwitch is capacity M of each switch.
 	LinesPerSwitch int
-	// ExactVarLimit: when the ToR-restricted ILP has at most this many
-	// variables it is solved exactly.
-	ExactVarLimit int
 
 	installed []map[netaddr.VIP]netaddr.PIP // per switch
 	// The traffic matrix and the invocation-timer flag are global by
@@ -56,7 +50,6 @@ func NewController(topo *topology.Topology, linesPerSwitch int, interval simtime
 		topo:           topo,
 		Interval:       interval,
 		LinesPerSwitch: linesPerSwitch,
-		ExactVarLimit:  24,
 		counts:         make(map[pairKey]int64),
 	}
 	c.installed = make([]map[netaddr.VIP]netaddr.PIP, len(topo.Switches))
@@ -247,47 +240,59 @@ func (c *Controller) candidates(d *pairDemand) []int32 {
 	return out
 }
 
+// exactVarLimit picks between two policies, not a solver budget: moving
+// it moves results.
+const exactVarLimit = 24
+
 // place computes the new per-switch mapping tables.
 func (c *Controller) place(e *simnet.Engine, pairs []pairDemand) []map[netaddr.VIP]netaddr.PIP {
-	// ToR-restricted exact formulation: one variable per (srcToR, dst)
-	// demand, capacity per ToR. Solved exactly when small.
-	if len(pairs) <= c.ExactVarLimit {
+	if len(pairs) <= exactVarLimit {
 		return c.placeExact(e, pairs)
 	}
 	return c.placeGreedy(e, pairs)
 }
 
+// placeExact solves the ToR-restricted ILP exactly.
 func (c *Controller) placeExact(e *simnet.Engine, pairs []pairDemand) []map[netaddr.VIP]netaddr.PIP {
 	c.ExactSolves++
-	p := &ilp.Problem{Obj: make([]float64, len(pairs))}
-	perToR := make(map[int32][]ilp.Term)
+	obj := make([]float64, len(pairs))
+	tor := make([]int32, len(pairs))
 	for i := range pairs {
 		d := &pairs[i]
-		p.Obj[i] = float64(d.count) * c.saving(e, d, d.srcToR)
-		perToR[d.srcToR] = append(perToR[d.srcToR], ilp.Term{Var: i, Coeff: 1})
-	}
-	// Constraint order steers the solver's branching and tie-breaking,
-	// so emit rows in sorted ToR order, never map order.
-	tors := make([]int32, 0, len(perToR))
-	for tor := range perToR {
-		tors = append(tors, tor)
-	}
-	sort.Slice(tors, func(i, j int) bool { return tors[i] < tors[j] })
-	for _, tor := range tors {
-		p.Constraints = append(p.Constraints, ilp.Constraint{Terms: perToR[tor], Bound: float64(c.LinesPerSwitch)})
-	}
-	sol, err := ilp.Solve(p, ilp.Options{MaxNodes: 200_000})
-	if err != nil {
-		return c.placeGreedy(e, pairs)
+		obj[i] = float64(d.count) * c.saving(e, d, d.srcToR)
+		tor[i] = d.srcToR
 	}
 	placement := c.emptyPlacement()
-	for i, selected := range sol.X {
+	for i, selected := range topPerToR(obj, tor, c.LinesPerSwitch) {
 		if selected {
-			d := &pairs[i]
-			placement[d.srcToR][d.dst] = d.dstPIP
+			placement[tor[i]][pairs[i].dst] = pairs[i].dstPIP
 		}
 	}
 	return placement
+}
+
+// topPerToR maximizes Σ obj[i] over the chosen demands with at most m per
+// ToR tor[i]: a partition matroid, so taking the best positive demands
+// while their ToR has room is optimal. sort.Slice over the indices fixes
+// how ties at a full ToR break.
+func topPerToR(obj []float64, tor []int32, m int) []bool {
+	order := make([]int, len(obj))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return obj[order[a]] > obj[order[b]] })
+	held := make(map[int32]int)
+	chosen := make([]bool, len(obj))
+	for _, i := range order {
+		if obj[i] <= 0 {
+			break
+		}
+		if held[tor[i]] < m {
+			held[tor[i]]++
+			chosen[i] = true
+		}
+	}
+	return chosen
 }
 
 // placeGreedy is the scalable lazy-greedy maximum-coverage placement

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"math/rand"
 	"testing"
 
 	"switchv2p/internal/packet"
@@ -65,7 +66,6 @@ func TestControllerGreedyPathForLargeMatrices(t *testing.T) {
 	var ctl *Controller
 	w := newWorld(t, func(topo *topology.Topology) simnet.Scheme {
 		ctl = NewController(topo, 16, 150*simtime.Microsecond)
-		ctl.ExactVarLimit = 4
 		return ctl
 	})
 	// Many distinct pairs exceed the exact limit.
@@ -80,23 +80,99 @@ func TestControllerGreedyPathForLargeMatrices(t *testing.T) {
 }
 
 func TestControllerRespectsCapacity(t *testing.T) {
-	var ctl *Controller
-	w := newWorld(t, func(topo *topology.Topology) simnet.Scheme {
-		ctl = NewController(topo, 2, 150*simtime.Microsecond)
-		ctl.ExactVarLimit = 0 // force greedy
-		return ctl
-	})
-	// Many destinations from one source rack.
-	for i := 0; i < 20; i++ {
-		p := packet.NewData(uint64(i+1), 0, 500, w.vips[0], w.vips[30+i], 0)
-		w.e.HostSend(w.hostOf(w.vips[0]), p)
+	// Many destinations from one source rack, capacity 2: 10 demands
+	// take the exact ToR-only path, 30 the greedy one over all uplinks.
+	for _, tc := range []struct {
+		name  string
+		dests int
+		exact bool
+	}{
+		{"exact", 10, true},
+		{"greedy", 30, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ctl *Controller
+			w := newWorld(t, func(topo *topology.Topology) simnet.Scheme {
+				ctl = NewController(topo, 2, 150*simtime.Microsecond)
+				return ctl
+			})
+			for i := 0; i < tc.dests; i++ {
+				p := packet.NewData(uint64(i+1), 0, 500, w.vips[0], w.vips[30+i], 0)
+				w.e.HostSend(w.hostOf(w.vips[0]), p)
+			}
+			w.e.Run(simtime.Never)
+			if got := ctl.ExactSolves > 0 && ctl.GreedySolves == 0; got != tc.exact {
+				t.Fatalf("exact=%d greedy=%d, want only the %s path", ctl.ExactSolves, ctl.GreedySolves, tc.name)
+			}
+			for _, sw := range w.topo.Switches {
+				if got := ctl.Installed(sw.Idx); got > 2 {
+					t.Fatalf("switch %d has %d installed entries, capacity 2", sw.Idx, got)
+				}
+			}
+			if srcToR := w.topo.Hosts[w.hostOf(w.vips[0])].ToR; tc.exact && ctl.Installed(srcToR) != 2 {
+				t.Fatalf("source ToR holds %d entries, want the cap 2", ctl.Installed(srcToR))
+			}
+		})
 	}
-	w.e.Run(simtime.Never)
-	for _, sw := range w.topo.Switches {
-		if got := ctl.Installed(sw.Idx); got > 2 {
-			t.Fatalf("switch %d has %d installed entries, capacity 2", sw.Idx, got)
+}
+
+// TestTopPerToRMatchesBruteForce checks the exact placement against
+// every subset of small random instances whose objectives tie and
+// include zeros, as count × saving does when serving a demand from its
+// ToR saves nothing over the gateway.
+func TestTopPerToRMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		n := rng.Intn(13)
+		m := rng.Intn(4)
+		obj := make([]float64, n)
+		tor := make([]int32, n)
+		for i := range obj {
+			obj[i] = float64(rng.Intn(4) * 250)
+			tor[i] = int32(rng.Intn(3))
+		}
+		best := 0.0
+		for set := 0; set < 1<<n; set++ {
+			held := make(map[int32]int)
+			v := 0.0
+			for i := 0; i < n; i++ {
+				if set&(1<<i) != 0 {
+					held[tor[i]]++
+					v += obj[i]
+				}
+			}
+			if v > best && maxHeld(held) <= m {
+				best = v
+			}
+		}
+		chosen := topPerToR(obj, tor, m)
+		held := make(map[int32]int)
+		v := 0.0
+		for i, c := range chosen {
+			if !c {
+				continue
+			}
+			if obj[i] <= 0 {
+				t.Fatalf("trial %d: installed demand %d with objective %v (obj %v)", trial, i, obj[i], obj)
+			}
+			held[tor[i]]++
+			v += obj[i]
+		}
+		if got := maxHeld(held); got > m {
+			t.Fatalf("trial %d: a ToR holds %d entries, cap %d (obj %v tor %v)", trial, got, m, obj, tor)
+		}
+		if v != best {
+			t.Fatalf("trial %d: objective %v, brute-force optimum %v (obj %v tor %v m %d)", trial, v, best, obj, tor, m)
 		}
 	}
+}
+
+func maxHeld(held map[int32]int) int {
+	most := 0
+	for _, k := range held {
+		most = max(most, k)
+	}
+	return most
 }
 
 func TestControllerStaleEntriesEventuallyReplaced(t *testing.T) {

@@ -119,10 +119,6 @@ type Config struct {
 	V2PPromotion       *bool
 	V2PInvalidation    *bool
 	V2PTimestampVector *bool
-	V2PPLearn          *float64
-	// V2PSizeFor optionally overrides per-switch cache sizing
-	// (heterogeneous allocation ablation).
-	V2PSizeFor func(sw topology.Switch) int
 	// V2PAlloc selects a named heterogeneous allocation policy:
 	// "" (uniform), "tor-only", or "bandwidth" (fan-in proportional).
 	V2PAlloc string
@@ -366,12 +362,6 @@ func buildSwitchV2P(a schemeArgs) (simnet.Scheme, error) {
 	}
 	if cfg.V2PTimestampVector != nil {
 		opts.TimestampVector = *cfg.V2PTimestampVector
-	}
-	if cfg.V2PPLearn != nil {
-		opts.PLearn = *cfg.V2PPLearn
-	}
-	if cfg.V2PSizeFor != nil {
-		opts.SizeFor = cfg.V2PSizeFor
 	}
 	switch cfg.V2PAlloc {
 	case "":

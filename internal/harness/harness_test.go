@@ -295,13 +295,10 @@ func TestMigrationExperimentVariants(t *testing.T) {
 }
 
 func TestV2PSizeForToROnly(t *testing.T) {
+	// The tor-only policy's core.Options.SizeFor gives spines and cores
+	// no lines, so every hit lands at a ToR.
 	cfg := quickConfig(SchemeSwitchV2P)
-	cfg.V2PSizeFor = func(sw topology.Switch) int {
-		if sw.Role.IsToR() {
-			return 64
-		}
-		return 0
-	}
+	cfg.V2PAlloc = "tor-only"
 	r, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -309,8 +306,54 @@ func TestV2PSizeForToROnly(t *testing.T) {
 	if r.CoreStats == nil {
 		t.Fatal("missing core stats")
 	}
-	if r.CoreStats.HitsByLayer[1] != 0 || r.CoreStats.HitsByLayer[2] != 0 {
-		t.Fatalf("spine/core hits with ToR-only allocation: %+v", r.CoreStats.HitsByLayer)
+	if r.CoreStats.HitsByLayer[0] == 0 || r.CoreStats.HitsByLayer[1] != 0 || r.CoreStats.HitsByLayer[2] != 0 {
+		t.Fatalf("want ToR hits only with ToR-only allocation: %+v", r.CoreStats.HitsByLayer)
+	}
+}
+
+// TestControllerCrossoverShape pins §A.2's comparison at cmd/experiments'
+// quick scale (-exp controller -scale quick): a small cache favours the
+// controller's global view, a large one SwitchV2P's learning, and a
+// slower refresh costs the controller hit rate at both sizes.
+func TestControllerCrossoverShape(t *testing.T) {
+	run := func(scheme string, interval simtime.Duration, frac float64) *Report {
+		t.Helper()
+		r, err := Run(Config{
+			Topo:               topology.FT8(),
+			VMs:                1024,
+			Scheme:             scheme,
+			TraceName:          "websearch",
+			Load:               0.30,
+			Duration:           300 * simtime.Microsecond,
+			MaxFlows:           1500,
+			CacheFraction:      frac,
+			Seed:               1,
+			ControllerInterval: interval,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	for _, frac := range []float64{0.1, 1.0} {
+		fast := run(SchemeController, 150*simtime.Microsecond, frac)
+		slow := run(SchemeController, 300*simtime.Microsecond, frac)
+		sv := run(SchemeSwitchV2P, 0, frac)
+		t.Logf("cache %g: Controller@150 hit %.3f FCT %v, @300 hit %.3f, SwitchV2P hit %.3f FCT %v",
+			frac, fast.HitRate, fast.Summary.AvgFCT, slow.HitRate, sv.HitRate, sv.Summary.AvgFCT)
+		if slow.HitRate >= fast.HitRate {
+			t.Errorf("cache %g: Controller@300µs hit rate %.3f not below @150µs %.3f", frac, slow.HitRate, fast.HitRate)
+		}
+		if frac < 1 {
+			// The two hit rates sit within 0.002 of each other here, too
+			// thin a margin to assert; FCT separates them.
+			if fast.Summary.AvgFCT >= sv.Summary.AvgFCT {
+				t.Errorf("cache %g: Controller@150µs FCT %v not below SwitchV2P %v", frac, fast.Summary.AvgFCT, sv.Summary.AvgFCT)
+			}
+		} else if sv.HitRate <= fast.HitRate || sv.Summary.AvgFCT >= fast.Summary.AvgFCT {
+			t.Errorf("cache %g: SwitchV2P (hit %.3f, FCT %v) does not beat Controller@150µs (hit %.3f, FCT %v)",
+				frac, sv.HitRate, sv.Summary.AvgFCT, fast.HitRate, fast.Summary.AvgFCT)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // delivery, and the ACK the receiver takes from the pool and sends back.
 // Once warm — the free list holds the exchange's packets and the scheme's
 // tables hold the pair — an exchange allocates nothing. The controller
-// scheme is left out: its periodic ILP re-placement allocates by design.
+// scheme is left out: its periodic re-placement allocates by design.
 //
 // Each shard-safe scheme also runs on the sharded engine with one worker,
 // which puts the cross-domain hops (post, deliverCross, crossEvent.Fire,

@@ -57,8 +57,6 @@ type (
 
 	// TopologyConfig parameterizes the fat-tree underlay.
 	TopologyConfig = topology.Config
-	// TopologySwitch describes one switch (for per-switch cache sizing).
-	TopologySwitch = topology.Switch
 	// TraceConfig parameterizes workload generation.
 	TraceConfig = trace.Config
 	// Workload is a generated set of flows.
