@@ -433,9 +433,7 @@ func ablation(sc Scale) error {
 		{"no-learning-packets", func(c *harness.Config) { c.V2PLearningPackets = &off }},
 		{"no-spillover", func(c *harness.Config) { c.V2PSpillover = &off }},
 		{"no-promotion", func(c *harness.Config) { c.V2PPromotion = &off }},
-		{"lru-caches", func(c *harness.Config) { c.V2PLRU = true }},
-		{"tor-only-memory", func(c *harness.Config) { c.V2PAlloc = "tor-only" }},
-		{"weighted-memory", func(c *harness.Config) { c.V2PAlloc = "bandwidth" }},
+		{"tor-only-memory", func(c *harness.Config) { c.V2PToROnly = true }},
 	}
 	tw, done := newTable("variant", "hit-rate", "FCT(µs)", "first(µs)", "learnPkts", "spills", "promos")
 	defer done()

@@ -181,7 +181,8 @@ func main() {
 	fmt.Printf("scheme            %s\n", r.Scheme)
 	fmt.Printf("trace             %s (%d flows, %d completed)\n", *traceN, r.Summary.Flows, r.Summary.Completed)
 	fmt.Printf("topology          %s\n", r.World.Topo)
-	fmt.Printf("cache fraction    %g (aggregate %d entries)\n", *cache, int(*cache*float64(*vms)))
+	eff := r.World.Cfg
+	fmt.Printf("cache fraction    %g (aggregate %d entries)\n", eff.CacheFraction, int(eff.CacheFraction*float64(eff.VMs)))
 	fmt.Printf("hit rate          %.2f%% (gateway packets %d / %d sent)\n", 100*r.HitRate, r.GatewayPackets, r.HostSent)
 	fmt.Printf("avg FCT           %v (p99 %v)\n", r.Summary.AvgFCT, r.Summary.P99FCT)
 	fmt.Printf("avg first packet  %v (p99 %v)\n", r.Summary.AvgFirstPacket, r.Summary.P99FirstPacket)

@@ -43,54 +43,6 @@ func TestAllocToROnly(t *testing.T) {
 	}
 }
 
-func TestAllocWeighted(t *testing.T) {
-	topo := ft8(t)
-	f := AllocWeighted(topo, 8000, 1, 2, 4)
-	var tor, spine, core int
-	for _, sw := range topo.Switches {
-		switch {
-		case sw.Role.IsToR():
-			tor = f(sw)
-		case sw.Role.IsSpine():
-			spine = f(sw)
-		default:
-			core = f(sw)
-		}
-	}
-	if spine != 2*tor || core != 4*tor {
-		t.Fatalf("weights not respected: tor=%d spine=%d core=%d", tor, spine, core)
-	}
-	// The budget is approximately preserved (integer division slack).
-	if got := allocTotal(topo, f); got < 7800 || got > 8000 {
-		t.Fatalf("total = %d, want ~8000", got)
-	}
-}
-
-func TestAllocWeightedZeroLayers(t *testing.T) {
-	topo := ft8(t)
-	f := AllocWeighted(topo, 8000, 0, 0, 0)
-	if got := allocTotal(topo, f); got != 0 {
-		t.Fatalf("zero weights allocated %d entries", got)
-	}
-}
-
-func TestAllocBandwidthProportional(t *testing.T) {
-	topo := ft8(t)
-	f := AllocBandwidthProportional(topo, 8000)
-	var tor, core int
-	for _, sw := range topo.Switches {
-		switch {
-		case sw.Role.IsToR():
-			tor = f(sw)
-		case sw.Role == topology.RoleCore:
-			core = f(sw)
-		}
-	}
-	if core <= tor {
-		t.Fatalf("cores (%d) should get more than ToRs (%d)", core, tor)
-	}
-}
-
 // TestToROnlyAllocationBehavior checks the §4 observation: a ToR-only
 // cache still reduces FCT (hits at sender ToRs) but does worse on the
 // shared higher layers.

@@ -164,11 +164,8 @@ func (c *Cache) Invalidate(vip netaddr.VIP, stalePIP netaddr.PIP) bool {
 	return false
 }
 
-// HitStats implements MappingCache.
-func (c *Cache) HitStats() (lookups, hits int64) { return c.Lookups, c.Hits }
-
-// Flush implements MappingCache: clear every line, as a switch failure
-// does to the register arrays. Capacity and cumulative counters survive.
+// Flush clears every line, as a switch failure does to the register
+// arrays. Capacity and cumulative counters survive.
 func (c *Cache) Flush() {
 	clear(c.lines)
 }

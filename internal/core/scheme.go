@@ -40,10 +40,6 @@ type Options struct {
 	// TimestampVector enables the per-ToR invalidation rate limiter.
 	TimestampVector bool
 
-	// LRU switches the per-switch caches from the paper's direct-mapped
-	// design to an idealized fully-associative LRU cache (ablation).
-	LRU bool
-
 	// Tenancy, when non-nil, partitions every switch's cache among VPCs
 	// and gates which tenants are cached at all (§4).
 	Tenancy *Tenancy
@@ -114,8 +110,8 @@ type Scheme struct {
 	opts         Options
 	topo         *topology.Topology
 	roles        []topology.SwitchRole // current role per switch (dynamic, §4)
-	caches       []MappingCache
-	tenantCaches []map[vnet.TenantID]MappingCache // non-nil iff opts.Tenancy set
+	caches       []*Cache
+	tenantCaches []map[vnet.TenantID]*Cache // non-nil iff opts.Tenancy set
 	// tsVec is the invalidation timestamp vector, indexed by switch with
 	// the inner vector allocated lazily per ToR: tsVec[tor][target] is
 	// the last time tor sent an invalidation to target (§3.3). A dense
@@ -151,17 +147,13 @@ func New(topo *topology.Topology, opts Options) *Scheme {
 		s.tenantCaches = buildTenantCaches(topo, opts)
 		return s
 	}
-	s.caches = make([]MappingCache, len(topo.Switches))
+	s.caches = make([]*Cache, len(topo.Switches))
 	for i, sw := range topo.Switches {
 		lines := opts.LinesPerSwitch
 		if opts.SizeFor != nil {
 			lines = opts.SizeFor(sw)
 		}
-		if opts.LRU {
-			s.caches[i] = NewAssocCache(lines)
-		} else {
-			s.caches[i] = NewCache(lines)
-		}
+		s.caches[i] = NewCache(lines)
 	}
 	return s
 }
@@ -176,7 +168,7 @@ func (s *Scheme) Stats() *Stats { return &s.S }
 
 // Cache exposes a switch's (single-tenant) cache for tests and
 // analysis; with tenancy enabled use TenantCache instead.
-func (s *Scheme) Cache(sw int32) MappingCache {
+func (s *Scheme) Cache(sw int32) *Cache {
 	if s.caches == nil {
 		return zeroCache
 	}

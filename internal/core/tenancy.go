@@ -32,24 +32,19 @@ func (t *Tenancy) enabledFor(id vnet.TenantID) bool {
 
 // zeroCache is the shared no-op cache handed out for unknown or
 // disabled tenants.
-var zeroCache MappingCache = NewCache(0)
+var zeroCache = NewCache(0)
 
 // buildTenantCaches constructs the per-switch per-tenant partitions.
-func buildTenantCaches(topo *topology.Topology, opts Options) []map[vnet.TenantID]MappingCache {
-	out := make([]map[vnet.TenantID]MappingCache, len(topo.Switches))
+func buildTenantCaches(topo *topology.Topology, opts Options) []map[vnet.TenantID]*Cache {
+	out := make([]map[vnet.TenantID]*Cache, len(topo.Switches))
 	for i, sw := range topo.Switches {
 		lines := opts.LinesPerSwitch
 		if opts.SizeFor != nil {
 			lines = opts.SizeFor(sw)
 		}
-		part := make(map[vnet.TenantID]MappingCache, len(opts.Tenancy.Shares))
+		part := make(map[vnet.TenantID]*Cache, len(opts.Tenancy.Shares))
 		for tenant, share := range opts.Tenancy.Shares {
-			n := int(share * float64(lines))
-			if opts.LRU {
-				part[tenant] = NewAssocCache(n)
-			} else {
-				part[tenant] = NewCache(n)
-			}
+			part[tenant] = NewCache(int(share * float64(lines)))
 		}
 		out[i] = part
 	}
@@ -59,7 +54,7 @@ func buildTenantCaches(topo *topology.Topology, opts Options) []map[vnet.TenantI
 // cacheFor returns the cache partition serving the given switch and
 // tenant (VNI). With tenancy disabled this is the switch's single shared
 // cache.
-func (s *Scheme) cacheFor(sw int32, vni uint32) MappingCache {
+func (s *Scheme) cacheFor(sw int32, vni uint32) *Cache {
 	if s.opts.Tenancy == nil {
 		return s.caches[sw]
 	}
@@ -76,7 +71,7 @@ func (s *Scheme) cacheFor(sw int32, vni uint32) MappingCache {
 // TenantCache exposes one tenant's partition on a switch (tests,
 // analysis). Returns the zero cache when tenancy is off or the tenant is
 // unknown.
-func (s *Scheme) TenantCache(sw int32, tenant vnet.TenantID) MappingCache {
+func (s *Scheme) TenantCache(sw int32, tenant vnet.TenantID) *Cache {
 	if s.opts.Tenancy == nil {
 		return zeroCache
 	}

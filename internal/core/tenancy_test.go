@@ -188,10 +188,8 @@ func TestTenantMigrationInvalidation(t *testing.T) {
 // the switch as a whole.
 func TestTenantPartitionEvictionAccounting(t *testing.T) {
 	opts := tenancyOpts(map[vnet.TenantID]float64{1: 0.5, 2: 0.5})
-	// 8 lines per switch → 4-line partitions, LRU so occupancy (not hash
-	// collisions) decides when a valid entry is displaced.
+	// 8 lines per switch → 4-line partitions.
 	opts.LinesPerSwitch = 8
-	opts.LRU = true
 	w := newTenantWorld(t, opts)
 
 	evictions := func() int64 {
@@ -202,10 +200,19 @@ func TestTenantPartitionEvictionAccounting(t *testing.T) {
 		return n
 	}
 
-	// Within partition capacity: distinct destinations fill the sender
-	// ToR's 4-line partition without displacing anything.
-	for i := 0; i < 4; i++ {
-		w.send(uint64(1+i), w.a[0], w.a[10+i])
+	// Within partition capacity: four destinations, one per line of the
+	// 4-line partition, fill it without displacing anything.
+	var fill [4]netaddr.VIP
+	for _, v := range w.a[10:] {
+		if line := netaddr.HashVIP(v) % 4; !fill[line].IsValid() {
+			fill[line] = v
+		}
+	}
+	for i, v := range fill {
+		if !v.IsValid() {
+			t.Fatalf("no destination hashes to line %d", i)
+		}
+		w.send(uint64(1+i), w.a[0], v)
 	}
 	if n := evictions(); n != 0 {
 		t.Fatalf("evictions before overflow = %d", n)

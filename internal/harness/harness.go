@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -56,25 +57,25 @@ type schemeArgs struct {
 var schemes = []struct {
 	name      string
 	shardSafe bool
-	build     func(a schemeArgs) (simnet.Scheme, error)
+	build     func(a schemeArgs) simnet.Scheme
 }{
 	{SchemeSwitchV2P, true, buildSwitchV2P},
-	{SchemeNoCache, true, func(schemeArgs) (simnet.Scheme, error) { return baselines.NewNoCache(), nil }},
-	{SchemeLocalLearning, false, func(a schemeArgs) (simnet.Scheme, error) {
-		return baselines.NewLocalLearning(a.topo, a.perSwitch), nil
+	{SchemeNoCache, true, func(schemeArgs) simnet.Scheme { return baselines.NewNoCache() }},
+	{SchemeLocalLearning, false, func(a schemeArgs) simnet.Scheme {
+		return baselines.NewLocalLearning(a.topo, a.perSwitch)
 	}},
-	{SchemeGwCache, true, func(a schemeArgs) (simnet.Scheme, error) {
-		return baselines.NewGwCache(a.topo, a.total), nil
+	{SchemeGwCache, true, func(a schemeArgs) simnet.Scheme {
+		return baselines.NewGwCache(a.topo, a.total)
 	}},
-	{SchemeBluebird, false, func(a schemeArgs) (simnet.Scheme, error) {
-		return baselines.NewBluebird(a.topo, a.total/len(a.topo.ToRs()), baselines.DefaultBluebirdParams()), nil
+	{SchemeBluebird, false, func(a schemeArgs) simnet.Scheme {
+		return baselines.NewBluebird(a.topo, a.total/len(a.topo.ToRs()), baselines.DefaultBluebirdParams())
 	}},
-	{SchemeOnDemand, false, func(a schemeArgs) (simnet.Scheme, error) {
-		return baselines.NewOnDemand(a.topo, 40*simtime.Microsecond), nil
+	{SchemeOnDemand, false, func(a schemeArgs) simnet.Scheme {
+		return baselines.NewOnDemand(a.topo, 40*simtime.Microsecond)
 	}},
-	{SchemeDirect, true, func(schemeArgs) (simnet.Scheme, error) { return baselines.NewDirect(), nil }},
-	{SchemeController, false, func(a schemeArgs) (simnet.Scheme, error) {
-		return baselines.NewController(a.topo, a.perSwitch, a.cfg.ControllerInterval), nil
+	{SchemeDirect, true, func(schemeArgs) simnet.Scheme { return baselines.NewDirect() }},
+	{SchemeController, false, func(a schemeArgs) simnet.Scheme {
+		return baselines.NewController(a.topo, a.perSwitch, a.cfg.ControllerInterval)
 	}},
 }
 
@@ -96,7 +97,7 @@ func schemeNames(shardSafeOnly bool) []string {
 // Config describes one simulation run.
 type Config struct {
 	Topo   topology.Config
-	VMs    int
+	VMs    int // VMs placed uniformly (default 1024; negative is an error)
 	Scheme string
 
 	// TraceName selects a generator from internal/trace; Workload, when
@@ -109,7 +110,8 @@ type Config struct {
 	MaxFlows int              // cap on generated flows (0 = uncapped)
 
 	// CacheFraction sizes the aggregate in-network cache relative to the
-	// VIP address-space size (the paper's x-axis: 0.01 .. 1500).
+	// VIP address-space size (the paper's x-axis: 0.01 .. 1500; default
+	// 0.5). Negative, NaN and infinite values are errors.
 	CacheFraction float64
 
 	// SwitchV2P toggles, applied on top of core.DefaultOptions (cache
@@ -119,12 +121,10 @@ type Config struct {
 	V2PPromotion       *bool
 	V2PInvalidation    *bool
 	V2PTimestampVector *bool
-	// V2PAlloc selects a named heterogeneous allocation policy:
-	// "" (uniform), "tor-only", or "bandwidth" (fan-in proportional).
-	V2PAlloc string
-	// V2PLRU replaces the direct-mapped caches with idealized
-	// fully-associative LRU caches (ablation).
-	V2PLRU bool
+	// V2PToROnly gives the whole aggregate budget to the ToR layer
+	// (core.AllocToROnly) instead of splitting it evenly over every
+	// switch (§4 "Heterogeneous memory allocation").
+	V2PToROnly bool
 
 	// ControllerInterval is the Controller baseline's refresh period.
 	ControllerInterval simtime.Duration
@@ -336,7 +336,7 @@ func BuildScheme(cfg Config, topo *topology.Topology) (simnet.Scheme, error) {
 	}
 	for _, s := range schemes {
 		if s.name == cfg.Scheme {
-			return s.build(schemeArgs{cfg, topo, total, perSwitch, spread})
+			return s.build(schemeArgs{cfg, topo, total, perSwitch, spread}), nil
 		}
 	}
 	return nil, fmt.Errorf("harness: unknown scheme %q", cfg.Scheme)
@@ -344,7 +344,7 @@ func BuildScheme(cfg Config, topo *topology.Topology) (simnet.Scheme, error) {
 
 // buildSwitchV2P applies the Config's V2P toggles on top of the default
 // options sized by the budget.
-func buildSwitchV2P(a schemeArgs) (simnet.Scheme, error) {
+func buildSwitchV2P(a schemeArgs) simnet.Scheme {
 	cfg, opts := a.cfg, core.DefaultOptions(a.perSwitch)
 	opts.SizeFor = a.spread
 	opts.Seed = cfg.Seed
@@ -363,22 +363,21 @@ func buildSwitchV2P(a schemeArgs) (simnet.Scheme, error) {
 	if cfg.V2PTimestampVector != nil {
 		opts.TimestampVector = *cfg.V2PTimestampVector
 	}
-	switch cfg.V2PAlloc {
-	case "":
-	case "tor-only":
+	if cfg.V2PToROnly {
 		opts.SizeFor = core.AllocToROnly(a.topo, a.total)
-	case "bandwidth":
-		opts.SizeFor = core.AllocBandwidthProportional(a.topo, a.total)
-	default:
-		return nil, fmt.Errorf("harness: unknown V2P allocation policy %q", cfg.V2PAlloc)
 	}
-	opts.LRU = cfg.V2PLRU
-	return core.New(a.topo, opts), nil
+	return core.New(a.topo, opts)
 }
 
 // Build assembles a World without running it.
 func Build(cfg Config) (*World, error) {
 	cfg = cfg.withDefaults()
+	if f := cfg.CacheFraction; f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil, fmt.Errorf("harness: CacheFraction %v is not a finite non-negative number", f)
+	}
+	if cfg.VMs < 0 {
+		return nil, fmt.Errorf("harness: VMs %d is negative", cfg.VMs)
+	}
 	topo, err := topology.New(cfg.Topo)
 	if err != nil {
 		return nil, err

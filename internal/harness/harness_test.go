@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"switchv2p/internal/core"
 	"switchv2p/internal/faults"
 	"switchv2p/internal/simtime"
 	"switchv2p/internal/topology"
@@ -294,20 +296,42 @@ func TestMigrationExperimentVariants(t *testing.T) {
 	}
 }
 
+// TestV2PSizeForToROnly pins §4's heterogeneous-allocation remark at
+// cmd/experiments' quick ablation config (-exp ablation -scale quick):
+// giving the whole budget to the ToRs lowers Hadoop FCT but not
+// first-packet latency, and since spines and cores get no lines every
+// hit lands at a ToR.
 func TestV2PSizeForToROnly(t *testing.T) {
-	// The tor-only policy's core.Options.SizeFor gives spines and cores
-	// no lines, so every hit lands at a ToR.
-	cfg := quickConfig(SchemeSwitchV2P)
-	cfg.V2PAlloc = "tor-only"
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(torOnly bool) *Report {
+		t.Helper()
+		r, err := Run(Config{
+			Topo:          topology.FT8(),
+			VMs:           1024,
+			Scheme:        SchemeSwitchV2P,
+			TraceName:     "hadoop",
+			Load:          0.30,
+			Duration:      300 * simtime.Microsecond,
+			MaxFlows:      1500,
+			CacheFraction: 0.5,
+			Seed:          1,
+			V2PToROnly:    torOnly,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	if r.CoreStats == nil {
-		t.Fatal("missing core stats")
+	uniform, torOnly := run(false), run(true)
+	if got, base := torOnly.Summary.AvgFCT, uniform.Summary.AvgFCT; got >= base {
+		t.Errorf("ToR-only avg FCT %.1f µs, want below uniform's %.1f µs", got.Micros(), base.Micros())
 	}
-	if r.CoreStats.HitsByLayer[0] == 0 || r.CoreStats.HitsByLayer[1] != 0 || r.CoreStats.HitsByLayer[2] != 0 {
-		t.Fatalf("want ToR hits only with ToR-only allocation: %+v", r.CoreStats.HitsByLayer)
+	if got, base := torOnly.Summary.AvgFirstPacket, uniform.Summary.AvgFirstPacket; got < base {
+		t.Errorf("ToR-only avg first-packet latency %.1f µs, want not below uniform's %.1f µs",
+			got.Micros(), base.Micros())
+	}
+	hits := torOnly.CoreStats.HitsByLayer
+	if hits[core.LayerToR] == 0 || hits[core.LayerSpine] != 0 || hits[core.LayerCore] != 0 {
+		t.Errorf("want ToR hits only with ToR-only allocation: %+v", hits)
 	}
 }
 
@@ -424,11 +448,27 @@ func TestCacheSizeSweepUnknownScheme(t *testing.T) {
 	}
 }
 
-func TestBadAllocPolicy(t *testing.T) {
-	cfg := quickConfig(SchemeSwitchV2P)
-	cfg.V2PAlloc = "nonsense"
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("unknown allocation policy accepted")
+// TestBuildRejectsBadConfig: numeric input that cannot size a run is an
+// error naming the field, not a panic deep in cache or VM placement.
+func TestBuildRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name, field string
+		mod         func(*Config)
+	}{
+		{"negative cache", "CacheFraction", func(c *Config) { c.CacheFraction = -1 }},
+		{"NaN cache", "CacheFraction", func(c *Config) { c.CacheFraction = math.NaN() }},
+		{"+Inf cache", "CacheFraction", func(c *Config) { c.CacheFraction = math.Inf(1) }},
+		{"-Inf cache", "CacheFraction", func(c *Config) { c.CacheFraction = math.Inf(-1) }},
+		{"negative VMs", "VMs", func(c *Config) { c.VMs = -5 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickConfig(SchemeSwitchV2P)
+			tc.mod(&cfg)
+			_, err := Build(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("Build: error %v, want one naming %s", err, tc.field)
+			}
+		})
 	}
 }
 

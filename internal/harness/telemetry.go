@@ -61,7 +61,7 @@ func (w *World) attachTelemetry(opts telemetry.Options) {
 	// Cache series, when the scheme caches in the network. A scheme with
 	// core stats embeds *core.Scheme, whose per-switch Cache this reads.
 	if st := w.CoreStats(); st != nil {
-		cs := w.Scheme.(interface{ Cache(int32) core.MappingCache })
+		cs := w.Scheme.(interface{ Cache(int32) *core.Cache })
 		layers := []struct {
 			name string
 			l    int
@@ -90,8 +90,7 @@ func (w *World) attachTelemetry(opts telemetry.Options) {
 			tel.AddProbe(fmt.Sprintf("sw%d.cache_used", i),
 				func() float64 { return float64(cache.Used()) })
 			tel.AddProbe(fmt.Sprintf("sw%d.cache_hitrate", i), telemetry.RatioProbe(
-				func() int64 { _, h := cache.HitStats(); return h },
-				func() int64 { l, _ := cache.HitStats(); return l }))
+				func() int64 { return cache.Hits }, func() int64 { return cache.Lookups }))
 		}
 		tel.AddGauge("cache.capacity_entries", func() (int64, int64) { return capacity, capacity })
 	}

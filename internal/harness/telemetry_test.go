@@ -111,7 +111,7 @@ func TestTelemetryCountersReconcile(t *testing.T) {
 		if buf.HighWater == 0 || buf.Value != 0 {
 			t.Errorf("shards=%d: net.switch_buffer_bytes = %+v, want a nonzero high water and 0 after drain", shards, buf)
 		}
-		cs := r.World.Scheme.(interface{ Cache(int32) core.MappingCache })
+		cs := r.World.Scheme.(interface{ Cache(int32) *core.Cache })
 		var capacity int64
 		for i := range r.World.Topo.Switches {
 			capacity += int64(cs.Cache(int32(i)).Len())

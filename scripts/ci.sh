@@ -115,6 +115,21 @@ for f in t.json t2.json; do
 done
 head -n 1 "$tmp/t.csv" | grep -q '^time_us,' || { echo "telemetry smoke: CSV header does not start with time_us"; exit 1; }
 
+echo "== switchv2p-sim bad-input smoke =="
+# Numeric input that cannot size a run is an error message (exit 1), not
+# a Go panic (exit 2 with "panic:" on stderr).
+sim_rejects() {
+  local status=0
+  "$tmp/sim" "$@" >/dev/null 2>"$tmp/reject.err" || status=$?
+  if [ "$status" != 1 ] || grep -q 'panic:' "$tmp/reject.err"; then
+    echo "bad-input smoke: switchv2p-sim $* exited $status, want 1 without a panic"
+    cat "$tmp/reject.err"
+    exit 1
+  fi
+}
+sim_rejects -cache -1
+sim_rejects -vms -5
+
 echo "== benches (one iteration each, smoke) =="
 # Compile-and-run every package-local micro-benchmark once so they
 # cannot bit-rot; the allocation benches (LinkSerializer, EcmpForward)
