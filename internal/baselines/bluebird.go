@@ -56,7 +56,7 @@ type Bluebird struct {
 	// cannot influence scheduling. They are plain shared fields, so
 	// Bluebird (like every scheme off harness.ShardSupported's
 	// whitelist) runs on the serial engine. Every CP drop is also one of
-	// the engine's Drops.
+	// the engine's Drops, made by Engine.Drop.
 	Hits, Misses int64
 	CPDrops      int64
 	CPForwarded  int64
@@ -120,17 +120,17 @@ func (b *Bluebird) SwitchArrive(e *simnet.Engine, sw int32, from topology.NodeRe
 	return false // consumed: the CP re-injects it
 }
 
-// slowPath sends the packet over the DP->CP link, resolves it in the
-// control plane, re-injects it, and schedules the cache insertion.
+// slowPath queues the packet on the DP->CP link, held by the engine
+// until the control plane has forwarded it (HoldDone), and schedules the
+// cache insertion.
 func (b *Bluebird) slowPath(e *simnet.Engine, sw int32, p *packet.Packet) {
 	cp := &b.cp[sw]
 	size := p.Size()
 	if cp.queuedBytes+size > b.params.CPQueueBytes {
-		b.cpDrop(e)
+		b.cpDrop(e, p)
 		return
 	}
 	cp.queuedBytes += size
-	gen := cp.gen
 	now := e.Now()
 	start := cp.busyUntil
 	if start < now {
@@ -138,26 +138,11 @@ func (b *Bluebird) slowPath(e *simnet.Engine, sw int32, p *packet.Packet) {
 	}
 	done := start.Add(simtime.TransmitTime(size, b.params.CPLinkBps))
 	cp.busyUntil = done
-	e.Q.At(done.Add(b.params.CPForwardLatency), func() {
-		if cp.gen != gen {
-			b.cpDrop(e) // queued before a flush: lost with the old control plane
-			return
-		}
-		cp.queuedBytes -= size
-		pip, ok := e.Net.Lookup(p.DstVIP)
-		if !ok {
-			b.cpDrop(e)
-			return
-		}
-		b.CPForwarded++
-		p.DstPIP = pip
-		p.Resolved = true
-		e.InjectFromSwitch(sw, p)
-	})
+	vip := p.DstVIP // read before Hold hands p on
+	e.Hold(done.Add(b.params.CPForwardLatency), sw, p, cp.gen)
 	// The cache entry becomes visible after the insertion latency, with
 	// the mapping as known then. By then the packet was re-injected and
 	// delivered long ago, so the closure keeps the VIP, not the packet.
-	vip := p.DstVIP
 	e.Q.After(b.params.CacheInsertDelay, func() {
 		if pip, ok := e.Net.Lookup(vip); ok {
 			b.caches[sw].Insert(netaddr.Mapping{VIP: vip, PIP: pip})
@@ -165,11 +150,32 @@ func (b *Bluebird) slowPath(e *simnet.Engine, sw int32, p *packet.Packet) {
 	})
 }
 
-// cpDrop counts a tenant packet lost on the slow path, in the scheme's
-// own counter and in the engine's books.
-func (b *Bluebird) cpDrop(e *simnet.Engine) {
+// HoldDone implements simnet.Holder: p, queued at ToR sw's control
+// plane under flush generation gen, has crossed the DP->CP link and been
+// resolved, and is re-injected.
+func (b *Bluebird) HoldDone(e *simnet.Engine, sw int32, p *packet.Packet, gen uint32) {
+	cp := &b.cp[sw]
+	if cp.gen != gen {
+		b.cpDrop(e, p) // queued before a flush: lost with the old control plane
+		return
+	}
+	cp.queuedBytes -= p.Size()
+	pip, ok := e.Net.Lookup(p.DstVIP)
+	if !ok {
+		b.cpDrop(e, p)
+		return
+	}
+	b.CPForwarded++
+	p.DstPIP = pip
+	p.Resolved = true
+	e.InjectFromSwitch(sw, p)
+}
+
+// cpDrop drops a tenant packet lost on the slow path, counted in the
+// scheme's own counter as well as the engine's.
+func (b *Bluebird) cpDrop(e *simnet.Engine, p *packet.Packet) {
 	b.CPDrops++
-	e.C.Drops++
+	e.Drop(p)
 }
 
 // HostMisdeliver implements simnet.Scheme.

@@ -21,9 +21,10 @@ type OnDemand struct {
 	// cache miss (40 µs in §5).
 	MissPenalty simtime.Duration
 
-	// hostCache entries are installed by a closure that fires after the
-	// miss penalty elapses, outside the originating event's slot — one
-	// reason OnDemand is not on harness.ShardSupported's whitelist.
+	// hostCache entries are installed when a held packet's miss penalty
+	// elapses (HoldDone). The maps and the Stats below are plain shared
+	// fields, so OnDemand (like every scheme off harness.ShardSupported's
+	// whitelist) runs on the serial engine.
 	hostCache []map[netaddr.VIP]netaddr.PIP
 
 	// Stats: aggregate counters, read only after the run.
@@ -57,24 +58,28 @@ func (o *OnDemand) SenderResolve(e *simnet.Engine, host int32, p *packet.Packet)
 		return true
 	}
 	o.HostMisses++
-	vip := p.DstVIP
-	e.Q.After(o.MissPenalty, func() {
-		pip, ok := e.Net.Lookup(vip)
-		if !ok {
-			// Unknown VIP (the VM departed meanwhile): the packet is
-			// dropped at the host, and counted like every drop.
-			e.C.Drops++
-			return
-		}
-		if o.hostCache[host] == nil {
-			o.hostCache[host] = make(map[netaddr.VIP]netaddr.PIP)
-		}
-		o.hostCache[host][vip] = pip
-		p.DstPIP = pip
-		p.Resolved = true
-		e.Resend(host, p)
-	})
+	e.Hold(e.Now().Add(o.MissPenalty), host, p, 0)
 	return false
+}
+
+// HoldDone implements simnet.Holder: the miss penalty of p, held at
+// host, has elapsed. The mapping as known now goes into the host cache
+// and p goes out resolved.
+func (o *OnDemand) HoldDone(e *simnet.Engine, host int32, p *packet.Packet, _ uint32) {
+	pip, ok := e.Net.Lookup(p.DstVIP)
+	if !ok {
+		// Unknown VIP (the VM departed meanwhile): the packet is
+		// dropped at the host.
+		e.Drop(p)
+		return
+	}
+	if o.hostCache[host] == nil {
+		o.hostCache[host] = make(map[netaddr.VIP]netaddr.PIP)
+	}
+	o.hostCache[host][p.DstVIP] = pip
+	p.DstPIP = pip
+	p.Resolved = true
+	e.Resend(host, p)
 }
 
 // SwitchArrive implements simnet.Scheme: switches are passive.

@@ -42,13 +42,14 @@ func TestPacketConservationAtDrain(t *testing.T) {
 }
 
 // TestPacketConservationMidRun samples the identity every 5 µs of
-// simulated time during a serial run, not only at drain. The engine
-// counts the packets inside its own gateway and misdelivery delays, and
-// neither scheme here holds a packet anywhere else, so the gap is 0 at
-// every sample. (Packets a scheme parks, and a sharded engine's
-// mailboxes, are not counted mid-run: see ConservationGap.)
+// simulated time during a serial run of every scheme, not only at drain.
+// The engine counts the packets inside its own gateway and misdelivery
+// delays and those a scheme holds (Engine.Hold), so the gap is 0 at
+// every sample. (A sharded engine's mailboxes are not counted mid-run:
+// see ConservationGap.) At drain each scheme must also have used the path
+// it is there for, so that the run exercises it.
 func TestPacketConservationMidRun(t *testing.T) {
-	for _, scheme := range []string{SchemeNoCache, SchemeSwitchV2P} {
+	for _, scheme := range AllSchemes {
 		w, err := Build(quickConfig(scheme))
 		if err != nil {
 			t.Fatal(err)
@@ -71,8 +72,17 @@ func TestPacketConservationMidRun(t *testing.T) {
 		if err := w.Run(w.Cfg.Horizon); err != nil {
 			t.Fatal(err)
 		}
-		if gap := e.ConservationGap(); gap != 0 || e.Q.Len() != 0 || e.C.GatewayPackets == 0 {
-			t.Errorf("%s at drain: gap %d, %d events pending, %d gateway packets", scheme, gap, e.Q.Len(), e.C.GatewayPackets)
+		path, used := "gateway packets", e.C.GatewayPackets
+		switch s := w.Scheme.(type) {
+		case *baselines.Bluebird:
+			path, used = "control-plane misses", s.Misses
+		case *baselines.OnDemand:
+			path, used = "host-cache misses", s.HostMisses
+		case *baselines.Direct:
+			path, used = "delivered packets", e.C.Delivered
+		}
+		if gap := e.ConservationGap(); gap != 0 || e.Q.Len() != 0 || used == 0 {
+			t.Errorf("%s at drain: gap %d, %d events pending, %d %s", scheme, gap, e.Q.Len(), used, path)
 		}
 		if samples < 20 || bad > 0 {
 			t.Errorf("%s: %d of %d samples had a gap", scheme, bad, samples)
@@ -105,7 +115,8 @@ func TestBluebirdOverflowStaysOnTheBooks(t *testing.T) {
 //  1. every TCP flow completes (caches are never needed for correctness),
 //  2. no control packets leak to hosts,
 //  3. the gateway never sees an unknown VIP,
-//  4. packet conservation holds exactly at drain (ConservationGap),
+//  4. packet conservation holds exactly at drain and at every migration
+//     (ConservationGap),
 //  5. no packet exhausts its hop budget (LoopDrops).
 //
 // The default run is the same 40 scenarios every time: a fixed generator,
@@ -203,13 +214,19 @@ func randomScenario(t *testing.T, seed int64, scheme string) (*World, bool) {
 			Start: simtime.Time(rng.Intn(200_000)),
 		})
 	}
-	// Random migrations mid-run.
+	// Random migrations mid-run, each also a conservation sample: the
+	// check only reads, so the run is the same with or without it.
 	servers := w.Topo.Servers()
+	var midGap int64
+	var midAt simtime.Time
 	for m := 0; m < 1+rng.Intn(3); m++ {
 		vip := w.VIPs[rng.Intn(len(w.VIPs))]
 		target := servers[rng.Intn(len(servers))]
 		at := simtime.Time(rng.Intn(300_000))
 		w.Engine.Q.At(at, func() {
+			if gap := w.Engine.ConservationGap(); gap != 0 && midGap == 0 {
+				midGap, midAt = gap, w.Engine.Now()
+			}
 			if cur, _ := w.Net.HostOf(vip); cur != target {
 				_ = w.Net.Migrate(vip, target)
 			}
@@ -246,6 +263,11 @@ func randomScenario(t *testing.T, seed int64, scheme string) (*World, bool) {
 	if gap := w.Engine.ConservationGap(); gap != 0 {
 		t.Logf("seed %d scheme %s: conservation violated: %d packets unaccounted for: %+v",
 			seed, cfg.Scheme, gap, *c)
+		return w, false
+	}
+	if midGap != 0 {
+		t.Logf("seed %d scheme %s: conservation violated mid-run: %d packets unaccounted for at %v",
+			seed, cfg.Scheme, midGap, midAt)
 		return w, false
 	}
 	if c.LoopDrops != 0 {

@@ -158,8 +158,9 @@ type Engine struct {
 
 	gateways []int32 // host indices senders may load-balance over
 	nextUID  uint64
-	// held counts the packets inside a gateway or misdelivery delay, off
-	// the links in a pending hostEvent (ConservationGap).
+	// held counts the packets off the links in a pending hostEvent: inside
+	// a gateway or misdelivery delay, or held for the scheme by Hold
+	// (ConservationGap).
 	held int64
 
 	// pool is where the simulation's own packets come from (Packets) and
@@ -404,12 +405,10 @@ func (e *Engine) InFlightPackets() int {
 // minus left: every packet that entered the network — tenant packets
 // sent by hosts, control packets injected by switches — is delivered,
 // dropped (and counted), consumed by a switch, stray at a host, still
-// on a link, or inside this engine's gateway or misdelivery delay. It is
-// 0 once the event queue has drained. Mid-run on a serial engine the gap
-// is the packets a scheme holds off the links (a control-plane queue, a
-// cache miss being resolved). On a sharded engine it also leaves out
-// packets in shard mailboxes and in the domain views' delays, so there
-// it is exact only at drain.
+// on a link, or held by this engine: inside its gateway or misdelivery
+// delay, or for the scheme (Hold). On a serial engine it is 0 at every
+// instant. On a sharded engine it leaves out packets in shard mailboxes
+// and in the domain views' holds, so there it is exact only at drain.
 func (e *Engine) ConservationGap() int64 {
 	c := &e.C
 	return c.HostSent + c.LearningPkts + c.InvalidationPkts -
@@ -503,14 +502,15 @@ func (e *Engine) HostSend(host int32, p *packet.Packet) {
 	// Stamp the tenant's VNI into the tunnel header (multi-VPC support).
 	p.VNI = uint32(e.Net.TenantOf(p.SrcVIP))
 	if !e.Scheme.SenderResolve(e, host, p) {
-		return // the scheme holds the packet and will Resend it
+		return // the scheme has handed the packet to Hold or Drop
 	}
 	e.hostUp[host].enqueue(p)
 }
 
 // Resend re-emits a packet from a host without re-stamping SentAt; used
-// by hypervisor misdelivery forwarding. The scheme is not consulted: the
-// caller has already set the outer header.
+// by hypervisor misdelivery forwarding and by a scheme whose held packet
+// came due. The scheme is not consulted: the caller has already set the
+// outer header.
 func (e *Engine) Resend(host int32, p *packet.Packet) {
 	if sh := e.shard; sh != nil && e.dom < 0 {
 		e.viewOf(host).Resend(host, p)
@@ -539,16 +539,14 @@ func (e *Engine) InjectFromSwitch(sw int32, p *packet.Packet) {
 // scheme hook runs; so does a packet past its hop budget (MaxHops).
 func (e *Engine) switchArrive(sw int32, from topology.NodeRef, p *packet.Packet, size int) {
 	if e.swDown[sw] {
-		e.C.Drops++
 		e.C.FaultDrops++
-		e.pool.Put(p)
+		e.Drop(p)
 		return
 	}
 	p.Hops++
 	if p.Hops > MaxHops {
-		e.C.Drops++
 		e.C.LoopDrops++
-		e.pool.Put(p)
+		e.Drop(p)
 		return
 	}
 	e.C.SwitchPackets[sw]++
@@ -558,8 +556,8 @@ func (e *Engine) switchArrive(sw int32, from topology.NodeRef, p *packet.Packet,
 	}
 	kind := p.Kind
 	if !e.Scheme.SwitchArrive(e, sw, from, p) {
-		// A consumed control packet ends here. A tenant packet is now the
-		// scheme's, to re-inject or to count as dropped, and may be gone
+		// A consumed control packet ends here. A tenant packet the scheme
+		// has handed to Hold or Drop, and it may be back in the pool
 		// already: the engine does not look at it again.
 		if kind == packet.Learning || kind == packet.Invalidation {
 			e.C.ConsumedControl++
@@ -587,15 +585,13 @@ func (e *Engine) forwardFromSwitch(sw int32, p *packet.Packet) {
 	if dstSw, ok := e.Topo.SwitchByPIP(p.DstPIP); ok {
 		if dstSw == sw {
 			// Switch-addressed packet that the scheme did not consume.
-			e.C.Drops++
-			e.pool.Put(p)
+			e.Drop(p)
 			return
 		}
 		e.ecmpForward(sw, dstSw, p)
 		return
 	}
-	e.C.Drops++ // unroutable outer destination
-	e.pool.Put(p)
+	e.Drop(p) // unroutable outer destination
 }
 
 // ecmpForward picks one of the equal-cost next hops toward dstSw by
@@ -608,8 +604,7 @@ func (e *Engine) ecmpForward(sw, dstSw int32, p *packet.Packet) {
 	lo, hi := e.Topo.HopRange(sw, dstSw)
 	links := e.hopLink[lo:hi]
 	if len(links) == 0 {
-		e.C.Drops++
-		e.pool.Put(p)
+		e.Drop(p)
 		return
 	}
 	var h uint32
@@ -621,9 +616,8 @@ func (e *Engine) ecmpForward(sw, dstSw int32, p *packet.Packet) {
 	if l.down() {
 		l = rerouteHop(links, h)
 		if l == nil {
-			e.C.Drops++
 			e.C.FaultDrops++
-			e.pool.Put(p)
+			e.Drop(p)
 			return
 		}
 		e.C.Rerouted++
@@ -711,9 +705,8 @@ func (e *Engine) gatewayProcess(host int32, p *packet.Packet, size int) {
 		// An outaged gateway is dark: packets already in flight toward it
 		// when the outage hit (or sent while every gateway is down) die
 		// here, unprocessed and uncounted.
-		e.C.Drops++
 		e.C.FaultDrops++
-		e.pool.Put(p)
+		e.Drop(p)
 		return
 	}
 	e.C.GatewayPackets++
@@ -723,8 +716,7 @@ func (e *Engine) gatewayProcess(host int32, p *packet.Packet, size int) {
 	pip, ok := e.Net.Lookup(p.DstVIP)
 	if !ok {
 		e.C.GatewayUnknownVIP++
-		e.C.Drops++
-		e.pool.Put(p)
+		e.Drop(p)
 		return
 	}
 	ev := e.getHostEvent()
@@ -736,9 +728,32 @@ func (e *Engine) gatewayProcess(host int32, p *packet.Packet, size int) {
 	e.Q.AfterFixed(e.Cfg.GatewayDelay, ev)
 }
 
-// hostEvent is a pooled event record (eventq.Timed) for the two host-side
-// delayed actions: hypervisor misdelivery re-forwarding and
-// translation-gateway re-emission. Records
+// Hold keeps p off the links until instant at, then hands it back to
+// the scheme through Holder.HoldDone with the same node and word: the
+// scheme's way to make a packet wait (OnDemand's miss penalty, Bluebird's
+// control-plane queue). Until then the packet is the engine's, counted
+// as held; word is the scheme's to use (Bluebird's flush generation).
+func (e *Engine) Hold(at simtime.Time, node int32, p *packet.Packet, word uint32) {
+	ev := e.getHostEvent()
+	ev.p = p
+	ev.host = node
+	ev.kind = hostEvHold
+	ev.word = word
+	e.held++
+	e.Q.AtTimed(at, ev)
+}
+
+// Drop is the one way a packet dies: it counts p in Drops and puts it
+// back in the pool. The caller counts the kind of drop (FaultDrops,
+// LossDrops, a scheme's own counter) and must not touch p afterwards.
+func (e *Engine) Drop(p *packet.Packet) {
+	e.C.Drops++
+	e.pool.Put(p)
+}
+
+// hostEvent is a pooled event record (eventq.Timed) for every packet the
+// engine holds off the links: hypervisor misdelivery re-forwarding,
+// translation-gateway re-emission and a scheme's Hold. Records
 // live on the owning engine's freelist and are recycled before the action
 // runs, so the pool grows to the concurrent high-water mark and is then
 // reused forever — the steady-state path allocates nothing.
@@ -746,28 +761,32 @@ type hostEvent struct {
 	e    *Engine
 	p    *packet.Packet
 	pip  netaddr.PIP
-	host int32
+	host int32 // the host, or for a Hold the scheme's node
+	word uint32
 	kind uint8
 }
 
 const (
 	hostEvMisdeliver uint8 = iota
 	hostEvGatewayTx
+	hostEvHold
 )
 
 // Fire dispatches the record's action and recycles it.
 func (ev *hostEvent) Fire() {
-	e, p, host, kind, pip := ev.e, ev.p, ev.host, ev.kind, ev.pip
+	e, p, host, kind, pip, word := ev.e, ev.p, ev.host, ev.kind, ev.pip, ev.word
 	ev.p = nil
 	e.hostEvFree = append(e.hostEvFree, ev)
 	e.held--
 	switch kind {
 	case hostEvMisdeliver:
 		e.Scheme.HostMisdeliver(e, host, p)
-	default: // hostEvGatewayTx
+	case hostEvGatewayTx:
 		p.DstPIP = pip
 		p.Resolved = true
 		e.hostUp[host].enqueue(p)
+	default: // hostEvHold
+		e.Scheme.(Holder).HoldDone(e, host, p, word)
 	}
 }
 

@@ -162,23 +162,20 @@ func (l *link) deliverPkt(p *packet.Packet, size int) {
 // is no longer the caller's: a dropped one has gone back to the pool.
 func (l *link) enqueue(p *packet.Packet) {
 	if l.down() {
-		l.e.C.Drops++
 		l.e.C.FaultDrops++
-		l.e.pool.Put(p)
+		l.e.Drop(p)
 		return
 	}
 	if l.loss != 0 && l.e.lossRand.Float64() < l.loss {
-		l.e.C.Drops++
 		l.e.C.LossDrops++
-		l.e.pool.Put(p)
+		l.e.Drop(p)
 		return
 	}
 	size := p.Size()
 	now := l.e.Q.Now()
 	if l.fromSwitch >= 0 && !l.e.admit(l.fromSwitch, size, now) {
-		l.e.C.Drops++
 		l.e.C.SwitchDrops[l.fromSwitch]++
-		l.e.pool.Put(p)
+		l.e.Drop(p)
 		return
 	}
 	// The serializer frees up when the newest packet's last bit leaves;

@@ -14,14 +14,14 @@ import (
 //
 // A packet has one owner. Whoever is handed a packet may read and rewrite
 // it during the call and must not keep the pointer past handing it on (a
-// true return, HostSend, Resend, InjectFromSwitch): the engine returns the
-// packet to its pool once it is delivered, dropped or consumed, and the
-// same memory is then the next packet. A scheme that parks a packet — a
-// false return from SenderResolve, or from SwitchArrive on a tenant
-// packet — owns it until it re-injects it, and one it never re-injects is
-// garbage. Deferred work that is not the packet's own forwarding (a cache
-// install after a delay) captures the values it needs, not p. New packets
-// a scheme emits come from e.Packets().
+// true return, HostSend, Resend, InjectFromSwitch, Hold, Drop): the engine
+// returns the packet to its pool once it is delivered, dropped or
+// consumed, and the same memory is then the next packet. A scheme that
+// makes a packet wait hands it to e.Hold, which gives it back through
+// Holder.HoldDone; a scheme that loses one hands it to e.Drop. Deferred
+// work that is not the packet's own forwarding (a cache install after a
+// delay) captures the values it needs, not p. New packets a scheme emits
+// come from e.Packets().
 //
 // SwitchV2P (internal/core) and all the paper's baselines
 // (internal/baselines) implement this interface.
@@ -35,9 +35,9 @@ type Scheme interface {
 	// translation gateway (p.Resolved = false, gateway-driven designs).
 	// Leaving p.DstPIP unset routes the packet to the sender's ToR, which
 	// must then consume or resolve it (Bluebird-style designs).
-	// Returning false holds the packet: the scheme has taken ownership
-	// and must re-emit it later via e.Resend (e.g. OnDemand's
-	// miss-penalty stall while the mapping is fetched).
+	// Returning false means the scheme has handed p on itself, to e.Hold
+	// or e.Drop (OnDemand holds it for the miss penalty while the mapping
+	// is fetched, then Resends it).
 	SenderResolve(e *Engine, host int32, p *packet.Packet) bool
 
 	// SwitchArrive runs when switch sw receives p from neighbor `from`
@@ -45,8 +45,8 @@ type Scheme interface {
 	// outer destination, learn mappings, attach or strip option TLVs, and
 	// inject new packets via e.InjectFromSwitch. Returning false consumes
 	// the packet (it is not forwarded further): a control packet ends
-	// there and the engine releases it, a tenant packet becomes the
-	// scheme's.
+	// there and the engine releases it; a tenant packet the scheme has
+	// handed on itself, to e.Hold or e.Drop (Bluebird's slow path).
 	SwitchArrive(e *Engine, sw int32, from topology.NodeRef, p *packet.Packet) bool
 
 	// HostMisdeliver runs on a host that received a packet whose
@@ -65,4 +65,12 @@ type Scheme interface {
 	// flush" is a reviewed statement rather than an accident of a
 	// missing method.
 	FlushCache(sw int32)
+}
+
+// Holder is a Scheme that makes packets wait with Engine.Hold.
+type Holder interface {
+	// HoldDone runs when a packet held by e.Hold(at, node, p, word)
+	// comes due, with the same node, p and word. p is the scheme's
+	// again, to hand on: Resend, InjectFromSwitch or Drop.
+	HoldDone(e *Engine, node int32, p *packet.Packet, word uint32)
 }

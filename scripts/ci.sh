@@ -43,7 +43,9 @@ echo "== race =="
 # Every package, so also the packet-ownership tests: packet.Pool's unit
 # tests (TestPool*), the recycling-vs-quarantine comparison of every scheme
 # (TestNobodyReadsAReleasedPacket, 32 runs), the steady-state allocation
-# test over every scheme but controller (TestPacketPathSteadyStateAllocFree)
+# test over every scheme but controller (TestPacketPathSteadyStateAllocFree),
+# the parse of internal/baselines and internal/core for a function literal
+# that captures a packet (TestNoClosureCapturesAPacket)
 # and ptrace's records outliving the run. The sharded engine takes its packets from a nil pool; this step
 # and the TestShard* step below are what would catch a release that
 # reached a free list from another domain's worker.
@@ -53,7 +55,8 @@ echo "== random-scenario invariant search (10000 checks, ~20 s) =="
 # `go test` above runs 40 scenarios per property; this runs 4000 (the
 # generator is seeded, so the same 4000 every time). A search of this
 # kind found the §3.3 migration loop that TestKnownMigrationLoops now
-# asserts is gone.
+# asserts is gone. Each random migration event also checks packet
+# conservation mid-run, held packets included.
 go test -count=1 -run TestSystemInvariants ./internal/harness -quickchecks 10000
 
 echo "== fuzz (5 s per target, from the committed seed corpora) =="
