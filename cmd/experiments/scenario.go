@@ -17,8 +17,8 @@ var scenarios = map[string]func(Scale) error{
 // dayOptions sizes the production day for the chosen scale: quick
 // compresses the same six-phase structure into milliseconds for CI
 // smokes; standard and full run multi-hour simulated horizons (the
-// event count follows the flow budget, not the horizon, and streaming
-// telemetry keeps sampling constant-memory, so long horizons are cheap).
+// event count follows the flow budget, not the horizon, and the driver
+// attaches no telemetry sampler, so long horizons are cheap).
 func dayOptions(sc Scale) scenario.DayOptions {
 	switch sc.Name {
 	case "quick":

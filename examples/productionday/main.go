@@ -6,10 +6,8 @@
 //
 // The scenario engine (internal/scenario) plans every churn operation,
 // fault wave and flow start deterministically from the seed, so the
-// report below is byte-identical run to run. Telemetry streams through
-// a bounded ring window: the collector emits each sample incrementally and
-// retains only the ring window, so the same scenario scales to hours
-// of simulated time in constant memory (-day 4h).
+// report below is byte-identical run to run. The telemetry collector
+// samples the network every 200µs of simulated time over the whole day.
 package main
 
 import (
@@ -22,17 +20,8 @@ import (
 	"switchv2p"
 )
 
-// countingWriter measures streamed telemetry without retaining it —
-// the point of streaming is that nobody has to hold the full series.
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
 func main() {
-	day := flag.Duration("day", 48*time.Millisecond, "simulated day length (try 4h: constant memory)")
+	day := flag.Duration("day", 48*time.Millisecond, "simulated day length")
 	scheme := flag.String("scheme", switchv2p.SchemeSwitchV2P, "scheme under test")
 	compare := flag.String("compare", switchv2p.SchemeGwCache, "second scheme to run (empty = none)")
 	flag.Parse()
@@ -50,7 +39,6 @@ func main() {
 }
 
 func run(scheme string, day time.Duration) {
-	var csv countingWriter
 	base := switchv2p.Config{
 		VMs:           1024,
 		Scheme:        scheme,
@@ -60,7 +48,6 @@ func run(scheme string, day time.Duration) {
 		Seed:          42,
 		Telemetry: &switchv2p.TelemetryOptions{
 			Interval: switchv2p.FromStd(200 * time.Microsecond),
-			Stream:   &switchv2p.TelemetryStreamOptions{CSV: &csv, Window: 128},
 		},
 	}
 	spec := switchv2p.ProductionDay(base, switchv2p.DayOptions{
@@ -79,8 +66,8 @@ func run(scheme string, day time.Duration) {
 	}
 
 	telem := rep.Final.Telemetry
-	fmt.Printf("telemetry: %d samples streamed (%d KiB CSV), %d retained in the ring window\n",
-		telem.Ticks(), csv.n/1024, len(telem.Timeline.Times))
+	fmt.Printf("telemetry: %d samples of %d series\n",
+		len(telem.Timeline.Times), len(telem.Timeline.Series))
 	fmt.Printf("wall clock: %v for %.0fms simulated\n",
 		time.Since(t0).Round(time.Millisecond), rep.HorizonUs/1e3)
 }

@@ -301,20 +301,13 @@ func (w *World) CoreStats() *core.Stats {
 
 // Run runs the simulation to the horizon and reports what a finished run
 // can have failed at: a fault event that did not apply (the injector only
-// collects those) or a telemetry stream that did not flush.
+// collects those).
 func (w *World) Run(horizon simtime.Time) error {
 	w.Engine.Run(horizon)
 	if w.Injector != nil {
-		if err := w.Injector.Err(); err != nil {
-			return err
-		}
+		return w.Injector.Err()
 	}
-	if w.Telem == nil {
-		return nil
-	}
-	// Streaming telemetry buffers bytes in its writers until flushed; a
-	// buffered collector makes this a no-op.
-	return w.Telem.FlushStreams()
+	return nil
 }
 
 // totalCacheEntries converts the cache fraction into aggregate entries.
@@ -377,6 +370,15 @@ func Build(cfg Config) (*World, error) {
 	}
 	if cfg.VMs < 0 {
 		return nil, fmt.Errorf("harness: VMs %d is negative", cfg.VMs)
+	}
+	if math.IsNaN(cfg.Load) {
+		return nil, fmt.Errorf("harness: Load is NaN")
+	}
+	if cfg.MaxFlows < 0 {
+		return nil, fmt.Errorf("harness: MaxFlows %d is negative", cfg.MaxFlows)
+	}
+	if cfg.ActiveGateways < 0 {
+		return nil, fmt.Errorf("harness: ActiveGateways %d is negative", cfg.ActiveGateways)
 	}
 	topo, err := topology.New(cfg.Topo)
 	if err != nil {

@@ -460,6 +460,9 @@ func TestBuildRejectsBadConfig(t *testing.T) {
 		{"+Inf cache", "CacheFraction", func(c *Config) { c.CacheFraction = math.Inf(1) }},
 		{"-Inf cache", "CacheFraction", func(c *Config) { c.CacheFraction = math.Inf(-1) }},
 		{"negative VMs", "VMs", func(c *Config) { c.VMs = -5 }},
+		{"NaN load", "Load", func(c *Config) { c.Load = math.NaN() }},
+		{"negative max flows", "MaxFlows", func(c *Config) { c.MaxFlows = -3 }},
+		{"negative gateways", "ActiveGateways", func(c *Config) { c.ActiveGateways = -2 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := quickConfig(SchemeSwitchV2P)

@@ -11,7 +11,7 @@
 //	tr.WriteTo(file)
 //
 // There is one file format, SV2PTRC1 (see WriteTo). Capture is buffered:
-// bound a long run's trace with Options.FlowID or Options.Limit.
+// bound a long run's trace with Options.FlowID.
 package ptrace
 
 import (
@@ -44,34 +44,6 @@ type Record struct {
 type Options struct {
 	// FlowID restricts capture to one flow (0 = all flows).
 	FlowID uint64
-	// Kinds restricts capture to the listed packet kinds (nil = all).
-	Kinds []packet.Kind
-	// SwitchesOnly drops host observation points.
-	SwitchesOnly bool
-	// Limit stops capturing after N records (0 = unlimited).
-	Limit int
-}
-
-func (o Options) match(at topology.NodeRef, p *packet.Packet) bool {
-	if o.FlowID != 0 && p.FlowID != o.FlowID {
-		return false
-	}
-	if o.SwitchesOnly && at.Kind != topology.KindSwitch {
-		return false
-	}
-	if o.Kinds != nil {
-		ok := false
-		for _, k := range o.Kinds {
-			if p.Kind == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // Tracer collects records from an engine's Tap.
@@ -79,7 +51,6 @@ type Tracer struct {
 	opts    Options
 	e       *simnet.Engine
 	Records []Record
-	Dropped int // records skipped due to Limit
 
 	closed bool
 }
@@ -95,11 +66,7 @@ func New(e *simnet.Engine, opts Options) *Tracer {
 }
 
 func (t *Tracer) observe(at topology.NodeRef, p *packet.Packet) {
-	if t.closed || !t.opts.match(at, p) {
-		return
-	}
-	if t.opts.Limit > 0 && len(t.Records) >= t.opts.Limit {
-		t.Dropped++
+	if t.closed || (t.opts.FlowID != 0 && p.FlowID != t.opts.FlowID) {
 		return
 	}
 	// Snapshot the packet: it mutates as it continues through the

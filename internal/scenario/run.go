@@ -111,9 +111,6 @@ func RunAll(spec Spec, schemes []string, workers int) ([]*Report, error) {
 	if len(schemes) == 0 {
 		schemes = harness.AllSchemes
 	}
-	if spec.Base.Telemetry != nil && spec.Base.Telemetry.Stream != nil && workers > 1 {
-		return nil, fmt.Errorf("scenario %q: streaming telemetry shares its writers; run with workers <= 1", spec.Name)
-	}
 	reports := make([]*Report, len(schemes))
 	err := harness.RunIndexed(workers, len(schemes), func(i int) error {
 		s := spec

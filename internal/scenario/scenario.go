@@ -11,11 +11,6 @@
 // timeline, every churn/migration operation, and the fault schedule are
 // deterministic functions of (Spec, Base.Seed), so same-seed runs
 // produce byte-identical reports at any worker count.
-//
-// Long horizons ride on the streaming telemetry collector
-// (internal/telemetry StreamOptions): hours of simulated time sample in
-// constant memory while exporters receive the full time series
-// incrementally.
 package scenario
 
 import (

@@ -8,7 +8,6 @@ import (
 
 	"switchv2p/internal/harness"
 	"switchv2p/internal/simtime"
-	"switchv2p/internal/telemetry"
 	"switchv2p/internal/trace"
 	"switchv2p/internal/vnet"
 )
@@ -152,21 +151,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if serial[i].Scheme == "" {
 			t.Errorf("scheme %s: empty report", schemes[i])
 		}
-	}
-}
-
-func TestRunAllRejectsSharedStreamWriters(t *testing.T) {
-	spec := miniDay(1)
-	var sink bytes.Buffer
-	spec.Base.Telemetry = &telemetry.Options{
-		Interval: 50 * simtime.Microsecond,
-		Stream:   &telemetry.StreamOptions{CSV: &sink},
-	}
-	if _, err := RunAll(spec, []string{harness.SchemeSwitchV2P, harness.SchemeNoCache}, 2); err == nil {
-		t.Fatal("RunAll accepted shared streaming writers with 2 workers")
-	}
-	if _, err := RunAll(spec, []string{harness.SchemeNoCache}, 1); err != nil {
-		t.Fatalf("RunAll with 1 worker should allow streaming: %v", err)
 	}
 }
 

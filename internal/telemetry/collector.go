@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"io"
-
 	"switchv2p/internal/eventq"
 	"switchv2p/internal/simtime"
 )
@@ -12,23 +10,6 @@ import (
 // scale run, coarse enough to stay far off the packet event rate.
 const DefaultInterval = 10 * simtime.Microsecond
 
-// DefaultWindow is the number of recent samples a streaming collector
-// keeps in memory when StreamOptions.Window is zero.
-const DefaultWindow = 256
-
-// StreamOptions converts the sampler to windowed/streaming operation:
-// every tick is emitted incrementally to the configured writer and the
-// in-memory Timeline retains only the most recent Window samples, so a
-// run of any simulated length samples in constant memory. CSV receives
-// the same bytes Collector.WriteCSV would produce for an unbounded run.
-type StreamOptions struct {
-	// CSV, when non-nil, receives the timeline incrementally in the wide
-	// CSV format (header at Attach, one row per tick).
-	CSV io.Writer
-	// Window bounds in-memory sample retention (0 = DefaultWindow).
-	Window int
-}
-
 // Options configures a Collector.
 type Options struct {
 	// Interval is the time-series sampling period (0 = DefaultInterval).
@@ -37,34 +18,19 @@ type Options struct {
 	// time-series sampler — no sampler events enter the simulation.
 	// Benchmarks use this to measure raw engine throughput.
 	ProfileOnly bool
-	// Stream, when non-nil, switches the sampler to streaming operation
-	// (see StreamOptions). Ignored when ProfileOnly is set: with no
-	// sampler there is nothing to stream.
-	Stream *StreamOptions
 }
 
 // Series is one named time-series; Values is indexed like the owning
-// Timeline's Times. In streaming operation Values holds only the
-// retained window; the unexported running aggregates cover every sample
-// ever recorded.
+// Timeline's Times.
 type Series struct {
 	Name   string    `json:"name"`
 	Values []float64 `json:"values"`
-
-	// Running aggregates over every sample the collector took.
-	last, max float64
 }
 
 // Timeline holds every sampled series over a shared time axis.
 type Timeline struct {
 	Times  []simtime.Time
 	Series []*Series
-
-	// Dropped counts samples evicted from the in-memory window by a
-	// streaming collector (always 0 in buffered operation). Evicted
-	// samples were already emitted to the stream writer; only the
-	// in-memory copy is released.
-	Dropped int64
 }
 
 // Find returns the named series, or nil.
@@ -103,13 +69,6 @@ type Collector struct {
 	counters    []counterReader
 	gauges      []gaugeReader
 	q           *eventq.Queue
-	ticks       int64 // samples taken, evicted ones included
-
-	// Streaming state (nil/zero in buffered operation).
-	stream    *StreamOptions
-	window    int
-	csvw      *csvEmitter
-	streamErr error
 }
 
 type probe struct {
@@ -123,24 +82,12 @@ func New(opts Options) *Collector {
 	if iv <= 0 {
 		iv = DefaultInterval
 	}
-	c := &Collector{
+	return &Collector{
 		Interval:    iv,
 		Timeline:    &Timeline{},
 		profileOnly: opts.ProfileOnly,
 	}
-	if opts.Stream != nil && !opts.ProfileOnly {
-		c.stream = opts.Stream
-		c.window = opts.Stream.Window
-		if c.window <= 0 {
-			c.window = DefaultWindow
-		}
-	}
-	return c
 }
-
-// Ticks returns the total number of sampling ticks taken, including
-// samples already evicted from a streaming window.
-func (c *Collector) Ticks() int64 { return c.ticks }
 
 // RecordFault appends one event to the fault timeline. The injector
 // calls it at the simulation time the fault is applied, so records are
@@ -151,7 +98,8 @@ func (c *Collector) RecordFault(timeUs float64, kind, detail string) {
 
 // AddProbe registers a sampled series: fn is evaluated once per
 // sampling tick and must not mutate simulation state. Probes must be
-// registered before Attach.
+// registered before Attach (or the first TickAt), so every series holds
+// one value per tick.
 func (c *Collector) AddProbe(name string, fn func() float64) {
 	s := &Series{Name: name}
 	c.Timeline.Series = append(c.Timeline.Series, s)
@@ -162,14 +110,11 @@ func (c *Collector) AddProbe(name string, fn func() float64) {
 // sampler re-arms itself only while other events remain pending, so it
 // never keeps a drained simulation alive, and its ticks are pure
 // observations — an attached collector does not change any result.
-// In streaming operation this also emits the CSV header, so all probes
-// must be registered first.
 func (c *Collector) Attach(q *eventq.Queue) {
 	if c.profileOnly {
 		return
 	}
 	c.q = q
-	c.initStream()
 	q.After(c.Interval, c.tick)
 }
 
@@ -178,13 +123,11 @@ func (c *Collector) Attach(q *eventq.Queue) {
 // interval instead of the collector self-scheduling queue events (the
 // sharded root queue is frozen). It returns the sampling interval and
 // whether sampling is enabled at all (false for a profile-only
-// collector). In streaming operation it also emits the CSV header, so
-// all probes must be registered first.
+// collector).
 func (c *Collector) BarrierSampling() (simtime.Duration, bool) {
 	if c.profileOnly {
 		return 0, false
 	}
-	c.initStream()
 	return c.Interval, true
 }
 
@@ -192,32 +135,9 @@ func (c *Collector) BarrierSampling() (simtime.Duration, bool) {
 // externally driven counterpart of the self-scheduled tick; the caller
 // owns the cadence (see BarrierSampling).
 func (c *Collector) TickAt(now simtime.Time) {
-	c.ticks++
-	t := c.Timeline
-	t.Times = append(t.Times, now)
+	c.Timeline.Times = append(c.Timeline.Times, now)
 	for _, p := range c.probes {
-		v := p.fn()
-		s := p.series
-		s.Values = append(s.Values, v)
-		s.last = v
-		if c.ticks == 1 || v > s.max {
-			s.max = v
-		}
-	}
-	if c.stream != nil {
-		c.emit(now)
-		if len(t.Times) > c.window {
-			// Evict the oldest sample: shift in place so the backing
-			// arrays stop growing once the window fills.
-			n := copy(t.Times, t.Times[1:])
-			t.Times = t.Times[:n]
-			for _, p := range c.probes {
-				vs := p.series.Values
-				m := copy(vs, vs[1:])
-				p.series.Values = vs[:m]
-			}
-			t.Dropped++
-		}
+		p.series.Values = append(p.series.Values, p.fn())
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package telemetry is the simulation observability subsystem: a
 // time-series sampler driven by simulation events, final-value counter
 // and gauge readers, engine profiling figures (events/sec, queue depth),
-// and JSON/CSV exporters. The CSV timeline — and only it — can also be
-// streamed tick by tick through a bounded window (StreamOptions).
+// and JSON/CSV exporters. The collector keeps every sample in memory
+// and exports once the run has finished.
 //
 // Telemetry reads the simulator; the simulator never calls into it.
 // Probes, counters and gauges are functions over state the simulator

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -128,13 +129,20 @@ func TestProfileOnlySchedulesNothing(t *testing.T) {
 func TestWriteJSONAndCSV(t *testing.T) {
 	q := new(eventq.Queue)
 	c := New(Options{Interval: simtime.Microsecond})
-	c.AddProbe("load", func() float64 { return 1.5 })
+	// One reading per tick, rising then falling: the summary's last and
+	// max are different samples.
+	loads := []float64{1.5, 4, 2}
+	var tick int
+	c.AddProbe("load", func() float64 { v := loads[tick]; tick++; return v })
 	c.AddCounter("pkts", func() int64 { return 12 })
 	c.AddGauge("depth", func() (int64, int64) { return 3, 9 })
 	c.Profile.Events = 100
 	q.At(simtime.Time(3*simtime.Microsecond), func() {})
 	c.Attach(q)
 	for q.Step() {
+	}
+	if len(c.Timeline.Times) != len(loads) {
+		t.Fatalf("%d ticks, want %d", len(c.Timeline.Times), len(loads))
 	}
 
 	var buf bytes.Buffer
@@ -170,7 +178,12 @@ func TestWriteJSONAndCSV(t *testing.T) {
 	}
 
 	sum := c.Summary()
-	for _, frag := range []string{"pkts", "depth", "load", "events=100"} {
+	last, peak := loads[len(loads)-1], 4.0
+	if last == peak {
+		t.Fatal("probe readings do not tell last from max")
+	}
+	series := fmt.Sprintf("last=%.4g max=%.4g", last, peak)
+	for _, frag := range []string{"pkts", "depth", "load", "events=100", "samples   3 ticks", series} {
 		if !strings.Contains(sum, frag) {
 			t.Fatalf("summary missing %q:\n%s", frag, sum)
 		}

@@ -47,7 +47,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("trace: non-positive server count")
 	case c.HostLinkBps <= 0:
 		return fmt.Errorf("trace: non-positive link speed")
-	case c.Load <= 0 || c.Load > 1:
+	case !(c.Load > 0 && c.Load <= 1): // NaN fails both comparisons
 		return fmt.Errorf("trace: load %v outside (0,1]", c.Load)
 	case c.Duration <= 0:
 		return fmt.Errorf("trace: non-positive duration")

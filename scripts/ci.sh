@@ -132,6 +132,9 @@ sim_rejects() {
 }
 sim_rejects -cache -1
 sim_rejects -vms -5
+sim_rejects -load NaN
+sim_rejects -maxflows -3
+sim_rejects -gateways -2
 
 echo "== benches (one iteration each, smoke) =="
 # Compile-and-run every package-local micro-benchmark once so they

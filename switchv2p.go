@@ -113,10 +113,6 @@ type (
 	// TelemetryOptions enables the observability subsystem on a run
 	// (set Config.Telemetry to a non-nil value).
 	TelemetryOptions = telemetry.Options
-	// TelemetryStreamOptions switches the collector to streaming
-	// operation (bounded ring window, incremental CSV emission)
-	// so long horizons sample in constant memory.
-	TelemetryStreamOptions = telemetry.StreamOptions
 	// TelemetryCollector holds a run's collected telemetry
 	// (Report.Telemetry).
 	TelemetryCollector = telemetry.Collector
