@@ -13,7 +13,7 @@ import "fmt"
 // A justified waiver must also still waive something: one that
 // names an analyzer the suite does not have (a typo, a removed
 // analyzer) or that suppressed no finding in this run (the finding was
-// fixed) is reported by Program.Run through idleWaivers, so suspended
+// fixed) is reported by Run through idleWaivers, so suspended
 // contracts cannot outlive their cause. Findings from this analyzer are
 // exempt from waiving (a waiver cannot excuse itself).
 var AllowReason = &Analyzer{

@@ -44,7 +44,7 @@ func TestData(t *testing.T) string {
 
 // Run analyzes each named package under testdata/src with the
 // analyzers and checks the diagnostics against the package's want
-// comments. Every named package is loaded into one Program, so waivers
+// comments. Every named package goes to one v2plint.Run, so waivers
 // are judged against the whole run. Most tests pass one analyzer;
 // allowreason's judges waivers against the findings of a second one.
 func Run(t *testing.T, testdata string, analyzers []*v2plint.Analyzer, pkgPaths ...string) {
@@ -56,7 +56,7 @@ func Run(t *testing.T, testdata string, analyzers []*v2plint.Analyzer, pkgPaths 
 		std:  importer.ForCompiler(fset, "source", nil),
 		pkgs: map[string]*types.Package{},
 	}
-	prog := v2plint.NewProgram(fset)
+	var pkgs []*v2plint.LoadedPackage
 	var allFiles []*ast.File
 	for _, path := range pkgPaths {
 		// Parse with test files included so analyzers' _test.go
@@ -66,10 +66,10 @@ func Run(t *testing.T, testdata string, analyzers []*v2plint.Analyzer, pkgPaths 
 			t.Fatalf("analysistest: %v", err)
 		}
 		pkg, info := imp.check(path, files)
-		prog.Add(files, pkg, info)
+		pkgs = append(pkgs, &v2plint.LoadedPackage{Fset: fset, Files: files, Pkg: pkg, Info: info})
 		allFiles = append(allFiles, files...)
 	}
-	checkWants(t, fset, allFiles, prog.Run(analyzers))
+	checkWants(t, fset, allFiles, v2plint.Run(pkgs, analyzers))
 }
 
 // testImporter resolves testdata/src packages locally and everything

@@ -18,32 +18,27 @@ import (
 // A LoadedPackage is one parsed and type-checked module package ready
 // for analysis.
 type LoadedPackage struct {
-	ImportPath string
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Pkg        *types.Package
-	Info       *types.Info
+	Fset  *token.FileSet
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
 	Dir        string
 	ImportPath string
-	Name       string
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	DepOnly    bool
-	Standard   bool
 	Error      *struct{ Err string }
 }
 
 // listPackages runs `go list -export -deps -json` over the patterns
 // and decodes every package (dependencies included) in the output.
-func listPackages(dir string, patterns []string) ([]*listPkg, error) {
-	args := append([]string{"list", "-export", "-deps", "-json=Dir,ImportPath,Name,Export,GoFiles,Imports,DepOnly,Standard,Error"}, patterns...)
+func listPackages(patterns []string) ([]*listPkg, error) {
+	args := append([]string{"list", "-export", "-deps", "-json=Dir,ImportPath,Export,GoFiles,DepOnly,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -75,11 +70,8 @@ func listPackages(dir string, patterns []string) ([]*listPkg, error) {
 // type-checks only the matched packages from source, resolving every
 // import through compiler export data. This keeps whole-repo lint runs
 // fast and avoids re-type-checking the standard library from source.
-func LoadPackages(dir string, patterns []string) ([]*LoadedPackage, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := listPackages(dir, patterns)
+func LoadPackages(patterns []string) ([]*LoadedPackage, error) {
+	pkgs, err := listPackages(patterns)
 	if err != nil {
 		return nil, err
 	}
@@ -141,13 +133,7 @@ func checkPackage(fset *token.FileSet, imp types.Importer, importPath, dir strin
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", importPath, err)
 	}
-	return &LoadedPackage{
-		ImportPath: importPath,
-		Fset:       fset,
-		Files:      files,
-		Pkg:        pkg,
-		Info:       info,
-	}, nil
+	return &LoadedPackage{Fset: fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
 // NewTypesInfo allocates the types.Info maps the analyzers consume.

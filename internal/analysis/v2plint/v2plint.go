@@ -40,8 +40,8 @@
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic) but is self-contained on the standard
 // library, so the module needs no external dependencies. It has one
-// mode: cmd/v2plint loads the whole module into one Program and runs
-// every analyzer over each package.
+// mode: TestRepoIsClean loads the whole module with LoadPackages and
+// passes it to Run, which runs every analyzer over each package.
 package v2plint
 
 import (
@@ -50,7 +50,6 @@ import (
 	"go/token"
 	"go/types"
 	"path"
-	"sort"
 	"strings"
 )
 
@@ -113,53 +112,49 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// A Finding is one position-resolved diagnostic, the form cmd/v2plint
-// prints and serializes.
-type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// FindingsFromDiagnostics resolves diagnostics against their FileSet,
-// preserving the input order.
-func FindingsFromDiagnostics(fset *token.FileSet, diags []Diagnostic) []Finding {
-	out := make([]Finding, 0, len(diags))
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		out = append(out, Finding{
-			File:     pos.Filename,
-			Line:     pos.Line,
-			Col:      pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
+// Run runs the analyzers over every package, returning all unwaived
+// findings in package, then analyzer order. The packages must share one
+// FileSet, and waivers are judged against the whole run's findings.
+// Findings from the allowreason analyzer are exempt from waiving: a
+// waiver cannot excuse itself. When allowreason is among the analyzers,
+// waivers that waived nothing in this run are findings too.
+func Run(pkgs []*LoadedPackage, analyzers []*Analyzer) []Diagnostic {
+	if len(pkgs) == 0 {
+		return nil
 	}
-	return out
-}
-
-// SortFindings orders findings by (file, line, column, analyzer,
-// message) — the ordering contract of cmd/v2plint's text output and
-// its -jsonfile document.
-func SortFindings(fs []Finding) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.File != b.File {
-			return a.File < b.File
+	fset := pkgs[0].Fset
+	var allFiles []*ast.File
+	for _, p := range pkgs {
+		allFiles = append(allFiles, p.Files...)
+	}
+	allows := collectAllows(fset, allFiles)
+	var diags []Diagnostic
+	ran := map[string]bool{}
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	for _, p := range pkgs {
+		for _, a := range analyzers {
+			a.Run(&Pass{
+				Analyzer:  a,
+				Fset:      fset,
+				Files:     p.Files,
+				Pkg:       p.Pkg,
+				TypesInfo: p.Info,
+				report:    func(d Diagnostic) { diags = append(diags, d) },
+			})
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
+	}
+	kept := diags[:0]
+	for _, d := range diags {
+		if d.Analyzer == AllowReason.Name || !allows.waives(fset.Position(d.Pos), d.Analyzer) {
+			kept = append(kept, d)
 		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
+	}
+	if ran[AllowReason.Name] {
+		kept = append(kept, idleWaivers(allows, ran)...)
+	}
+	return kept
 }
 
 // A waiver is one //v2plint:allow annotation: the analyzers it names

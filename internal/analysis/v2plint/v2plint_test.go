@@ -4,8 +4,34 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"path/filepath"
 	"testing"
 )
+
+// TestRepoIsClean is the determinism contract's gate: the whole module
+// must lint clean. Any new time.Now, global-rand, unsorted-map-range or
+// unit-mixing violation anywhere in the repo, or a waiver without a
+// reason, fails this test with one file:line:col line per finding.
+func TestRepoIsClean(t *testing.T) {
+	pkgs, err := LoadPackages([]string{"switchv2p/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tests run in the package directory, three levels below the module
+	// root.
+	root, err := filepath.Abs("../../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range Run(pkgs, Analyzers()) {
+		pos := pkgs[0].Fset.Position(d.Pos)
+		file, err := filepath.Rel(root, pos.Filename)
+		if err != nil {
+			file = pos.Filename
+		}
+		t.Errorf("%s:%d:%d: %s: %s", file, pos.Line, pos.Column, d.Analyzer, d.Message)
+	}
+}
 
 func TestByName(t *testing.T) {
 	for _, a := range Analyzers() {

@@ -152,12 +152,12 @@ type Config struct {
 
 	// Shards enables the sharded deterministic engine with that many
 	// worker goroutines over the topology's pod/core domains (0 = the
-	// classic serial engine). Results are byte-identical at every shard
-	// count and to ShardOracle mode — the worker count only changes how
-	// domains are claimed, never what they compute — but not to the
-	// serial engine, whose global event tie-breaking differs (see
-	// DESIGN.md). Only schemes free of global mutable per-event state
-	// support sharding (ShardSupported).
+	// classic serial engine; negative is an error). Results are
+	// byte-identical at every shard count and to ShardOracle mode — the
+	// worker count only changes how domains are claimed, never what they
+	// compute — but not to the serial engine, whose global event
+	// tie-breaking differs (see DESIGN.md). Only schemes free of global
+	// mutable per-event state support sharding (ShardSupported).
 	Shards int
 	// ShardOracle runs the sharded engine in its serial oracle mode:
 	// the same domain decomposition, cross-shard mailboxes and event
@@ -379,6 +379,12 @@ func Build(cfg Config) (*World, error) {
 	}
 	if cfg.ActiveGateways < 0 {
 		return nil, fmt.Errorf("harness: ActiveGateways %d is negative", cfg.ActiveGateways)
+	}
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("harness: Shards %d is negative", cfg.Shards)
+	}
+	if cfg.Telemetry != nil && cfg.Telemetry.Interval < 0 {
+		return nil, fmt.Errorf("harness: Telemetry.Interval %v is negative", cfg.Telemetry.Interval)
 	}
 	topo, err := topology.New(cfg.Topo)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"switchv2p/internal/core"
 	"switchv2p/internal/faults"
 	"switchv2p/internal/simtime"
+	"switchv2p/internal/telemetry"
 	"switchv2p/internal/topology"
 )
 
@@ -463,6 +464,10 @@ func TestBuildRejectsBadConfig(t *testing.T) {
 		{"NaN load", "Load", func(c *Config) { c.Load = math.NaN() }},
 		{"negative max flows", "MaxFlows", func(c *Config) { c.MaxFlows = -3 }},
 		{"negative gateways", "ActiveGateways", func(c *Config) { c.ActiveGateways = -2 }},
+		{"negative shards", "Shards", func(c *Config) { c.Shards = -1 }},
+		{"negative telemetry interval", "Telemetry.Interval", func(c *Config) {
+			c.Telemetry = &telemetry.Options{Interval: -5 * simtime.Microsecond}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := quickConfig(SchemeSwitchV2P)

@@ -12,16 +12,6 @@ go build ./...
 echo "== vet =="
 go vet ./...
 
-echo "== v2plint (determinism + contract lint) =="
-# Findings print on stdout as file:line:col: analyzer: message, the text
-# form the CI problem matcher (.github/v2plint-problem-matcher.json)
-# turns into annotations; a clean run prints nothing and exits 0, any
-# unwaived finding fails the build. -time lists every analyzer that ran
-# with its wall clock on stderr, so the suite and its cost are visible in
-# logs. The whole-module lint takes under a second; the timeout fails
-# the step if an analyzer blows up.
-timeout 60 go run ./cmd/v2plint -time ./...
-
 echo "== staticcheck =="
 if command -v staticcheck >/dev/null 2>&1; then
   staticcheck ./...
@@ -37,6 +27,9 @@ else
 fi
 
 echo "== tests =="
+# Includes the determinism lint: TestRepoIsClean (internal/analysis/v2plint)
+# runs every v2plint analyzer over the whole module and fails with one
+# file:line:col line per unwaived finding.
 go test ./...
 
 echo "== race =="
@@ -135,6 +128,8 @@ sim_rejects -vms -5
 sim_rejects -load NaN
 sim_rejects -maxflows -3
 sim_rejects -gateways -2
+sim_rejects -shards -1
+sim_rejects -telemetry -telemetry-interval -5us
 
 echo "== benches (one iteration each, smoke) =="
 # Compile-and-run every package-local micro-benchmark once so they
