@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"text/tabwriter"
 
@@ -26,9 +27,6 @@ type Scale struct {
 	FT16VMs   int
 	FT16Flows int
 	Seed      int64
-	// Workers > 1 runs sweep points through the harness worker pool
-	// (-parallel); output is identical at any worker count.
-	Workers int
 
 	MigrationPackets int
 	MigrationSenders int
@@ -64,8 +62,30 @@ func (sc Scale) baseConfig(traceName string) harness.Config {
 		MaxFlows:      sc.MaxFlows,
 		CacheFraction: 0.5,
 		Seed:          sc.Seed,
-		SweepWorkers:  sc.Workers,
 	}
+}
+
+// schemeConfigs returns baseConfig(traceName) once per scheme.
+func (sc Scale) schemeConfigs(traceName string, schemes []string) []harness.Config {
+	cfgs := make([]harness.Config, len(schemes))
+	for i, s := range schemes {
+		cfgs[i] = sc.baseConfig(traceName)
+		cfgs[i].Scheme = s
+	}
+	return cfgs
+}
+
+// runAll runs one independent simulation per input through
+// harness.RunIndexed on GOMAXPROCS workers and returns the results in
+// input order, so an experiment prints the same rows at any CPU count.
+func runAll[C, R any](in []C, run func(C) (R, error)) ([]R, error) {
+	out := make([]R, len(in))
+	err := harness.RunIndexed(runtime.GOMAXPROCS(0), len(in), func(i int) error {
+		var err error
+		out[i], err = run(in[i])
+		return err
+	})
+	return out, err
 }
 
 func newTable(headers ...string) (*tabwriter.Writer, func()) {
@@ -186,18 +206,14 @@ func fig7(sc Scale) error {
 		harness.SchemeNoCache, harness.SchemeLocalLearning, harness.SchemeGwCache,
 		harness.SchemeSwitchV2P, harness.SchemeDirect,
 	}
+	rs, err := runAll(sc.schemeConfigs("hadoop", schemes), harness.Run)
+	if err != nil {
+		return err
+	}
 	reports := make(map[string]*harness.Report)
-	var csvRows []*harness.Report
 	tw, done := newTable("scheme", "pod1", "pod2", "pod3", "pod4", "pod5", "pod6", "pod7", "pod8", "totalMB", "stretch")
-	for _, s := range schemes {
-		cfg := sc.baseConfig("hadoop")
-		cfg.Scheme = s
-		r, err := harness.Run(cfg)
-		if err != nil {
-			return err
-		}
-		reports[s] = r
-		csvRows = append(csvRows, r)
+	for i, r := range rs {
+		reports[schemes[i]] = r
 		row := []string{r.Scheme}
 		for _, b := range r.PerPodBytes {
 			row = append(row, fmt.Sprintf("%d", b>>20))
@@ -206,7 +222,7 @@ func fig7(sc Scale) error {
 		fmt.Fprintln(tw, strings.Join(row, "\t"))
 	}
 	done()
-	writeCSV("fig7_pod_bytes.csv", func(w *os.File) error { return harness.WritePodBytesCSV(w, csvRows) })
+	writeCSV("fig7_pod_bytes.csv", func(w *os.File) error { return harness.WritePodBytesCSV(w, rs) })
 	nc, gw, sv, d := reports[harness.SchemeNoCache], reports[harness.SchemeGwCache],
 		reports[harness.SchemeSwitchV2P], reports[harness.SchemeDirect]
 	fmt.Printf("network bytes: SwitchV2P vs NoCache %.2fx, vs GwCache %.2fx, vs Direct +%.0f%%\n",
@@ -222,16 +238,15 @@ func fig8(sc Scale) error {
 		harness.SchemeNoCache, harness.SchemeLocalLearning, harness.SchemeGwCache,
 		harness.SchemeSwitchV2P,
 	}
+	rs, err := runAll(sc.schemeConfigs("hadoop", schemes), harness.Run)
+	if err != nil {
+		return err
+	}
 	tw, done := newTable("scheme", "sp1", "sp2", "sp3", "sp4", "tor5", "tor6", "tor7", "gwToR8")
 	defer done()
 	var ncGwToR, svGwToR int64
-	for _, s := range schemes {
-		cfg := sc.baseConfig("hadoop")
-		cfg.Scheme = s
-		r, err := harness.Run(cfg)
-		if err != nil {
-			return err
-		}
+	for i, r := range rs {
+		s := schemes[i]
 		row := []string{r.Scheme}
 		bytes := r.PodSwitchBytes(7)
 		for _, b := range bytes {
@@ -275,18 +290,7 @@ func fig10(sc Scale) error {
 	schemes := []string{
 		harness.SchemeLocalLearning, harness.SchemeGwCache, harness.SchemeSwitchV2P,
 	}
-	base := sc.baseConfig("hadoop")
-	// Keep the VM count tied to the fixed 128 servers.
-	pts, err := harness.TopologySweep(base, []int{1, 2, 4, 8, 16, 32}, schemes,
-		func(pods int) (harness.Config, error) {
-			cfg := base
-			topoCfg, err := topology.ScaledFT8(pods)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.Topo = topoCfg
-			return cfg, nil
-		})
+	pts, err := harness.TopologySweep(sc.baseConfig("hadoop"), []int{1, 2, 4, 8, 16, 32}, schemes)
 	if err != nil {
 		return err
 	}
@@ -314,23 +318,26 @@ func table4(sc Scale) error {
 		{"SwitchV2P w/o timestamp vector", harness.SchemeSwitchV2P, true, false},
 		{"SwitchV2P w/ timestamp vector", harness.SchemeSwitchV2P, true, true},
 	}
-	tw, done := newTable("variant", "gwPkts", "avgLat", "lastMisArrival(µs)", "misdelivered", "invalidations")
-	defer done()
-	var ncLat simtime.Duration
-	var ncMis int64
-	var csvRows []*harness.MigrationResult
-	for _, v := range variants {
+	mcs := make([]harness.MigrationConfig, len(variants))
+	for i, v := range variants {
 		base := sc.baseConfig("hadoop")
 		base.Scheme = v.scheme
 		base.V2PInvalidation = &v.inval
 		base.V2PTimestampVector = &v.tsvec
-		mc := harness.DefaultMigrationConfig(base)
-		mc.Senders = sc.MigrationSenders
-		mc.TotalPackets = sc.MigrationPackets
-		res, err := harness.Migration(mc)
-		if err != nil {
-			return err
-		}
+		mcs[i] = harness.DefaultMigrationConfig(base)
+		mcs[i].Senders = sc.MigrationSenders
+		mcs[i].TotalPackets = sc.MigrationPackets
+	}
+	results, err := runAll(mcs, harness.Migration)
+	if err != nil {
+		return err
+	}
+	tw, done := newTable("variant", "gwPkts", "avgLat", "lastMisArrival(µs)", "misdelivered", "invalidations")
+	defer done()
+	var ncLat simtime.Duration
+	var ncMis int64
+	for i, res := range results {
+		v := variants[i]
 		if v.label == "NoCache" {
 			ncLat = res.AvgPacketLatency
 			ncMis = res.Misdelivered
@@ -341,30 +348,33 @@ func table4(sc Scale) error {
 			v.label, 100*res.GatewayPacketShare, latX,
 			float64(res.LastMisdeliveredArrival)/1000, misX, res.InvalidationPkts)
 		res.Scheme = v.label
-		csvRows = append(csvRows, res)
 	}
-	writeCSV("table4_migration.csv", func(w *os.File) error { return harness.WriteMigrationCSV(w, csvRows) })
+	writeCSV("table4_migration.csv", func(w *os.File) error { return harness.WriteMigrationCSV(w, results) })
 	return nil
 }
 
 // table5 prints the per-layer cache-hit distribution for every trace.
 func table5(sc Scale) error {
+	traces := []string{"hadoop", "websearch", "alibaba", "microbursts", "video"}
+	cfgs := make([]harness.Config, len(traces))
+	for i, tr := range traces {
+		cfgs[i] = sc.baseConfig(tr)
+		cfgs[i].Scheme = harness.SchemeSwitchV2P
+	}
+	rs, err := runAll(cfgs, harness.Run)
+	if err != nil {
+		return err
+	}
 	tw, done := newTable("dataset", "core", "spine", "tor", "| first: core", "spine", "tor")
 	defer done()
-	for _, tr := range []string{"hadoop", "websearch", "alibaba", "microbursts", "video"} {
-		cfg := sc.baseConfig(tr)
-		cfg.Scheme = harness.SchemeSwitchV2P
-		r, err := harness.Run(cfg)
-		if err != nil {
-			return err
-		}
+	for i, r := range rs {
 		if r.CoreStats == nil {
 			return fmt.Errorf("missing core stats")
 		}
 		tot := r.CoreStats.TotalCacheHitShare()
 		fp := r.CoreStats.FirstPacketHitShare()
 		fmt.Fprintf(tw, "%s\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\n",
-			tr, 100*tot[2], 100*tot[1], 100*tot[0], 100*fp[2], 100*fp[1], 100*fp[0])
+			traces[i], 100*tot[2], 100*tot[1], 100*tot[0], 100*fp[2], 100*fp[1], 100*fp[0])
 	}
 	return nil
 }
@@ -390,31 +400,36 @@ func table6(sc Scale) error {
 // controller compares the ILP controller at two refresh rates against
 // SwitchV2P on WebSearch (Fig. 5c's Controller points, §A.2).
 func controller(sc Scale) error {
-	tw, done := newTable("scheme", "interval(µs)", "cache", "hit-rate", "FCT(µs)")
-	defer done()
+	var cfgs []harness.Config
 	for _, interval := range []simtime.Duration{150 * simtime.Microsecond, 300 * simtime.Microsecond} {
 		for _, frac := range sc.Fractions {
 			cfg := sc.baseConfig("websearch")
 			cfg.Scheme = harness.SchemeController
 			cfg.ControllerInterval = interval
 			cfg.CacheFraction = frac
-			r, err := harness.Run(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(tw, "Controller\t%.0f\t%g\t%.3f\t%s\n",
-				interval.Micros(), frac, r.HitRate, us(r.Summary.AvgFCT))
+			cfgs = append(cfgs, cfg)
 		}
 	}
 	for _, frac := range sc.Fractions {
 		cfg := sc.baseConfig("websearch")
 		cfg.Scheme = harness.SchemeSwitchV2P
 		cfg.CacheFraction = frac
-		r, err := harness.Run(cfg)
-		if err != nil {
-			return err
+		cfgs = append(cfgs, cfg)
+	}
+	rs, err := runAll(cfgs, harness.Run)
+	if err != nil {
+		return err
+	}
+	tw, done := newTable("scheme", "interval(µs)", "cache", "hit-rate", "FCT(µs)")
+	defer done()
+	for i, r := range rs {
+		cfg := cfgs[i]
+		if cfg.Scheme == harness.SchemeController {
+			fmt.Fprintf(tw, "Controller\t%.0f\t%g\t%.3f\t%s\n",
+				cfg.ControllerInterval.Micros(), cfg.CacheFraction, r.HitRate, us(r.Summary.AvgFCT))
+		} else {
+			fmt.Fprintf(tw, "SwitchV2P\t-\t%g\t%.3f\t%s\n", cfg.CacheFraction, r.HitRate, us(r.Summary.AvgFCT))
 		}
-		fmt.Fprintf(tw, "SwitchV2P\t-\t%g\t%.3f\t%s\n", frac, r.HitRate, us(r.Summary.AvgFCT))
 	}
 	return nil
 }
@@ -435,16 +450,20 @@ func ablation(sc Scale) error {
 		{"no-promotion", func(c *harness.Config) { c.V2PPromotion = &off }},
 		{"tor-only-memory", func(c *harness.Config) { c.V2PToROnly = true }},
 	}
+	cfgs := make([]harness.Config, len(variants))
+	for i, v := range variants {
+		cfgs[i] = sc.baseConfig("hadoop")
+		cfgs[i].Scheme = harness.SchemeSwitchV2P
+		v.mod(&cfgs[i])
+	}
+	rs, err := runAll(cfgs, harness.Run)
+	if err != nil {
+		return err
+	}
 	tw, done := newTable("variant", "hit-rate", "FCT(µs)", "first(µs)", "learnPkts", "spills", "promos")
 	defer done()
-	for _, v := range variants {
-		cfg := sc.baseConfig("hadoop")
-		cfg.Scheme = harness.SchemeSwitchV2P
-		v.mod(&cfg)
-		r, err := harness.Run(cfg)
-		if err != nil {
-			return err
-		}
+	for i, r := range rs {
+		v := variants[i]
 		spills, promos := int64(0), int64(0)
 		if r.CoreStats != nil {
 			spills, promos = r.CoreStats.SpillInserted, r.CoreStats.PromoteInserted

@@ -11,6 +11,9 @@
 //	experiments -exp fig5a -scale quick|standard|full
 //	experiments -scenario production-day   # long-horizon scenario (internal/scenario)
 //
+// Independent simulations run on GOMAXPROCS CPUs at once; the output is
+// the same at any GOMAXPROCS.
+//
 // Experiments: table3 fig5a fig5b fig5c fig5d fig6 fig7 fig8 fig9 fig10
 // table4 table5 table6 controller. Scenarios (multi-phase operational
 // runs with per-phase SLO tables, not part of "all"): production-day.
@@ -20,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"switchv2p/internal/prof"
@@ -31,7 +33,6 @@ func main() {
 	scen := flag.String("scenario", "", "run a long-horizon operational scenario instead of -exp (production-day)")
 	scaleName := flag.String("scale", "standard", "quick | standard | full")
 	seed := flag.Int64("seed", 1, "random seed")
-	parallel := flag.Bool("parallel", false, "run sweep points on all CPUs (identical output, less wall clock)")
 	flag.StringVar(&csvDir, "csv", "", "also write plot-ready CSV files into this directory")
 	profiles := prof.Register()
 	flag.Parse()
@@ -43,9 +44,6 @@ func main() {
 		os.Exit(2)
 	}
 	sc.Seed = *seed
-	if *parallel {
-		sc.Workers = runtime.NumCPU()
-	}
 
 	// Scenarios are long-horizon multi-phase runs (internal/scenario);
 	// they are separate from -exp and never part of "all".

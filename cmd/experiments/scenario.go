@@ -45,15 +45,8 @@ func dayOptions(sc Scale) scenario.DayOptions {
 // productionDay runs the canonical long-horizon scenario for every
 // scheme and prints one per-phase SLO table each.
 func productionDay(sc Scale) error {
-	base := sc.baseConfig("hadoop")
-	base.SweepWorkers = 0 // the scenario runner owns concurrency
-	spec := scenario.ProductionDay(base, dayOptions(sc))
-
-	workers := sc.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	reports, err := scenario.RunAll(spec, harness.AllSchemes, workers)
+	spec := scenario.ProductionDay(sc.baseConfig("hadoop"), dayOptions(sc))
+	reports, err := scenario.RunAll(spec, harness.AllSchemes)
 	if err != nil {
 		return err
 	}

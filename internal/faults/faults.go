@@ -12,8 +12,8 @@
 //   - the cache-loss semantics of a switch failure (the scheme's
 //     FlushCache discards the failed switch's V2P state, so a
 //     recovered switch re-learns from scratch),
-//   - the recorded fault timeline (Injector.Applied and, when a
-//     telemetry collector is attached, Collector.Faults).
+//   - the recorded fault timeline (Injector.Applied; the harness copies
+//     it into the telemetry collector's Faults when it builds a report).
 //
 // Determinism: the random model uses a per-instance PRNG seeded from
 // Config — never the global math/rand state — and generates events by

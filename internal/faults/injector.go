@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"switchv2p/internal/simnet"
-	"switchv2p/internal/simtime"
-	"switchv2p/internal/telemetry"
 	"switchv2p/internal/topology"
 )
 
@@ -20,7 +18,6 @@ type Injector struct {
 
 	events []Event
 	errs   []error
-	col    *telemetry.Collector
 }
 
 // New compiles cfg against topo: the random model (if any) is expanded,
@@ -40,10 +37,9 @@ func New(cfg *Config, topo *topology.Topology) (*Injector, error) {
 }
 
 // Attach registers every scheduled event on the engine's queue and, if
-// the config uses loss windows, seeds the engine's loss PRNG. col may
-// be nil (no fault timeline is recorded). Call once, before Engine.Run.
-func (in *Injector) Attach(e *simnet.Engine, cfg *Config, col *telemetry.Collector) {
-	in.col = col
+// the config uses loss windows, seeds the engine's loss PRNG. Call once,
+// before Engine.Run.
+func (in *Injector) Attach(e *simnet.Engine, cfg *Config) {
 	if cfg != nil && !cfg.Empty() {
 		seed := cfg.LossSeed
 		if seed == 0 {
@@ -97,9 +93,6 @@ func (in *Injector) apply(e *simnet.Engine, ev Event) {
 		return
 	}
 	in.Applied = append(in.Applied, ev)
-	if in.col != nil {
-		in.col.RecordFault(float64(e.Now())/float64(simtime.Microsecond), ev.Kind.String(), ev.Detail())
-	}
 }
 
 // Err returns every error the injector hit while applying events, or

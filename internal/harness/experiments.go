@@ -2,26 +2,22 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"switchv2p/internal/netaddr"
 	"switchv2p/internal/simtime"
+	"switchv2p/internal/topology"
 	"switchv2p/internal/trace"
 )
-
-// sweepWorkers returns the effective sweep concurrency from a Config.
-func (c Config) sweepWorkers() int {
-	if c.SweepWorkers > 1 {
-		return c.SweepWorkers
-	}
-	return 1
-}
 
 // RunIndexed runs n independent jobs through a bounded worker pool,
 // returning the first error. Jobs are identified by index, so callers
 // store results into pre-sized slices and output order never depends on
-// scheduling. workers <= 1 degenerates to a plain serial loop.
+// scheduling. workers <= 1 degenerates to a plain serial loop. The
+// sweeps below, scenario.RunAll and cmd/experiments run every batch of
+// independent simulations through it at runtime.GOMAXPROCS(0) workers.
 func RunIndexed(workers, n int, job func(i int) error) error {
 	if workers > n {
 		workers = n
@@ -89,10 +85,10 @@ type SweepPoint struct {
 // fraction) combination. Schemes without an in-network cache (NoCache,
 // OnDemand, Direct) are measured once at fraction 0.
 //
-// With base.SweepWorkers > 1 the points run through a bounded worker
-// pool. Every point is an independent simulation seeded only from its
-// own Config, so the returned series is identical — values and order —
-// at any worker count.
+// The points run through RunIndexed on GOMAXPROCS workers. Every point
+// is an independent simulation seeded only from its own Config, so the
+// returned series is identical — values and order — at any worker
+// count.
 func CacheSizeSweep(base Config, fractions []float64, schemes []string) ([]SweepPoint, error) {
 	baseCfg := base
 	baseCfg.Scheme = SchemeNoCache
@@ -124,7 +120,7 @@ func CacheSizeSweep(base Config, fractions []float64, schemes []string) ([]Sweep
 	}
 
 	reports := make([]*Report, len(jobs))
-	err = RunIndexed(base.sweepWorkers(), len(jobs), func(i int) error {
+	err = RunIndexed(runtime.GOMAXPROCS(0), len(jobs), func(i int) error {
 		if jobs[i].useNC {
 			reports[i] = nc
 			return nil
@@ -175,8 +171,8 @@ type GatewayPoint struct {
 }
 
 // GatewaySweep reproduces Fig. 9: performance as the number of deployed
-// gateways shrinks. Points run concurrently when base.SweepWorkers > 1
-// (see CacheSizeSweep for the determinism argument).
+// gateways shrinks. Points run concurrently (see CacheSizeSweep for the
+// determinism argument).
 func GatewaySweep(base Config, gatewayCounts []int, schemes []string) ([]GatewayPoint, error) {
 	type job struct {
 		scheme   string
@@ -189,7 +185,7 @@ func GatewaySweep(base Config, gatewayCounts []int, schemes []string) ([]Gateway
 		}
 	}
 	out := make([]GatewayPoint, len(jobs))
-	err := RunIndexed(base.sweepWorkers(), len(jobs), func(i int) error {
+	err := RunIndexed(runtime.GOMAXPROCS(0), len(jobs), func(i int) error {
 		cfg := base
 		cfg.Scheme = jobs[i].scheme
 		cfg.ActiveGateways = jobs[i].gateways
@@ -219,11 +215,10 @@ type TopologyPoint struct {
 	FCT    simtime.Duration
 }
 
-// TopologySweep reproduces Fig. 10: the FT8 topology rescaled from 1 to
-// 32 pods with a fixed server count. Points run concurrently when
-// base.SweepWorkers > 1; scaled must be safe to call from multiple
-// goroutines (the stock closures only assemble Config values).
-func TopologySweep(base Config, pods []int, schemes []string, scaled func(pods int) (Config, error)) ([]TopologyPoint, error) {
+// TopologySweep reproduces Fig. 10: base's topology replaced by FT8
+// rescaled to each pod count (topology.ScaledFT8) with a fixed server
+// count. Points run concurrently (see CacheSizeSweep).
+func TopologySweep(base Config, pods []int, schemes []string) ([]TopologyPoint, error) {
 	type job struct {
 		scheme string
 		pods   int
@@ -235,11 +230,13 @@ func TopologySweep(base Config, pods []int, schemes []string, scaled func(pods i
 		}
 	}
 	out := make([]TopologyPoint, len(jobs))
-	err := RunIndexed(base.sweepWorkers(), len(jobs), func(i int) error {
-		cfg, err := scaled(jobs[i].pods)
+	err := RunIndexed(runtime.GOMAXPROCS(0), len(jobs), func(i int) error {
+		topo, err := topology.ScaledFT8(jobs[i].pods)
 		if err != nil {
 			return err
 		}
+		cfg := base
+		cfg.Topo = topo
 		cfg.Scheme = jobs[i].scheme
 		r, err := Run(cfg)
 		if err != nil {

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"switchv2p/internal/core"
@@ -91,6 +92,10 @@ func TestFaultInjectionDeterminism(t *testing.T) {
 		}
 		if len(tl1) == 0 {
 			t.Errorf("%s: empty fault timeline", scheme)
+		}
+		// Each record is stamped with the instant its event applied.
+		if !strings.Contains(tl1, "\n40.000000,SwitchFail,switch 1\n") {
+			t.Errorf("%s: fault timeline lacks the 40 µs SwitchFail of switch 1:\n%s", scheme, tl1)
 		}
 
 		// A different fault seed must change the scenario (different

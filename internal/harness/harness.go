@@ -153,31 +153,19 @@ type Config struct {
 	// Shards enables the sharded deterministic engine with that many
 	// worker goroutines over the topology's pod/core domains (0 = the
 	// classic serial engine; negative is an error). Results are
-	// byte-identical at every shard count and to ShardOracle mode — the
-	// worker count only changes how domains are claimed, never what they
-	// compute — but not to the serial engine, whose global event
-	// tie-breaking differs (see DESIGN.md). Only schemes free of global
-	// mutable per-event state support sharding (ShardSupported).
+	// byte-identical at every shard count and to the engine's serial
+	// oracle (simnet.Engine.ShardOracle) — the worker count only changes
+	// how domains are claimed, never what they compute — but not to the
+	// serial engine, whose global event tie-breaking differs (see
+	// DESIGN.md). Only schemes free of global mutable per-event state
+	// support sharding (ShardSupported).
 	Shards int
-	// ShardOracle runs the sharded engine in its serial oracle mode:
-	// the same domain decomposition, cross-shard mailboxes and event
-	// keys as Shards>0, dispatched by one goroutine in globally
-	// earliest-first order. The determinism tests compare it against the
-	// windowed parallel runs to validate the synchronization protocol.
-	ShardOracle bool
-
-	// SweepWorkers bounds how many simulations the sweep helpers
-	// (CacheSizeSweep, GatewaySweep, TopologySweep) run concurrently;
-	// 0 or 1 means serial. Every sweep point is an independent run
-	// seeded only from its own Config, so results and output order are
-	// identical at any worker count.
-	SweepWorkers int
 
 	Seed int64
 }
 
 // ShardSupported reports whether the named scheme can run on the
-// sharded deterministic engine (Config.Shards / Config.ShardOracle).
+// sharded deterministic engine (Config.Shards).
 func ShardSupported(scheme string) bool {
 	for _, s := range schemes {
 		if s.name == scheme {
@@ -401,17 +389,12 @@ func Build(cfg Config) (*World, error) {
 	engCfg := simnet.DefaultConfig()
 	engCfg.ActiveGateways = cfg.ActiveGateways
 	engine := simnet.New(topo, net, scheme, engCfg)
-	if cfg.Shards > 0 || cfg.ShardOracle {
+	if cfg.Shards > 0 {
 		if !ShardSupported(cfg.Scheme) {
 			return nil, fmt.Errorf("harness: scheme %q does not support the sharded engine; use one of: %s",
 				cfg.Scheme, strings.Join(schemeNames(true), ", "))
 		}
-		workers := cfg.Shards
-		if workers <= 0 {
-			workers = 1
-		}
-		engine.ShardOracle = cfg.ShardOracle
-		engine.EnableSharding(workers)
+		engine.EnableSharding(cfg.Shards)
 	}
 	agent := transport.New(engine, transport.DefaultConfig())
 
@@ -427,7 +410,7 @@ func Build(cfg Config) (*World, error) {
 		if err != nil {
 			return nil, err
 		}
-		inj.Attach(engine, cfg.Faults, w.Telem)
+		inj.Attach(engine, cfg.Faults)
 		w.Injector = inj
 	}
 
@@ -491,6 +474,17 @@ func (w *World) Report() *Report {
 	}
 	if w.Injector != nil {
 		r.FaultEvents = len(w.Injector.Applied)
+		if w.Telem != nil {
+			// Each event applies at its own instant (AtBarrier), so the
+			// timeline is stamped with ev.At.
+			w.Telem.Faults = make([]telemetry.FaultRecord, len(w.Injector.Applied))
+			for i, ev := range w.Injector.Applied {
+				w.Telem.Faults[i] = telemetry.FaultRecord{
+					TimeUs: float64(ev.At) / float64(simtime.Microsecond),
+					Kind:   ev.Kind.String(), Detail: ev.Detail(),
+				}
+			}
+		}
 	}
 	if c.HostSent > 0 {
 		r.HitRate = 1 - float64(c.GatewayPackets)/float64(c.HostSent)

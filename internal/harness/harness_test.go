@@ -399,16 +399,7 @@ func TestDeterministicReports(t *testing.T) {
 
 func TestTopologySweepShape(t *testing.T) {
 	base := quickConfig("")
-	pts, err := TopologySweep(base, []int{4, 16}, []string{SchemeSwitchV2P, SchemeLocalLearning},
-		func(pods int) (Config, error) {
-			cfg := base
-			topoCfg, err := topology.ScaledFT8(pods)
-			if err != nil {
-				return cfg, err
-			}
-			cfg.Topo = topoCfg
-			return cfg, nil
-		})
+	pts, err := TopologySweep(base, []int{4, 16}, []string{SchemeSwitchV2P, SchemeLocalLearning})
 	if err != nil {
 		t.Fatal(err)
 	}

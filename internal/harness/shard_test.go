@@ -26,10 +26,21 @@ import (
 // is wall-clock and so deliberately excluded.
 func runDoc(t *testing.T, cfg Config) (*Report, string) {
 	t.Helper()
-	r, err := Run(cfg)
+	w, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return worldDoc(t, w)
+}
+
+// worldDoc runs a built world to its horizon and flattens it as runDoc
+// does.
+func worldDoc(t *testing.T, w *World) (*Report, string) {
+	t.Helper()
+	if err := w.Run(w.Cfg.Horizon); err != nil {
+		t.Fatal(err)
+	}
+	r := w.Report()
 	var doc bytes.Buffer
 	doc.WriteString(reportFingerprint(r))
 	fmt.Fprintf(&doc, "\n%+v\n", r.World.Engine.C)
@@ -86,12 +97,18 @@ func TestShardCountByteIdentical(t *testing.T) {
 // earliest-first dispatch over the same domains, mailboxes and event
 // keys) and the windowed parallel runs must be byte-identical. Any
 // event the windowed engine dispatches out of global order in a way
-// that matters would break this.
+// that matters would break this. The oracle flag is read when the
+// sharded views are built at the first Run, so it is set after Build.
 func TestShardOracleMatchesWindowed(t *testing.T) {
 	oracle := quickConfig(SchemeSwitchV2P)
 	oracle.Telemetry = &telemetry.Options{Interval: 5 * simtime.Microsecond}
-	oracle.ShardOracle = true
-	_, oracleDoc := runDoc(t, oracle)
+	oracle.Shards = 1
+	w, err := Build(oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Engine.ShardOracle = true
+	_, oracleDoc := worldDoc(t, w)
 
 	windowed := quickConfig(SchemeSwitchV2P)
 	windowed.Telemetry = &telemetry.Options{Interval: 5 * simtime.Microsecond}

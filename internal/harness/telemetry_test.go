@@ -10,7 +10,6 @@ import (
 	"switchv2p/internal/core"
 	"switchv2p/internal/simtime"
 	"switchv2p/internal/telemetry"
-	"switchv2p/internal/topology"
 )
 
 // reportFingerprint flattens every simulation-visible Report field into a
@@ -128,24 +127,24 @@ func TestTelemetryCountersReconcile(t *testing.T) {
 	}
 }
 
-// TestSweepParallelDeterminism checks the satellite guarantee: sweeps run
-// through the worker pool export byte-identical CSV to serial runs.
+// TestSweepParallelDeterminism checks that sweeps run through the worker
+// pool at GOMAXPROCS 4 export byte-identical CSV to serial runs at
+// GOMAXPROCS 1.
 func TestSweepParallelDeterminism(t *testing.T) {
-	serial := quickConfig(SchemeSwitchV2P)
-	parallel := serial
-	parallel.SweepWorkers = runtime.NumCPU()
-	if parallel.SweepWorkers < 2 {
-		parallel.SweepWorkers = 2
-	}
+	cfg := quickConfig(SchemeSwitchV2P)
 	schemes := []string{SchemeSwitchV2P, SchemeNoCache}
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 
 	runBoth := func(name string, export func(Config) ([]byte, error)) {
 		t.Helper()
-		s, err := export(serial)
+		runtime.GOMAXPROCS(1)
+		s, err := export(cfg)
 		if err != nil {
 			t.Fatalf("%s serial: %v", name, err)
 		}
-		p, err := export(parallel)
+		runtime.GOMAXPROCS(4)
+		p, err := export(cfg)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", name, err)
 		}
@@ -177,15 +176,7 @@ func TestSweepParallelDeterminism(t *testing.T) {
 		return buf.Bytes(), nil
 	})
 	runBoth("topology", func(cfg Config) ([]byte, error) {
-		pts, err := TopologySweep(cfg, []int{4, 8}, schemes, func(pods int) (Config, error) {
-			c := cfg
-			topo, err := topology.ScaledFT8(pods)
-			if err != nil {
-				return c, err
-			}
-			c.Topo = topo
-			return c, nil
-		})
+		pts, err := TopologySweep(cfg, []int{4, 8}, schemes)
 		if err != nil {
 			return nil, err
 		}

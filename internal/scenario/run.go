@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"runtime"
 
 	"switchv2p/internal/harness"
 )
@@ -104,15 +105,15 @@ func Run(spec Spec) (*Report, error) {
 }
 
 // RunAll runs the scenario once per scheme (spec.Base.Scheme is
-// overridden) with at most workers concurrent runs. Reports come back
-// in scheme order regardless of worker count; each run is seeded only
-// from its own config, so results are worker-count invariant.
-func RunAll(spec Spec, schemes []string, workers int) ([]*Report, error) {
+// overridden) through harness.RunIndexed on GOMAXPROCS workers. Reports
+// come back in scheme order; each run is seeded only from its own
+// config, so results do not depend on the worker count.
+func RunAll(spec Spec, schemes []string) ([]*Report, error) {
 	if len(schemes) == 0 {
 		schemes = harness.AllSchemes
 	}
 	reports := make([]*Report, len(schemes))
-	err := harness.RunIndexed(workers, len(schemes), func(i int) error {
+	err := harness.RunIndexed(runtime.GOMAXPROCS(0), len(schemes), func(i int) error {
 		s := spec
 		s.Base.Scheme = schemes[i]
 		var err error

@@ -138,6 +138,9 @@ func (s Spec) Validate() error {
 	if !s.Base.Faults.Empty() {
 		return fmt.Errorf("scenario %q: Base.Faults must be unset (the planner owns the fault schedule)", s.Name)
 	}
+	if s.Base.Shards != 0 {
+		return fmt.Errorf("scenario %q: Base.Shards must be 0 (scenarios run on the serial engine)", s.Name)
+	}
 	if s.ChurnTenant > vnet.MaxTenantID {
 		return fmt.Errorf("scenario %q: churn tenant %d exceeds the VNI space", s.Name, s.ChurnTenant)
 	}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -125,15 +126,19 @@ func TestSameSeedByteIdentical(t *testing.T) {
 }
 
 // TestWorkerCountInvariance: RunAll must produce identical reports at
-// any worker count.
+// GOMAXPROCS 1 and 4.
 func TestWorkerCountInvariance(t *testing.T) {
 	schemes := []string{harness.SchemeSwitchV2P, harness.SchemeNoCache, harness.SchemeGwCache}
 	spec := miniDay(3)
-	serial, err := RunAll(spec, schemes, 1)
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	runtime.GOMAXPROCS(1)
+	serial, err := RunAll(spec, schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunAll(spec, schemes, 3)
+	runtime.GOMAXPROCS(4)
+	parallel, err := RunAll(spec, schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +151,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("scheme %s: report differs between 1 and 3 workers", schemes[i])
+			t.Errorf("scheme %s: report differs between GOMAXPROCS 1 and 4", schemes[i])
 		}
 		if serial[i].Scheme == "" {
 			t.Errorf("scheme %s: empty report", schemes[i])
@@ -173,6 +178,7 @@ func TestValidateErrors(t *testing.T) {
 		{"infinite load", func(s *Spec) { s.Phases[1].LoadEnd = math.Inf(1) }, "load factor"},
 		{"negative budget", func(s *Spec) { s.FlowBudget = -5 }, "flow budget"},
 		{"negative drain grace", func(s *Spec) { s.DrainGrace = -simtime.Microsecond }, "drain grace"},
+		{"sharded base", func(s *Spec) { s.Base.Shards = 2 }, "Base.Shards must be 0"},
 	}
 	for _, tc := range cases {
 		s := base()

@@ -61,7 +61,8 @@ type Collector struct {
 	Profile  EngineProfile
 	Timeline *Timeline
 	// Faults is the ordered timeline of fault events applied during the
-	// run (empty when no fault injection is configured).
+	// run, filled from the injector's timeline when the harness builds
+	// the report (empty when no fault injection is configured).
 	Faults []FaultRecord
 
 	profileOnly bool
@@ -87,13 +88,6 @@ func New(opts Options) *Collector {
 		Timeline:    &Timeline{},
 		profileOnly: opts.ProfileOnly,
 	}
-}
-
-// RecordFault appends one event to the fault timeline. The injector
-// calls it at the simulation time the fault is applied, so records are
-// naturally in non-decreasing time order.
-func (c *Collector) RecordFault(timeUs float64, kind, detail string) {
-	c.Faults = append(c.Faults, FaultRecord{TimeUs: timeUs, Kind: kind, Detail: detail})
 }
 
 // AddProbe registers a sampled series: fn is evaluated once per

@@ -31,7 +31,7 @@ func TestRTOGiveUpUnderSustainedLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.Attach(w.e, &faults.Config{Schedule: up}, nil)
+	inj.Attach(w.e, &faults.Config{Schedule: up})
 
 	rec := w.agent.AddFlow(FlowSpec{ID: 1, Src: src, Dst: dst, Proto: TCP, Bytes: 500})
 	w.e.Run(simtime.Never)
@@ -79,7 +79,7 @@ func TestFlowRecoversAfterLinkUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.Attach(w.e, cfg, nil)
+	inj.Attach(w.e, cfg)
 
 	rec := w.agent.AddFlow(FlowSpec{ID: 1, Src: src, Dst: dst, Proto: TCP, Bytes: 500})
 	w.e.Run(simtime.Never)

@@ -143,11 +143,23 @@ echo "== production-day scenario smoke =="
 # day into 24ms of simulated time, so the smoke stays seconds of wall
 # clock while still driving churn, a migration storm, gateway drains
 # and a rolling upgrade. Assert every phase shows up with an SLO verdict.
-scenario_out="$(go run ./cmd/experiments -scenario production-day -scale quick -parallel)"
+scenario_out="$(go run ./cmd/experiments -scenario production-day -scale quick)"
 for phase in morning-ramp midday-churn migration-storm gateway-autoscale rolling-upgrade evening-drain; do
   echo "$scenario_out" | grep -q "$phase" || { echo "scenario smoke: phase $phase missing from output"; exit 1; }
 done
 echo "$scenario_out" | grep -Eq 'pass|FAIL' || { echo "scenario smoke: no SLO verdicts in output"; exit 1; }
+
+echo "== experiments worker-count smoke (GOMAXPROCS 1 vs 2, ~12 s) =="
+# cmd/experiments runs each experiment's independent simulations through
+# harness.RunIndexed on GOMAXPROCS workers and prints them in index
+# order, so the rows must not depend on GOMAXPROCS; only the "done in"
+# wall-clock lines may differ.
+go build -o "$tmp/experiments" ./cmd/experiments
+for exp in fig7 fig8 table4 table5 controller ablation; do
+  GOMAXPROCS=1 "$tmp/experiments" -exp "$exp" -scale quick | grep -v 'done in' >"$tmp/exp1.txt"
+  GOMAXPROCS=2 "$tmp/experiments" -exp "$exp" -scale quick | grep -v 'done in' >"$tmp/exp2.txt"
+  diff "$tmp/exp1.txt" "$tmp/exp2.txt" || { echo "worker-count smoke: $exp differs between GOMAXPROCS 1 and 2"; exit 1; }
+done
 
 echo "== benchmark digest gate (go run ./bench, seed 1, one short repetition per workload) =="
 # Every bench workload hashes its simulation output and compares it with

@@ -205,11 +205,11 @@ func ProductionDay(base Config, o DayOptions) Scenario { return scenario.Product
 // byte for byte.
 func RunScenario(s Scenario) (*ScenarioReport, error) { return scenario.Run(s) }
 
-// RunScenarioAll runs a scenario once per scheme (nil = AllSchemes)
-// with at most workers concurrent runs; reports come back in scheme
-// order at any worker count.
-func RunScenarioAll(s Scenario, schemes []string, workers int) ([]*ScenarioReport, error) {
-	return scenario.RunAll(s, schemes, workers)
+// RunScenarioAll runs a scenario once per scheme (nil = AllSchemes),
+// as many at once as GOMAXPROCS allows; reports come back in scheme
+// order, the same at any GOMAXPROCS.
+func RunScenarioAll(s Scenario, schemes []string) ([]*ScenarioReport, error) {
+	return scenario.RunAll(s, schemes)
 }
 
 // FT8 returns the paper's FT8-10K topology configuration (Table 3).
