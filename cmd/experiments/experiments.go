@@ -2,12 +2,11 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
-	"runtime"
+	"path/filepath"
 	"strings"
 	"text/tabwriter"
-
-	"path/filepath"
 
 	"switchv2p/internal/harness"
 	"switchv2p/internal/p4model"
@@ -75,23 +74,19 @@ func (sc Scale) schemeConfigs(traceName string, schemes []string) []harness.Conf
 	return cfgs
 }
 
-// runAll runs one independent simulation per input through
-// harness.RunIndexed on GOMAXPROCS workers and returns the results in
-// input order, so an experiment prints the same rows at any CPU count.
-func runAll[C, R any](in []C, run func(C) (R, error)) ([]R, error) {
-	out := make([]R, len(in))
-	err := harness.RunIndexed(runtime.GOMAXPROCS(0), len(in), func(i int) error {
-		var err error
-		out[i], err = run(in[i])
-		return err
-	})
-	return out, err
-}
-
 func newTable(headers ...string) (*tabwriter.Writer, func()) {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, strings.Join(headers, "\t"))
 	return tw, func() { tw.Flush() }
+}
+
+// printRows prints a table whose rows the experiment's jobs formatted.
+func printRows(rows []string, headers ...string) {
+	tw, done := newTable(headers...)
+	defer done()
+	for _, row := range rows {
+		fmt.Fprintln(tw, row)
+	}
 }
 
 func us(d simtime.Duration) string { return fmt.Sprintf("%.1f", d.Micros()) }
@@ -99,20 +94,21 @@ func us(d simtime.Duration) string { return fmt.Sprintf("%.1f", d.Micros()) }
 // csvDir, when set via -csv, receives plot-ready CSV files per experiment.
 var csvDir string
 
-// writeCSV writes one experiment's CSV if -csv was given.
-func writeCSV(name string, write func(w *os.File) error) {
+// writeCSV writes one experiment's CSV if -csv was given; a failure to
+// create, write or close the file fails the experiment.
+func writeCSV(name string, write func(io.Writer) error) error {
 	if csvDir == "" {
-		return
+		return nil
 	}
 	f, err := os.Create(filepath.Join(csvDir, name))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "csv: %v\n", err)
-		return
+		return fmt.Errorf("csv: %w", err)
 	}
-	defer f.Close()
 	if err := write(f); err != nil {
-		fmt.Fprintf(os.Stderr, "csv %s: %v\n", name, err)
+		f.Close()
+		return fmt.Errorf("csv %s: %w", name, err)
 	}
+	return f.Close()
 }
 
 // table3 echoes the topology characteristics (Table 3).
@@ -165,9 +161,8 @@ func fig5(sc Scale, traceName string) error {
 	if err != nil {
 		return err
 	}
-	writeCSV("fig5_"+traceName+".csv", func(w *os.File) error { return harness.WriteSweepCSV(w, pts) })
 	printSweep(pts)
-	return nil
+	return writeCSV("fig5_"+traceName+".csv", func(w io.Writer) error { return harness.WriteSweepCSV(w, pts) })
 }
 
 func printSweep(pts []harness.SweepPoint) {
@@ -194,9 +189,8 @@ func fig6(sc Scale) error {
 	if err != nil {
 		return err
 	}
-	writeCSV("fig6_alibaba_ft16.csv", func(w *os.File) error { return harness.WriteSweepCSV(w, pts) })
 	printSweep(pts)
-	return nil
+	return writeCSV("fig6_alibaba_ft16.csv", func(w io.Writer) error { return harness.WriteSweepCSV(w, pts) })
 }
 
 // fig7 prints the per-pod processed-bytes heatmap plus the §5.3 derived
@@ -206,30 +200,33 @@ func fig7(sc Scale) error {
 		harness.SchemeNoCache, harness.SchemeLocalLearning, harness.SchemeGwCache,
 		harness.SchemeSwitchV2P, harness.SchemeDirect,
 	}
-	rs, err := runAll(sc.schemeConfigs("hadoop", schemes), harness.Run)
+	rows, err := harness.RunAll(sc.schemeConfigs("hadoop", schemes), func(cfg harness.Config) (harness.PodBytes, error) {
+		r, err := harness.Run(cfg)
+		if err != nil {
+			return harness.PodBytes{}, err
+		}
+		return harness.PodBytes{Scheme: r.Scheme, PerPod: r.PerPodBytes, Total: r.TotalSwitchBytes, AvgStretch: r.AvgStretch}, nil
+	})
 	if err != nil {
 		return err
 	}
-	reports := make(map[string]*harness.Report)
+	total := make(map[string]int64)
 	tw, done := newTable("scheme", "pod1", "pod2", "pod3", "pod4", "pod5", "pod6", "pod7", "pod8", "totalMB", "stretch")
-	for i, r := range rs {
-		reports[schemes[i]] = r
+	for i, r := range rows {
+		total[schemes[i]] = r.Total
 		row := []string{r.Scheme}
-		for _, b := range r.PerPodBytes {
+		for _, b := range r.PerPod {
 			row = append(row, fmt.Sprintf("%d", b>>20))
 		}
-		row = append(row, fmt.Sprintf("%d", r.TotalSwitchBytes>>20), fmt.Sprintf("%.1f", r.AvgStretch))
+		row = append(row, fmt.Sprintf("%d", r.Total>>20), fmt.Sprintf("%.1f", r.AvgStretch))
 		fmt.Fprintln(tw, strings.Join(row, "\t"))
 	}
 	done()
-	writeCSV("fig7_pod_bytes.csv", func(w *os.File) error { return harness.WritePodBytesCSV(w, rs) })
-	nc, gw, sv, d := reports[harness.SchemeNoCache], reports[harness.SchemeGwCache],
-		reports[harness.SchemeSwitchV2P], reports[harness.SchemeDirect]
+	sv := float64(total[harness.SchemeSwitchV2P])
 	fmt.Printf("network bytes: SwitchV2P vs NoCache %.2fx, vs GwCache %.2fx, vs Direct +%.0f%%\n",
-		float64(nc.TotalSwitchBytes)/float64(sv.TotalSwitchBytes),
-		float64(gw.TotalSwitchBytes)/float64(sv.TotalSwitchBytes),
-		100*(float64(sv.TotalSwitchBytes)/float64(d.TotalSwitchBytes)-1))
-	return nil
+		float64(total[harness.SchemeNoCache])/sv, float64(total[harness.SchemeGwCache])/sv,
+		100*(sv/float64(total[harness.SchemeDirect])-1))
+	return writeCSV("fig7_pod_bytes.csv", func(w io.Writer) error { return harness.WritePodBytesCSV(w, rows) })
 }
 
 // fig8 prints per-switch bytes inside gateway pod 8 (index 7).
@@ -238,26 +235,37 @@ func fig8(sc Scale) error {
 		harness.SchemeNoCache, harness.SchemeLocalLearning, harness.SchemeGwCache,
 		harness.SchemeSwitchV2P,
 	}
-	rs, err := runAll(sc.schemeConfigs("hadoop", schemes), harness.Run)
+	// Each run keeps its printed row and its gateway ToR's bytes (the
+	// pod's last switch) for the reduction line.
+	type line struct {
+		row   string
+		gwToR int64
+	}
+	lines, err := harness.RunAll(sc.schemeConfigs("hadoop", schemes), func(cfg harness.Config) (line, error) {
+		r, err := harness.Run(cfg)
+		if err != nil {
+			return line{}, err
+		}
+		bytes := r.PodSwitchBytes(7)
+		row := []string{r.Scheme}
+		for _, b := range bytes {
+			row = append(row, fmt.Sprintf("%d", b>>20))
+		}
+		return line{strings.Join(row, "\t"), bytes[len(bytes)-1]}, nil
+	})
 	if err != nil {
 		return err
 	}
 	tw, done := newTable("scheme", "sp1", "sp2", "sp3", "sp4", "tor5", "tor6", "tor7", "gwToR8")
 	defer done()
 	var ncGwToR, svGwToR int64
-	for i, r := range rs {
-		s := schemes[i]
-		row := []string{r.Scheme}
-		bytes := r.PodSwitchBytes(7)
-		for _, b := range bytes {
-			row = append(row, fmt.Sprintf("%d", b>>20))
-		}
-		fmt.Fprintln(tw, strings.Join(row, "\t"))
-		if s == harness.SchemeNoCache {
-			ncGwToR = bytes[len(bytes)-1]
-		}
-		if s == harness.SchemeSwitchV2P {
-			svGwToR = bytes[len(bytes)-1]
+	for i, l := range lines {
+		fmt.Fprintln(tw, l.row)
+		switch schemes[i] {
+		case harness.SchemeNoCache:
+			ncGwToR = l.gwToR
+		case harness.SchemeSwitchV2P:
+			svGwToR = l.gwToR
 		}
 	}
 	if svGwToR > 0 {
@@ -276,13 +284,12 @@ func fig9(sc Scale) error {
 	if err != nil {
 		return err
 	}
-	writeCSV("fig9_gateways.csv", func(w *os.File) error { return harness.WriteGatewayCSV(w, pts) })
 	tw, done := newTable("scheme", "gateways", "FCT(µs)", "first(µs)", "drops")
 	defer done()
 	for _, p := range pts {
 		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%d\n", p.Scheme, p.Gateways, us(p.FCT), us(p.FirstPacket), p.Drops)
 	}
-	return nil
+	return writeCSV("fig9_gateways.csv", func(w io.Writer) error { return harness.WriteGatewayCSV(w, pts) })
 }
 
 // fig10 rescales the topology from 1 to 32 pods.
@@ -294,13 +301,12 @@ func fig10(sc Scale) error {
 	if err != nil {
 		return err
 	}
-	writeCSV("fig10_topology.csv", func(w *os.File) error { return harness.WriteTopologyCSV(w, pts) })
 	tw, done := newTable("scheme", "pods", "FCT(µs)")
 	defer done()
 	for _, p := range pts {
 		fmt.Fprintf(tw, "%s\t%d\t%s\n", p.Scheme, p.Pods, us(p.FCT))
 	}
-	return nil
+	return writeCSV("fig10_topology.csv", func(w io.Writer) error { return harness.WriteTopologyCSV(w, pts) })
 }
 
 // table4 runs the VM-migration experiment for every row of Table 4.
@@ -328,7 +334,7 @@ func table4(sc Scale) error {
 		mcs[i].Senders = sc.MigrationSenders
 		mcs[i].TotalPackets = sc.MigrationPackets
 	}
-	results, err := runAll(mcs, harness.Migration)
+	results, err := harness.RunAll(mcs, harness.Migration)
 	if err != nil {
 		return err
 	}
@@ -349,33 +355,31 @@ func table4(sc Scale) error {
 			float64(res.LastMisdeliveredArrival)/1000, misX, res.InvalidationPkts)
 		res.Scheme = v.label
 	}
-	writeCSV("table4_migration.csv", func(w *os.File) error { return harness.WriteMigrationCSV(w, results) })
-	return nil
+	return writeCSV("table4_migration.csv", func(w io.Writer) error { return harness.WriteMigrationCSV(w, results) })
 }
 
 // table5 prints the per-layer cache-hit distribution for every trace.
 func table5(sc Scale) error {
 	traces := []string{"hadoop", "websearch", "alibaba", "microbursts", "video"}
-	cfgs := make([]harness.Config, len(traces))
-	for i, tr := range traces {
-		cfgs[i] = sc.baseConfig(tr)
-		cfgs[i].Scheme = harness.SchemeSwitchV2P
-	}
-	rs, err := runAll(cfgs, harness.Run)
-	if err != nil {
-		return err
-	}
-	tw, done := newTable("dataset", "core", "spine", "tor", "| first: core", "spine", "tor")
-	defer done()
-	for i, r := range rs {
+	rows, err := harness.RunAll(traces, func(tr string) (string, error) {
+		cfg := sc.baseConfig(tr)
+		cfg.Scheme = harness.SchemeSwitchV2P
+		r, err := harness.Run(cfg)
+		if err != nil {
+			return "", err
+		}
 		if r.CoreStats == nil {
-			return fmt.Errorf("missing core stats")
+			return "", fmt.Errorf("missing core stats")
 		}
 		tot := r.CoreStats.TotalCacheHitShare()
 		fp := r.CoreStats.FirstPacketHitShare()
-		fmt.Fprintf(tw, "%s\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\n",
-			traces[i], 100*tot[2], 100*tot[1], 100*tot[0], 100*fp[2], 100*fp[1], 100*fp[0])
+		return fmt.Sprintf("%s\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%",
+			tr, 100*tot[2], 100*tot[1], 100*tot[0], 100*fp[2], 100*fp[1], 100*fp[0]), nil
+	})
+	if err != nil {
+		return err
 	}
+	printRows(rows, "dataset", "core", "spine", "tor", "| first: core", "spine", "tor")
 	return nil
 }
 
@@ -416,21 +420,21 @@ func controller(sc Scale) error {
 		cfg.CacheFraction = frac
 		cfgs = append(cfgs, cfg)
 	}
-	rs, err := runAll(cfgs, harness.Run)
+	rows, err := harness.RunAll(cfgs, func(cfg harness.Config) (string, error) {
+		r, err := harness.Run(cfg)
+		if err != nil {
+			return "", err
+		}
+		if cfg.Scheme == harness.SchemeController {
+			return fmt.Sprintf("Controller\t%.0f\t%g\t%.3f\t%s",
+				cfg.ControllerInterval.Micros(), cfg.CacheFraction, r.HitRate, us(r.Summary.AvgFCT)), nil
+		}
+		return fmt.Sprintf("SwitchV2P\t-\t%g\t%.3f\t%s", cfg.CacheFraction, r.HitRate, us(r.Summary.AvgFCT)), nil
+	})
 	if err != nil {
 		return err
 	}
-	tw, done := newTable("scheme", "interval(µs)", "cache", "hit-rate", "FCT(µs)")
-	defer done()
-	for i, r := range rs {
-		cfg := cfgs[i]
-		if cfg.Scheme == harness.SchemeController {
-			fmt.Fprintf(tw, "Controller\t%.0f\t%g\t%.3f\t%s\n",
-				cfg.ControllerInterval.Micros(), cfg.CacheFraction, r.HitRate, us(r.Summary.AvgFCT))
-		} else {
-			fmt.Fprintf(tw, "SwitchV2P\t-\t%g\t%.3f\t%s\n", cfg.CacheFraction, r.HitRate, us(r.Summary.AvgFCT))
-		}
-	}
+	printRows(rows, "scheme", "interval(µs)", "cache", "hit-rate", "FCT(µs)")
 	return nil
 }
 
@@ -450,27 +454,25 @@ func ablation(sc Scale) error {
 		{"no-promotion", func(c *harness.Config) { c.V2PPromotion = &off }},
 		{"tor-only-memory", func(c *harness.Config) { c.V2PToROnly = true }},
 	}
-	cfgs := make([]harness.Config, len(variants))
-	for i, v := range variants {
-		cfgs[i] = sc.baseConfig("hadoop")
-		cfgs[i].Scheme = harness.SchemeSwitchV2P
-		v.mod(&cfgs[i])
-	}
-	rs, err := runAll(cfgs, harness.Run)
-	if err != nil {
-		return err
-	}
-	tw, done := newTable("variant", "hit-rate", "FCT(µs)", "first(µs)", "learnPkts", "spills", "promos")
-	defer done()
-	for i, r := range rs {
-		v := variants[i]
+	rows, err := harness.RunAll(variants, func(v variant) (string, error) {
+		cfg := sc.baseConfig("hadoop")
+		cfg.Scheme = harness.SchemeSwitchV2P
+		v.mod(&cfg)
+		r, err := harness.Run(cfg)
+		if err != nil {
+			return "", err
+		}
 		spills, promos := int64(0), int64(0)
 		if r.CoreStats != nil {
 			spills, promos = r.CoreStats.SpillInserted, r.CoreStats.PromoteInserted
 		}
-		fmt.Fprintf(tw, "%s\t%.3f\t%s\t%s\t%d\t%d\t%d\n",
+		return fmt.Sprintf("%s\t%.3f\t%s\t%s\t%d\t%d\t%d",
 			v.label, r.HitRate, us(r.Summary.AvgFCT), us(r.Summary.AvgFirstPacket),
-			r.LearningPkts, spills, promos)
+			r.LearningPkts, spills, promos), nil
+	})
+	if err != nil {
+		return err
 	}
+	printRows(rows, "variant", "hit-rate", "FCT(µs)", "first(µs)", "learnPkts", "spills", "promos")
 	return nil
 }

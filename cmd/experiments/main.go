@@ -11,8 +11,9 @@
 //	experiments -exp fig5a -scale quick|standard|full
 //	experiments -scenario production-day   # long-horizon scenario (internal/scenario)
 //
-// Independent simulations run on GOMAXPROCS CPUs at once; the output is
-// the same at any GOMAXPROCS.
+// Independent simulations run through harness.RunAll on GOMAXPROCS CPUs
+// at once; the output is the same at any GOMAXPROCS. With -csv, a file
+// that cannot be written fails the experiment.
 //
 // Experiments: table3 fig5a fig5b fig5c fig5d fig6 fig7 fig8 fig9 fig10
 // table4 table5 table6 controller. Scenarios (multi-phase operational

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"switchv2p/internal/harness"
@@ -56,5 +59,27 @@ func TestQuickScaleTable5Runs(t *testing.T) {
 	}
 	if r.CoreStats == nil {
 		t.Fatal("missing core stats for table5")
+	}
+}
+
+// TestCSVFailureFailsTheExperiment: a -csv directory that cannot take
+// the file fails the experiment; a writable one receives it.
+func TestCSVFailureFailsTheExperiment(t *testing.T) {
+	prev := csvDir
+	t.Cleanup(func() { csvDir = prev })
+	sc := scales["quick"]
+
+	csvDir = filepath.Join(t.TempDir(), "no", "such", "dir")
+	if err := table4(sc); err == nil || !strings.Contains(err.Error(), "table4_migration.csv") {
+		t.Fatalf("table4 with an unwritable -csv dir: err = %v, want the create error", err)
+	}
+
+	csvDir = t.TempDir()
+	if err := table4(sc); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(csvDir, "table4_migration.csv"))
+	if err != nil || !strings.HasPrefix(string(b), "scheme,gateway_packet_share,") {
+		t.Fatalf("table4_migration.csv = %q, %v", b, err)
 	}
 }

@@ -57,10 +57,9 @@ func productionDay(sc Scale) error {
 		if err := rep.WriteTable(os.Stdout); err != nil {
 			return err
 		}
-		rep := rep
-		writeCSV(fmt.Sprintf("scenario_%s_%s.json", spec.Name, rep.Scheme), func(f *os.File) error {
-			return rep.WriteJSON(f)
-		})
+		if err := writeCSV(fmt.Sprintf("scenario_%s_%s.json", spec.Name, rep.Scheme), rep.WriteJSON); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,58 +13,45 @@ import (
 	"switchv2p/internal/trace"
 )
 
-// RunIndexed runs n independent jobs through a bounded worker pool,
-// returning the first error. Jobs are identified by index, so callers
-// store results into pre-sized slices and output order never depends on
-// scheduling. workers <= 1 degenerates to a plain serial loop. The
-// sweeps below, scenario.RunAll and cmd/experiments run every batch of
-// independent simulations through it at runtime.GOMAXPROCS(0) workers.
-func RunIndexed(workers, n int, job func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := job(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// RunAll runs run once per input on min(GOMAXPROCS, len(in)) workers and
+// returns the results in input order. Every caller seeds each run only
+// from its own input, so the results are the same at any GOMAXPROCS.
+// Jobs are claimed in index order, and workers stop claiming once a job
+// has failed; every job below a failing one has been claimed and runs to
+// the end, so the error returned, the lowest-index failing job's, does
+// not depend on timing. The sweeps below, scenario.RunAll and
+// cmd/experiments run every batch of independent simulations through
+// it, each job reducing its run to the numbers its caller keeps.
+func RunAll[C, R any](in []C, run func(C) (R, error)) ([]R, error) {
+	out := make([]R, len(in))
+	errs := make([]error, len(in))
 	var (
-		next     int64
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), len(in)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(in) {
 					return
 				}
-				mu.Lock()
-				failed := firstErr != nil
-				mu.Unlock()
-				if failed {
-					return
-				}
-				if err := job(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
+				if out[i], errs[i] = run(in[i]); errs[i] != nil {
+					failed.Store(true)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	return firstErr
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // SweepPoint is one (scheme, cache size) measurement of a Fig. 5/6-style
@@ -85,80 +73,63 @@ type SweepPoint struct {
 // fraction) combination. Schemes without an in-network cache (NoCache,
 // OnDemand, Direct) are measured once at fraction 0.
 //
-// The points run through RunIndexed on GOMAXPROCS workers. Every point
-// is an independent simulation seeded only from its own Config, so the
-// returned series is identical — values and order — at any worker
-// count.
+// The points run through RunAll, the baseline as job 0. Every point is
+// an independent simulation seeded only from its own Config, so the
+// returned series is identical — values and order — at any GOMAXPROCS.
 func CacheSizeSweep(base Config, fractions []float64, schemes []string) ([]SweepPoint, error) {
-	baseCfg := base
-	baseCfg.Scheme = SchemeNoCache
-	nc, err := Run(baseCfg)
-	if err != nil {
-		return nil, err
-	}
-	ncFCT := nc.Summary.AvgFCT
-	ncFirst := nc.Summary.AvgFirstPacket
-
-	type job struct {
-		scheme  string
-		frac    float64
-		setFrac bool // cache schemes: override CacheFraction with frac
-		useNC   bool // reuse the NoCache baseline report
-	}
-	var jobs []job
+	cfgs := []Config{base}
+	cfgs[0].Scheme = SchemeNoCache
+	ncRow := -1 // where a requested NoCache row goes among the other points
 	for _, scheme := range schemes {
-		switch scheme {
-		case SchemeNoCache:
-			jobs = append(jobs, job{scheme: scheme, useNC: true})
-		case SchemeOnDemand, SchemeDirect:
-			jobs = append(jobs, job{scheme: scheme})
+		cfg := base
+		cfg.Scheme = scheme
+		switch {
+		case scheme == SchemeNoCache:
+			ncRow = len(cfgs) - 1
+		case !sizesCache(scheme):
+			cfgs = append(cfgs, cfg)
 		default:
 			for _, f := range fractions {
-				jobs = append(jobs, job{scheme: scheme, frac: f, setFrac: true})
+				cfg.CacheFraction = f
+				cfgs = append(cfgs, cfg)
 			}
 		}
 	}
-
-	reports := make([]*Report, len(jobs))
-	err = RunIndexed(runtime.GOMAXPROCS(0), len(jobs), func(i int) error {
-		if jobs[i].useNC {
-			reports[i] = nc
-			return nil
-		}
-		cfg := base
-		cfg.Scheme = jobs[i].scheme
-		if jobs[i].setFrac {
-			cfg.CacheFraction = jobs[i].frac
-		}
+	pts, err := RunAll(cfgs, func(cfg Config) (SweepPoint, error) {
 		r, err := Run(cfg)
 		if err != nil {
-			return err
+			return SweepPoint{}, err
 		}
-		reports[i] = r
-		return nil
+		p := SweepPoint{Scheme: r.Scheme, HitRate: r.HitRate, FCT: r.Summary.AvgFCT, FirstPacket: r.Summary.AvgFirstPacket}
+		if sizesCache(cfg.Scheme) {
+			p.CacheFraction = cfg.CacheFraction
+		}
+		return p, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	out := make([]SweepPoint, 0, len(jobs))
-	for i, r := range reports {
-		p := SweepPoint{
-			Scheme:        r.Scheme,
-			CacheFraction: jobs[i].frac,
-			HitRate:       r.HitRate,
-			FCT:           r.Summary.AvgFCT,
-			FirstPacket:   r.Summary.AvgFirstPacket,
+	nc, out := pts[0], pts[1:]
+	if ncRow >= 0 {
+		out = slices.Insert(out, ncRow, nc)
+	}
+	for i := range out {
+		p := &out[i]
+		if p.FCT > 0 {
+			p.FCTImprovement = float64(nc.FCT) / float64(p.FCT)
 		}
-		if r.Summary.AvgFCT > 0 {
-			p.FCTImprovement = float64(ncFCT) / float64(r.Summary.AvgFCT)
+		if p.FirstPacket > 0 {
+			p.FirstPktImprovement = float64(nc.FirstPacket) / float64(p.FirstPacket)
 		}
-		if r.Summary.AvgFirstPacket > 0 {
-			p.FirstPktImprovement = float64(ncFirst) / float64(r.Summary.AvgFirstPacket)
-		}
-		out = append(out, p)
 	}
 	return out, nil
+}
+
+// sizesCache reports whether a sweep varies scheme's cache size: every
+// scheme but those without an in-network cache.
+func sizesCache(scheme string) bool {
+	return scheme != SchemeNoCache && scheme != SchemeOnDemand && scheme != SchemeDirect
 }
 
 // GatewayPoint is one measurement of the Fig. 9 gateway-reduction sweep.
@@ -171,41 +142,31 @@ type GatewayPoint struct {
 }
 
 // GatewaySweep reproduces Fig. 9: performance as the number of deployed
-// gateways shrinks. Points run concurrently (see CacheSizeSweep for the
-// determinism argument).
+// gateways shrinks. Points run through RunAll (see CacheSizeSweep for
+// the determinism argument).
 func GatewaySweep(base Config, gatewayCounts []int, schemes []string) ([]GatewayPoint, error) {
-	type job struct {
-		scheme   string
-		gateways int
-	}
-	var jobs []job
+	var cfgs []Config
 	for _, scheme := range schemes {
 		for _, n := range gatewayCounts {
-			jobs = append(jobs, job{scheme: scheme, gateways: n})
+			cfg := base
+			cfg.Scheme = scheme
+			cfg.ActiveGateways = n
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	out := make([]GatewayPoint, len(jobs))
-	err := RunIndexed(runtime.GOMAXPROCS(0), len(jobs), func(i int) error {
-		cfg := base
-		cfg.Scheme = jobs[i].scheme
-		cfg.ActiveGateways = jobs[i].gateways
+	return RunAll(cfgs, func(cfg Config) (GatewayPoint, error) {
 		r, err := Run(cfg)
 		if err != nil {
-			return err
+			return GatewayPoint{}, err
 		}
-		out[i] = GatewayPoint{
-			Scheme:      jobs[i].scheme,
-			Gateways:    jobs[i].gateways,
+		return GatewayPoint{
+			Scheme:      cfg.Scheme,
+			Gateways:    cfg.ActiveGateways,
 			FCT:         r.Summary.AvgFCT,
 			FirstPacket: r.Summary.AvgFirstPacket,
 			Drops:       r.Drops,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // TopologyPoint is one measurement of the Fig. 10 topology-scaling sweep.
@@ -217,38 +178,28 @@ type TopologyPoint struct {
 
 // TopologySweep reproduces Fig. 10: base's topology replaced by FT8
 // rescaled to each pod count (topology.ScaledFT8) with a fixed server
-// count. Points run concurrently (see CacheSizeSweep).
+// count. Points run through RunAll (see CacheSizeSweep).
 func TopologySweep(base Config, pods []int, schemes []string) ([]TopologyPoint, error) {
-	type job struct {
-		scheme string
-		pods   int
-	}
-	var jobs []job
+	var cfgs []Config
 	for _, scheme := range schemes {
 		for _, p := range pods {
-			jobs = append(jobs, job{scheme: scheme, pods: p})
+			topo, err := topology.ScaledFT8(p)
+			if err != nil {
+				return nil, err
+			}
+			cfg := base
+			cfg.Topo = topo
+			cfg.Scheme = scheme
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	out := make([]TopologyPoint, len(jobs))
-	err := RunIndexed(runtime.GOMAXPROCS(0), len(jobs), func(i int) error {
-		topo, err := topology.ScaledFT8(jobs[i].pods)
-		if err != nil {
-			return err
-		}
-		cfg := base
-		cfg.Topo = topo
-		cfg.Scheme = jobs[i].scheme
+	return RunAll(cfgs, func(cfg Config) (TopologyPoint, error) {
 		r, err := Run(cfg)
 		if err != nil {
-			return err
+			return TopologyPoint{}, err
 		}
-		out[i] = TopologyPoint{Scheme: jobs[i].scheme, Pods: jobs[i].pods, FCT: r.Summary.AvgFCT}
-		return nil
+		return TopologyPoint{Scheme: cfg.Scheme, Pods: cfg.Topo.Pods, FCT: r.Summary.AvgFCT}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // MigrationConfig parameterizes the §5.2 VM-migration experiment.

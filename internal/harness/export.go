@@ -68,25 +68,34 @@ func WriteTopologyCSV(out io.Writer, pts []TopologyPoint) error {
 	return writeAll(w, rows)
 }
 
-// WritePodBytesCSV exports a Fig. 7-style per-pod byte heatmap row for
-// one report.
-func WritePodBytesCSV(out io.Writer, reports []*Report) error {
-	if len(reports) == 0 {
-		return fmt.Errorf("harness: no reports")
+// PodBytes is one Fig. 7 heatmap row: the bytes each pod's switches
+// processed in one run, their total and the run's packet stretch.
+type PodBytes struct {
+	Scheme     string
+	PerPod     []int64
+	Total      int64
+	AvgStretch float64
+}
+
+// WritePodBytesCSV exports Fig. 7-style per-pod byte heatmap rows, one
+// per run.
+func WritePodBytesCSV(out io.Writer, pts []PodBytes) error {
+	if len(pts) == 0 {
+		return fmt.Errorf("harness: no rows")
 	}
 	w := csv.NewWriter(out)
 	header := []string{"scheme"}
-	for pod := range reports[0].PerPodBytes {
+	for pod := range pts[0].PerPod {
 		header = append(header, fmt.Sprintf("pod%d_bytes", pod+1))
 	}
 	header = append(header, "total_bytes", "avg_stretch")
 	rows := [][]string{header}
-	for _, r := range reports {
-		row := []string{r.Scheme}
-		for _, b := range r.PerPodBytes {
+	for _, p := range pts {
+		row := []string{p.Scheme}
+		for _, b := range p.PerPod {
 			row = append(row, strconv.FormatInt(b, 10))
 		}
-		row = append(row, strconv.FormatInt(r.TotalSwitchBytes, 10), f(r.AvgStretch))
+		row = append(row, strconv.FormatInt(p.Total, 10), f(p.AvgStretch))
 		rows = append(rows, row)
 	}
 	return writeAll(w, rows)

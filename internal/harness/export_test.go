@@ -70,7 +70,7 @@ func TestWritePodBytesCSVFromRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WritePodBytesCSV(&buf, []*Report{r}); err != nil {
+	if err := WritePodBytesCSV(&buf, []PodBytes{{Scheme: r.Scheme, PerPod: r.PerPodBytes, Total: r.TotalSwitchBytes, AvgStretch: r.AvgStretch}}); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, &buf)

@@ -64,7 +64,8 @@ type Report struct {
 	SLOPass   bool          `json:"slo_pass"`
 
 	// Final is the whole-run harness report (totals, telemetry handle);
-	// excluded from JSON, which stays phase-oriented.
+	// excluded from JSON, which stays phase-oriented. Nil in RunAll's
+	// reports.
 	Final *harness.Report `json:"-"`
 }
 

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"runtime"
 
 	"switchv2p/internal/harness"
 )
@@ -105,23 +104,22 @@ func Run(spec Spec) (*Report, error) {
 }
 
 // RunAll runs the scenario once per scheme (spec.Base.Scheme is
-// overridden) through harness.RunIndexed on GOMAXPROCS workers. Reports
-// come back in scheme order; each run is seeded only from its own
-// config, so results do not depend on the worker count.
+// overridden) through harness.RunAll. Reports come back in scheme order;
+// each run is seeded only from its own config, so results do not depend
+// on GOMAXPROCS. A batch keeps each run's phase report but not its
+// simulation: the reports' Final is nil (Run returns it).
 func RunAll(spec Spec, schemes []string) ([]*Report, error) {
 	if len(schemes) == 0 {
 		schemes = harness.AllSchemes
 	}
-	reports := make([]*Report, len(schemes))
-	err := harness.RunIndexed(runtime.GOMAXPROCS(0), len(schemes), func(i int) error {
+	return harness.RunAll(schemes, func(scheme string) (*Report, error) {
 		s := spec
-		s.Base.Scheme = schemes[i]
-		var err error
-		reports[i], err = Run(s)
-		return err
+		s.Base.Scheme = scheme
+		rep, err := Run(s)
+		if err != nil {
+			return nil, err
+		}
+		rep.Final = nil
+		return rep, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return reports, nil
 }

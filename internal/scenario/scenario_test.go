@@ -156,6 +156,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if serial[i].Scheme == "" {
 			t.Errorf("scheme %s: empty report", schemes[i])
 		}
+		if serial[i].Final != nil || parallel[i].Final != nil {
+			t.Errorf("scheme %s: a batch report keeps its run's harness report and world", schemes[i])
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"switchv2p/internal/netaddr"
 	"switchv2p/internal/packet"
 	"switchv2p/internal/simtime"
-	"switchv2p/internal/telemetry"
 	"switchv2p/internal/topology"
 	"switchv2p/internal/vnet"
 )
@@ -134,7 +133,7 @@ type Engine struct {
 	// the events it dispatched, the queue-depth high-water mark, host wall
 	// clock and allocations to the profile. The run loop is the same
 	// either way.
-	Prof *telemetry.EngineProfile
+	Prof *EngineProfile
 
 	// Link tables, built once in New so the forwarding hot path is plain
 	// array reads: swNbr[s] holds the egress links from switch s to each

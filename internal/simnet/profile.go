@@ -1,4 +1,4 @@
-package telemetry
+package simnet
 
 import (
 	"fmt"
@@ -11,7 +11,7 @@ import (
 // hooks collect: how many events the discrete-event loop dispatched,
 // how deep the pending-event heap got, and how much wall clock one
 // simulated second costs. The engine fills it in when a profile is
-// attached (simnet.Engine.Prof); repeated Run calls accumulate.
+// attached (Engine.Prof); repeated Run calls accumulate.
 type EngineProfile struct {
 	// Events is the number of events the run loop dispatched
 	// (including telemetry sampler ticks, if a sampler is active).

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"switchv2p/internal/eventq"
+	"switchv2p/internal/simnet"
 	"switchv2p/internal/simtime"
 )
 
@@ -58,7 +59,7 @@ type FaultRecord struct {
 // the engine profile, the sampled timeline, and the fault timeline.
 type Collector struct {
 	Interval simtime.Duration
-	Profile  EngineProfile
+	Profile  simnet.EngineProfile
 	Timeline *Timeline
 	// Faults is the ordered timeline of fault events applied during the
 	// run, filled from the injector's timeline when the harness builds

@@ -149,13 +149,14 @@ for phase in morning-ramp midday-churn migration-storm gateway-autoscale rolling
 done
 echo "$scenario_out" | grep -Eq 'pass|FAIL' || { echo "scenario smoke: no SLO verdicts in output"; exit 1; }
 
-echo "== experiments worker-count smoke (GOMAXPROCS 1 vs 2, ~12 s) =="
+echo "== experiments worker-count smoke (GOMAXPROCS 1 vs 2, ~19 s on 2 vCPU) =="
 # cmd/experiments runs each experiment's independent simulations through
-# harness.RunIndexed on GOMAXPROCS workers and prints them in index
-# order, so the rows must not depend on GOMAXPROCS; only the "done in"
-# wall-clock lines may differ.
+# harness.RunAll on GOMAXPROCS workers and prints them in index order,
+# so the rows must not depend on GOMAXPROCS; only the "done in"
+# wall-clock lines may differ. fig5a, fig9 and fig10 run the three
+# harness sweeps.
 go build -o "$tmp/experiments" ./cmd/experiments
-for exp in fig7 fig8 table4 table5 controller ablation; do
+for exp in fig5a fig9 fig10 fig7 fig8 table4 table5 controller ablation; do
   GOMAXPROCS=1 "$tmp/experiments" -exp "$exp" -scale quick | grep -v 'done in' >"$tmp/exp1.txt"
   GOMAXPROCS=2 "$tmp/experiments" -exp "$exp" -scale quick | grep -v 'done in' >"$tmp/exp2.txt"
   diff "$tmp/exp1.txt" "$tmp/exp2.txt" || { echo "worker-count smoke: $exp differs between GOMAXPROCS 1 and 2"; exit 1; }

@@ -38,6 +38,7 @@ import (
 	"switchv2p/internal/harness"
 	"switchv2p/internal/p4model"
 	"switchv2p/internal/scenario"
+	"switchv2p/internal/simnet"
 	"switchv2p/internal/simtime"
 	"switchv2p/internal/telemetry"
 	"switchv2p/internal/topology"
@@ -122,7 +123,7 @@ type (
 	TelemetrySeries = telemetry.Series
 	// EngineProfile reports event-loop throughput (events/sec, heap
 	// depth, wall clock per simulated second).
-	EngineProfile = telemetry.EngineProfile
+	EngineProfile = simnet.EngineProfile
 
 	// Time is a simulated instant (nanoseconds since run start).
 	Time = simtime.Time
@@ -205,9 +206,10 @@ func ProductionDay(base Config, o DayOptions) Scenario { return scenario.Product
 // byte for byte.
 func RunScenario(s Scenario) (*ScenarioReport, error) { return scenario.Run(s) }
 
-// RunScenarioAll runs a scenario once per scheme (nil = AllSchemes),
-// as many at once as GOMAXPROCS allows; reports come back in scheme
-// order, the same at any GOMAXPROCS.
+// RunScenarioAll runs a scenario once per scheme (nil = AllSchemes)
+// through the harness's RunAll pool, as many at once as GOMAXPROCS
+// allows; reports come back in scheme order, the same at any GOMAXPROCS.
+// Their Final is nil: a batch keeps phase reports, not simulations.
 func RunScenarioAll(s Scenario, schemes []string) ([]*ScenarioReport, error) {
 	return scenario.RunAll(s, schemes)
 }
